@@ -34,23 +34,19 @@ __all__ = [
     "matvec",
     "transpose",
     "reshape",
-    "concat_cols",
     "stack_scalars",
     "slice1d",
     "gather_rows",
     "row_sum",
-    "outer_sum",
     "add_bias",
     "apply_unary",
-    "relu",
-    "leaky_relu",
     "tanh",
     "sigmoid",
-    "exp",
     "log",
     "clip",
     "masked_row_softmax",
     "dropout",
+    "graph_attention",
     "reduce_sum",
     "reduce_mean",
     "backward",
@@ -260,25 +256,6 @@ def reshape(a: Tensor, shape: tuple) -> Tensor:
                  lambda g: [g.reshape(orig)])
 
 
-def concat_cols(tensors: Sequence[Tensor]) -> Tensor:
-    """Concatenate (n, f_i) matrices along columns in the given order."""
-    tensors = list(tensors)
-    _check_dtypes("concat_cols", *tensors)
-    _require_shape("concat_cols", all(t.data.ndim == 2 for t in tensors),
-                   "expects 2-d operands")
-    rows = tensors[0].shape[0]
-    _require_shape("concat_cols", all(t.shape[0] == rows for t in tensors),
-                   "row counts disagree")
-    widths = [t.shape[1] for t in tensors]
-    offsets = np.cumsum([0] + widths)
-
-    def bwd(g):
-        return [g[:, offsets[i]:offsets[i + 1]] for i in range(len(widths))]
-
-    return _node(np.concatenate([t.data for t in tensors], axis=1),
-                 "concat_cols", tensors, bwd)
-
-
 def stack_scalars(tensors: Sequence[Tensor]) -> Tensor:
     """Stack scalar tensors into a 1-d vector."""
     tensors = list(tensors)
@@ -331,15 +308,6 @@ def row_sum(a: Tensor) -> Tensor:
                  lambda g: [np.repeat(g[:, None], a.shape[1], axis=1)])
 
 
-def outer_sum(u: Tensor, v: Tensor) -> Tensor:
-    """Pairwise sums: out[i, j] = u[i] + v[j] for 1-d u, v."""
-    _check_dtypes("outer_sum", u, v)
-    _require_shape("outer_sum", u.data.ndim == 1 and v.data.ndim == 1,
-                   f"expects 1-d operands, got {u.shape} and {v.shape}")
-    return _node(u.data[:, None] + v.data[None, :], "outer_sum", (u, v),
-                 lambda g: [g.sum(axis=1), g.sum(axis=0)])
-
-
 def add_bias(m: Tensor, v: Tensor) -> Tensor:
     """Add a (d,) vector to every row of a (n,d) matrix."""
     _check_dtypes("add_bias", m, v)
@@ -388,24 +356,12 @@ def apply_unary(kind: str, x: Tensor, slope: float | None = None) -> Tensor:
     return _node(y, kind, (x,), bwd)
 
 
-def relu(x: Tensor) -> Tensor:
-    return apply_unary("relu", x)
-
-
-def leaky_relu(x: Tensor, slope: float) -> Tensor:
-    return apply_unary("leaky_relu", x, slope)
-
-
 def tanh(x: Tensor) -> Tensor:
     return apply_unary("tanh", x)
 
 
 def sigmoid(x: Tensor) -> Tensor:
     return apply_unary("sigmoid", x)
-
-
-def exp(x: Tensor) -> Tensor:
-    return apply_unary("exp", x)
 
 
 def log(x: Tensor) -> Tensor:
@@ -465,6 +421,99 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool) ->
     keep = rng.random(x.shape) >= rate
     factor = (keep / (1.0 - rate)).astype(x.dtype)
     return _node(x.data * factor, "dropout", (x,), lambda g: [g * factor])
+
+
+def graph_attention(h: Tensor, a: Tensor | None, mask: np.ndarray, *,
+                    heads: int, slope: float, dropout: float = 0.0,
+                    rng: np.random.Generator | None = None,
+                    fixed: np.ndarray | None = None) -> tuple[Tensor, list[Tensor]]:
+    """K-head graph attention over a dense neighbor mask, as one node.
+
+    Head k owns columns [k*F, (k+1)*F) of the (n, K*F) projection `h`. It
+    scores pair (i, j) as leaky_relu(a[k, :F] . h_k[i] + a[k, F:] . h_k[j]),
+    softmax-normalizes each row over `mask` (self-loops required) into
+    alpha_k and writes alpha_k @ h_k, before any activation, into its own
+    columns. With `dropout` > 0 each alpha_k is dropped out with one (n, n)
+    draw from `rng`, in head order. A constant (n, n) `fixed` alpha
+    replaces the learned one for every head; `a` is then None.
+
+    Returns the node and the K alphas before dropout, uncopied.
+    """
+    op = "graph_attention"
+    if (a is None) == (fixed is None):
+        raise ParameterError(f"{op}: pass exactly one of a and fixed")
+    if not (0 <= dropout < 1):
+        raise ParameterError(f"{op}: dropout rate {dropout} outside [0, 1)")
+    _require_shape(op, h.data.ndim == 2 and heads >= 1 and h.shape[1] % heads == 0,
+                   f"expects (n, K*F) with K={heads}, got {h.shape}")
+    n, width = h.shape
+    f = width // heads
+    hd = h.data
+    dt = hd.dtype
+    if fixed is None:
+        _check_dtypes(op, h, a)
+        _require_shape(op, a.shape == (heads, 2 * f),
+                       f"attention matrix shape {a.shape}, expected ({heads}, {2 * f})")
+        mask = np.asarray(mask, dtype=bool)
+        _require_shape(op, mask.shape == (n, n), f"mask shape {mask.shape} for {n} nodes")
+        if not mask.diagonal().all():
+            raise ContractError(f"{op}: neighbor mask must include self-loops")
+        parents = (h, a)
+    else:
+        fixed = np.asarray(fixed, dtype=dt)
+        _require_shape(op, fixed.shape == (n, n), f"fixed alpha shape {fixed.shape} for {n} nodes")
+        parents = (h,)
+    s = dt.type(slope)
+    neg_inf = dt.type(-np.inf)
+    keep_scale = dt.type(1.0 / (1.0 - dropout))
+
+    out = np.empty_like(hd)
+    alphas, keeps, scores = [], [], []
+    for k in range(heads):
+        cols = slice(k * f, (k + 1) * f)
+        hk = hd[:, cols]
+        if fixed is None:
+            src, dst = hk @ a.data[k, :f], hk @ a.data[k, f:]
+            e = src[:, None] + dst[None, :]
+            e = np.where(mask, np.where(e > 0, e, s * e), neg_inf)
+            e -= e.max(axis=1, keepdims=True)
+            np.exp(e, out=e)
+            alpha = e / e.sum(axis=1, keepdims=True)
+            scores.append((src, dst))
+        else:
+            alpha = fixed
+        alphas.append(alpha)
+        if dropout:
+            keep = rng.random((n, n)) >= dropout
+            keeps.append(keep)
+            alpha = alpha * (keep * keep_scale)
+        out[:, cols] = alpha @ hk
+
+    def bwd(g):
+        dh = np.zeros_like(hd)
+        da = None if fixed is not None else np.zeros_like(a.data)
+        for k in range(heads):
+            cols = slice(k * f, (k + 1) * f)
+            hk, gk, alpha = hd[:, cols], g[:, cols], alphas[k]
+            factor = keeps[k] * keep_scale if dropout else None
+            dropped = alpha if factor is None else alpha * factor
+            dh[:, cols] += dropped.T @ gk
+            if da is None:
+                continue
+            d_alpha = gk @ hk.T
+            if factor is not None:
+                d_alpha *= factor
+            d_e = alpha * (d_alpha - (d_alpha * alpha).sum(axis=1, keepdims=True))
+            src, dst = scores[k]
+            d_e *= np.where(src[:, None] + dst[None, :] > 0, dt.type(1), s)
+            d_src, d_dst = d_e.sum(axis=1), d_e.sum(axis=0)
+            dh[:, cols] += np.outer(d_src, a.data[k, :f]) + np.outer(d_dst, a.data[k, f:])
+            da[k, :f] = hk.T @ d_src
+            da[k, f:] = hk.T @ d_dst
+        return [dh] if da is None else [dh, da]
+
+    return (_node(out, op, parents, bwd),
+            [_node(alpha, f"{op}.alpha", (), None) for alpha in alphas])
 
 
 # ---------------------------------------------------------------------------

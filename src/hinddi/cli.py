@@ -129,6 +129,22 @@ def _make_split(cfg: RunConfig, hin):
     return split_cold_start(hin.ddi, hin.n_drugs, cfg.drug_fraction, seed=cfg.seed)
 
 
+def _load_model(cfg: RunConfig, checkpoint, d0: int):
+    """Load a checkpoint and check it against the features and meta-paths."""
+    params, echo = load_checkpoint(checkpoint)
+    try:
+        model_config = ModelConfig.from_echo(echo)
+    except KeyError as err:
+        raise ConfigError(f"{checkpoint}: checkpoint echo lacks {err}") from None
+    if model_config.input_dim != d0:
+        raise ConfigError(f"checkpoint expects d0={model_config.input_dim}, "
+                          f"features have d0={d0}")
+    if set(params.metapaths) != set(cfg.metapaths):
+        raise ConfigError(f"checkpoint meta-paths {sorted(params.metapaths)} "
+                          f"differ from configured {sorted(cfg.metapaths)}")
+    return params, model_config
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -205,7 +221,7 @@ def cmd_build_graph(args, cfg: RunConfig) -> int:
               paths.fingerprints, paths.ddi]
     _write_manifest(cfg, "build-graph", inputs, artifacts, started,
                     extra={"stats": counts, "validation_passed": report.passed})
-    print(report.format(max_warnings=10))
+    print(report.format())
     for key, value in counts.items():
         print(f"{key}\t{value}")
     if not report.passed and args.strict:
@@ -244,19 +260,15 @@ def cmd_featurize(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _model_setup(cfg: RunConfig, d0: int):
-    model_config = cfg.model_config(d0)
-    return model_config, cfg.train_config()
-
-
 def cmd_train(args, cfg: RunConfig) -> int:
     started = time.time()
     hin, graphs, feature_matrix, values = _load_pipeline(cfg)
     bundle = _make_split(cfg, hin)
-    model_config, train_config = _model_setup(cfg, feature_matrix.d0)
+    model_config = cfg.model_config(feature_matrix.d0)
     params = init_params(model_config, cfg.metapaths,
                          purpose_rng(cfg.seed, "init"), dtype=cfg.dtype)
-    history = train(params, model_config, train_config, bundle, graphs, values)
+    history = train(params, model_config, cfg.train_config(), bundle, graphs,
+                    values)
 
     checkpoint_path = cfg.out_dir / "checkpoint.bin"
     echo = dict(cfg.echo())
@@ -299,14 +311,7 @@ def cmd_train(args, cfg: RunConfig) -> int:
 def cmd_evaluate(args, cfg: RunConfig) -> int:
     started = time.time()
     hin, graphs, feature_matrix, values = _load_pipeline(cfg)
-    params, echo = load_checkpoint(args.checkpoint)
-    model_config = ModelConfig.from_echo(echo)
-    if model_config.input_dim != feature_matrix.d0:
-        raise ConfigError(f"checkpoint expects d0={model_config.input_dim}, "
-                          f"features have d0={feature_matrix.d0}")
-    if set(params.metapaths) != set(cfg.metapaths):
-        raise ConfigError(f"checkpoint meta-paths {sorted(params.metapaths)} "
-                          f"differ from configured {sorted(cfg.metapaths)}")
+    params, model_config = _load_model(cfg, args.checkpoint, feature_matrix.d0)
     bundle = _make_split(cfg, hin)
     pairs = {"train": bundle.train, "validation": bundle.validation,
              "test": bundle.test}[args.split]
@@ -327,10 +332,9 @@ def cmd_ablate(args, cfg: RunConfig) -> int:
     started = time.time()
     hin, graphs, feature_matrix, values = _load_pipeline(cfg)
     bundle = _make_split(cfg, hin)
-    model_config, train_config = _model_setup(cfg, feature_matrix.d0)
-    params, history, metrics, detail = ablate(args.variant, model_config,
-                                              train_config, bundle, graphs,
-                                              values, dtype=cfg.dtype)
+    params, history, metrics, detail = ablate(
+        args.variant, cfg.model_config(feature_matrix.d0), cfg.train_config(),
+        bundle, graphs, values, dtype=cfg.dtype)
     out = cfg.out_dir / f"ablate_{args.variant}"
     history_path = out / "history.tsv"
     _write_atomic(history_path, history.to_tsv())
@@ -349,11 +353,7 @@ def cmd_ablate(args, cfg: RunConfig) -> int:
 def cmd_predict(args, cfg: RunConfig) -> int:
     started = time.time()
     hin, graphs, feature_matrix, values = _load_pipeline(cfg)
-    params, echo = load_checkpoint(args.checkpoint)
-    model_config = ModelConfig.from_echo(echo)
-    if model_config.input_dim != feature_matrix.d0:
-        raise ConfigError(f"checkpoint expects d0={model_config.input_dim}, "
-                          f"features have d0={feature_matrix.d0}")
+    params, model_config = _load_model(cfg, args.checkpoint, feature_matrix.d0)
 
     registry = hin.registry
     requested = []

@@ -262,22 +262,19 @@ class ValidationReport:
     def passed(self) -> bool:
         return not self.errors
 
-    def format(self, max_warnings: int | None = None) -> str:
+    def format(self) -> str:
         lines = [f"validation: {'pass' if self.passed else 'FAIL'}"]
         lines += [f"error: {e}" for e in self.errors]
-        shown = self.warnings if max_warnings is None else self.warnings[:max_warnings]
-        lines += [f"warning: {w}" for w in shown]
-        hidden = len(self.warnings) - len(shown)
-        if hidden > 0:
-            lines.append(f"warning: ... and {hidden} more")
+        lines += [f"warning: {w}" for w in self.warnings]
         return "\n".join(lines)
 
 
 def validate(hin: Hin) -> ValidationReport:
     """Diagnostic scan: orphan entities, P symmetry/diagonal, index bounds.
 
-    Orphans are reported as warnings (legal but suspicious); structural
-    defects are errors.
+    Orphans are legal but suspicious: they are reported as one warning per
+    entity kind, with the count and at most three example ids. Structural
+    defects are errors, one per defect.
     """
     report = ValidationReport()
     reg = hin.registry
@@ -313,9 +310,13 @@ def validate(hin: Hin) -> ValidationReport:
         degree[EntityKind.DRUG][i] += 1
         degree[EntityKind.DRUG][j] += 1
     for kind in EntityKind:
-        for idx in np.flatnonzero(degree[kind] == 0):
+        orphans = np.flatnonzero(degree[kind] == 0)
+        if orphans.size:
+            examples = ", ".join(repr(reg.id_of(kind, int(idx))) for idx in orphans[:3])
+            more = ", ..." if orphans.size > 3 else ""
             report.warnings.append(
-                f"orphan {kind.value} {reg.id_of(kind, int(idx))!r} has no relations")
+                f"orphan {kind.value}: {orphans.size} with no relations, "
+                f"e.g. {examples}{more}")
     return report
 
 

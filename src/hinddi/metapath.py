@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hin import EntityKind, Hin, RelationMatrix, SchemaError
+from .hin import _RELATION_SCHEMAS, EntityKind, Hin, RelationMatrix, SchemaError
 
 __all__ = [
     "MetaPathStep",
@@ -40,14 +40,6 @@ class MetaPathStep:
         return (target, source) if self.transposed else (source, target)
 
 
-_SCHEMA = {
-    "T": (EntityKind.DRUG, EntityKind.PROTEIN),
-    "C": (EntityKind.DRUG, EntityKind.SIDE_EFFECT),
-    "H": (EntityKind.DRUG, EntityKind.SUBSTRUCTURE),
-    "P": (EntityKind.PROTEIN, EntityKind.PROTEIN),
-}
-
-
 @dataclass(frozen=True)
 class MetaPathSpec:
     """A named drug-to-drug path schema over the relation matrices."""
@@ -57,7 +49,7 @@ class MetaPathSpec:
     def __post_init__(self):
         if not self.steps:
             raise SchemaError(f"{self.name}: empty meta-path")
-        kinds = [s.kinds(_SCHEMA) for s in self.steps]
+        kinds = [s.kinds(_RELATION_SCHEMAS) for s in self.steps]
         if kinds[0][0] != EntityKind.DRUG or kinds[-1][1] != EntityKind.DRUG:
             raise SchemaError(f"{self.name}: meta-path must start and end at drugs")
         for k, (left, right) in enumerate(zip(kinds, kinds[1:])):

@@ -1,17 +1,20 @@
 """Two-level attention encoder and dot-product decoder for drug pairs.
 
-Per meta-path, drug features are projected per attention head, scored
-against neighbors (leaky-relu of a learned vector applied to the
-concatenated pair projection), normalized by a masked softmax over the
-neighbor mask, and aggregated; heads are concatenated. A second attention
-stage scores each meta-path embedding through a small tanh layer and fuses
-them with softmax weights. Pair probabilities come from a sigmoid over the
-dot product of the fused embeddings.
+One matmul projects drug features for all K heads at once into an
+(n, K*F) matrix; head k owns columns [k*F, (k+1)*F). Per meta-path, one
+fused `graph_attention` node scores each head's neighbors (leaky-relu of
+that head's row of a (K, 2F) attention matrix applied to the concatenated
+pair projection), normalizes the scores by a masked softmax over the
+neighbor mask and aggregates; one activation node follows. A second
+attention stage scores each meta-path embedding through a small tanh layer
+and fuses them with softmax weights. Pair probabilities come from a
+sigmoid over the dot product of the fused embeddings.
 """
 
 from __future__ import annotations
 
 import io
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -27,9 +30,6 @@ __all__ = [
     "ModelParams",
     "EncoderOutput",
     "init_params",
-    "project",
-    "node_level_attention",
-    "aggregate_multihead",
     "metapath_attention",
     "fuse",
     "encode",
@@ -69,10 +69,6 @@ class ModelConfig:
         if self.pool not in ("mean", "sum"):
             raise ParameterError(f"pool must be 'mean' or 'sum', got {self.pool!r}")
 
-    @property
-    def embed_dim(self) -> int:
-        return self.heads * self.hidden_dim
-
     def echo(self) -> dict[str, str]:
         return {
             "input_dim": str(self.input_dim),
@@ -103,25 +99,25 @@ class ModelConfig:
 class ModelParams:
     """All trainable tensors.
 
-    One projection matrix per head (shared across meta-paths), one
-    attention vector per (meta-path, head), and the meta-path-level
-    attention triple (W, b, q).
+    `proj` is the (d0, K*F) projection of all K heads, shared across
+    meta-paths, with head k in columns [k*F, (k+1)*F). `attn[mp]` is the
+    (K, 2F) node-level attention matrix of a meta-path, one row per head:
+    the first F entries score the attending drug, the last F its neighbor.
+    (W, b, q) is the meta-path-level attention triple. Checkpoints name
+    the tensors `proj`, `attn.<mp>`, `w_mp`, `b_mp` and `q_mp`.
     """
 
     metapaths: tuple[str, ...]
-    proj: list[Tensor]                  # heads x (d0, F)
-    attn: dict[str, list[Tensor]]       # metapath -> heads x (2F,)
+    proj: Tensor                        # (d0, K*F)
+    attn: dict[str, Tensor]             # metapath -> (K, 2F)
     w_mp: Tensor                        # (d_q, K*F)
     b_mp: Tensor                        # (d_q,)
     q_mp: Tensor                        # (d_q,)
 
     def named(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for k, t in enumerate(self.proj):
-            out[f"proj.{k}"] = t
+        out = {"proj": self.proj}
         for mp in self.metapaths:
-            for k, t in enumerate(self.attn[mp]):
-                out[f"attn.{mp}.{k}"] = t
+            out[f"attn.{mp}"] = self.attn[mp]
         out["w_mp"] = self.w_mp
         out["b_mp"] = self.b_mp
         out["q_mp"] = self.q_mp
@@ -132,7 +128,7 @@ class ModelParams:
 
     @property
     def dtype(self) -> np.dtype:
-        return self.proj[0].dtype
+        return self.proj.dtype
 
     def snapshot(self) -> dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self.named().items()}
@@ -150,14 +146,15 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape,
 
 def init_params(config: ModelConfig, metapaths, rng: np.random.Generator,
                 dtype=np.float32) -> ModelParams:
-    """Uniform +-sqrt(6 / (fan_in + fan_out)) init, zero bias."""
+    """Uniform +-sqrt(6 / (fan_in + fan_out)) init, zero bias; heads are
+    drawn one after another, as (d0, F) and (2F,) blocks."""
     d0, f, k, dq = (config.input_dim, config.hidden_dim, config.heads,
                     config.attn_dim)
     metapaths = tuple(metapaths)
-    proj = [Tensor(_glorot(rng, d0, f, (d0, f), dtype), requires_grad=True)
-            for _ in range(k)]
-    attn = {mp: [Tensor(_glorot(rng, 2 * f, 1, (2 * f,), dtype), requires_grad=True)
-                 for _ in range(k)]
+    proj_heads = _glorot(rng, d0, f, (k, d0, f), dtype)
+    proj = Tensor(proj_heads.transpose(1, 0, 2).reshape(d0, k * f),
+                  requires_grad=True)
+    attn = {mp: Tensor(_glorot(rng, 2 * f, 1, (k, 2 * f), dtype), requires_grad=True)
             for mp in metapaths}
     w_mp = Tensor(_glorot(rng, k * f, dq, (dq, k * f), dtype), requires_grad=True)
     b_mp = Tensor(np.zeros(dq, dtype=dtype), requires_grad=True)
@@ -176,47 +173,6 @@ class EncoderOutput:
 
 # ---------------------------------------------------------------------------
 # encoder stages
-
-
-def project(h: Tensor, m: Tensor, *, dropout_rate: float = 0.0,
-            rng: np.random.Generator | None = None,
-            training: bool = False) -> Tensor:
-    """Project features into one head's subspace: dropout(h) @ m."""
-    if h.shape[1] != m.shape[0]:
-        raise ShapeError(f"project: features width {h.shape[1]} vs matrix {m.shape}")
-    if training and dropout_rate:
-        h = ad.dropout(h, dropout_rate, rng, training)
-    return ad.matmul(h, m)
-
-
-def node_level_attention(h_proj: Tensor, graph: NeighborGraph, a: Tensor,
-                         slope: float) -> Tensor:
-    """Attention coefficients over the meta-path neighbor mask.
-
-    Pair scores are leaky_relu(a . [h_i || h_j]) computed via the split
-    a = [a_src, a_dst]; rows are softmax-normalized over the mask.
-    """
-    f = h_proj.shape[1]
-    if a.shape != (2 * f,):
-        raise ShapeError(f"attention vector shape {a.shape}, expected ({2 * f},)")
-    adj = graph.adjacency
-    if not adj.diagonal().all():
-        raise ContractError(f"{graph.name}: neighbor graph must include self-loops")
-    s_src = ad.matvec(h_proj, ad.slice1d(a, 0, f))
-    s_dst = ad.matvec(h_proj, ad.slice1d(a, f, 2 * f))
-    e = ad.leaky_relu(ad.outer_sum(s_src, s_dst), slope)
-    return ad.masked_row_softmax(e, adj)
-
-
-def aggregate_multihead(alphas: list[Tensor], h_projs: list[Tensor],
-                        activation: str) -> Tensor:
-    """activation(alpha @ h') per head, concatenated in head order."""
-    if len(alphas) != len(h_projs):
-        raise ShapeError(f"{len(alphas)} attention matrices vs {len(h_projs)} heads")
-    heads = [ad.apply_unary(activation, ad.matmul(alpha, h),
-                            0.2 if activation == "leaky_relu" else None)
-             for alpha, h in zip(alphas, h_projs)]
-    return ad.concat_cols(heads)
 
 
 def metapath_attention(z_list: list[Tensor], w: Tensor, b: Tensor, q: Tensor,
@@ -278,27 +234,21 @@ def encode(params: ModelParams, features: np.ndarray,
         raise ShapeError(f"features shape {features.shape}, expected "
                          f"({n}, {config.input_dim})")
     x = Tensor(np.asarray(features, dtype=dtype))
-    if training and config.dropout:
-        x = ad.dropout(x, config.dropout, rng, training)
-    h_projs = [project(x, m) for m in params.proj]
+    rate = config.dropout if training else 0.0
+    if rate:
+        x = ad.dropout(x, rate, rng, training)
+    h = ad.matmul(x, params.proj)
+    act_slope = 0.2 if config.activation == "leaky_relu" else None
 
     z_mp: dict[str, Tensor] = {}
     alphas_out: dict[str, list[Tensor]] = {}
     for mp in params.metapaths:
-        graph = graphs[mp]
-        alphas = []
-        for k in range(config.heads):
-            if fixed_alpha is not None and mp in fixed_alpha:
-                alpha = Tensor(np.asarray(fixed_alpha[mp], dtype=dtype))
-            else:
-                alpha = node_level_attention(h_projs[k], graph,
-                                             params.attn[mp][k],
-                                             config.leaky_slope)
-            if training and config.dropout:
-                alpha = ad.dropout(alpha, config.dropout, rng, training)
-            alphas.append(alpha)
-        z_mp[mp] = aggregate_multihead(alphas, h_projs, config.activation)
-        alphas_out[mp] = alphas
+        fixed = None if fixed_alpha is None else fixed_alpha.get(mp)
+        z, alphas_out[mp] = ad.graph_attention(
+            h, params.attn[mp] if fixed is None else None, graphs[mp].adjacency,
+            heads=config.heads, slope=config.leaky_slope, dropout=rate, rng=rng,
+            fixed=fixed)
+        z_mp[mp] = ad.apply_unary(config.activation, z, act_slope)
 
     z_list = [z_mp[mp] for mp in params.metapaths]
     t = len(z_list)
@@ -400,46 +350,57 @@ def save_checkpoint(path, params: ModelParams, config_echo: dict[str, str]) -> N
 
 
 def load_checkpoint(path) -> tuple[ModelParams, dict[str, str]]:
+    """Read a checkpoint; a truncated or corrupt file raises ContractError.
+
+    Files written before the heads were fused hold per-head `proj.<k>` and
+    `attn.<mp>.<k>`; they are joined by column and stacked by row."""
     raw = Path(path).read_bytes()
     view = memoryview(raw)
     if bytes(view[:len(_MAGIC)]) != _MAGIC:
         raise ContractError(f"{path}: not a checkpoint file")
-    offset = len(_MAGIC)
-    version, itemsize = struct.unpack_from("<IB", view, offset)
-    offset += 5
-    if version != _VERSION:
-        raise ContractError(f"{path}: unsupported checkpoint version {version}")
-    (echo_len,) = struct.unpack_from("<I", view, offset)
-    offset += 4
-    echo_blob = bytes(view[offset:offset + echo_len]).decode("utf-8")
-    offset += echo_len
-    echo = dict(line.split("=", 1) for line in echo_blob.splitlines() if line)
-    (count,) = struct.unpack_from("<I", view, offset)
-    offset += 4
-    le_dtype = np.dtype("<f4" if itemsize == 4 else "<f8")
-    arrays: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", view, offset)
-        offset += 2
-        name = bytes(view[offset:offset + name_len]).decode("utf-8")
-        offset += name_len
-        (rank,) = struct.unpack_from("<B", view, offset)
-        offset += 1
-        shape = struct.unpack_from(f"<{rank}Q", view, offset) if rank else ()
-        offset += 8 * rank
-        size = int(np.prod(shape)) if rank else 1
-        arr = np.frombuffer(view, dtype=le_dtype, count=size, offset=offset)
-        offset += size * itemsize
-        arrays[name] = arr.reshape(shape).astype(le_dtype.newbyteorder("="), copy=True)
+    try:
+        offset = len(_MAGIC)
+        version, itemsize = struct.unpack_from("<IB", view, offset)
+        offset += 5
+        if version != _VERSION:
+            raise ContractError(f"{path}: unsupported checkpoint version {version}")
+        (echo_len,) = struct.unpack_from("<I", view, offset)
+        offset += 4
+        echo_blob = bytes(view[offset:offset + echo_len]).decode("utf-8")
+        offset += echo_len
+        echo = dict(line.split("=", 1) for line in echo_blob.splitlines() if line)
+        (count,) = struct.unpack_from("<I", view, offset)
+        offset += 4
+        le_dtype = np.dtype("<f4" if itemsize == 4 else "<f8")
+        arrays: dict[str, np.ndarray] = {}
+        for _ in range(count):
+            (name_len,) = struct.unpack_from("<H", view, offset)
+            offset += 2
+            name = bytes(view[offset:offset + name_len]).decode("utf-8")
+            offset += name_len
+            (rank,) = struct.unpack_from("<B", view, offset)
+            offset += 1
+            shape = struct.unpack_from(f"<{rank}Q", view, offset)
+            offset += 8 * rank
+            size = math.prod(shape)
+            arr = np.frombuffer(view, dtype=le_dtype, count=size, offset=offset)
+            offset += size * itemsize
+            arrays[name] = arr.reshape(shape).astype(le_dtype.newbyteorder("="), copy=True)
 
-    metapaths = tuple(echo.get("metapaths", "").split(",")) if echo.get("metapaths") else ()
-    heads = sum(1 for name in arrays if name.startswith("proj."))
-    proj = [Tensor(arrays[f"proj.{k}"], requires_grad=True) for k in range(heads)]
-    attn = {mp: [Tensor(arrays[f"attn.{mp}.{k}"], requires_grad=True)
-                 for k in range(heads)]
-            for mp in metapaths}
-    params = ModelParams(metapaths, proj, attn,
-                         Tensor(arrays["w_mp"], requires_grad=True),
-                         Tensor(arrays["b_mp"], requires_grad=True),
-                         Tensor(arrays["q_mp"], requires_grad=True))
+        metapaths = tuple(echo["metapaths"].split(",")) if echo.get("metapaths") else ()
+        if "proj" not in arrays:
+            heads = sum(1 for name in arrays if name.startswith("proj."))
+            arrays["proj"] = np.concatenate(
+                [arrays.pop(f"proj.{k}") for k in range(heads)], axis=1)
+            for mp in metapaths:
+                arrays[f"attn.{mp}"] = np.stack(
+                    [arrays.pop(f"attn.{mp}.{k}") for k in range(heads)])
+        params = ModelParams(
+            metapaths, Tensor(arrays["proj"], requires_grad=True),
+            {mp: Tensor(arrays[f"attn.{mp}"], requires_grad=True) for mp in metapaths},
+            Tensor(arrays["w_mp"], requires_grad=True),
+            Tensor(arrays["b_mp"], requires_grad=True),
+            Tensor(arrays["q_mp"], requires_grad=True))
+    except (struct.error, ValueError, KeyError) as err:  # incl. UnicodeDecodeError
+        raise ContractError(f"{path}: truncated or corrupt checkpoint") from err
     return params, echo

@@ -50,11 +50,6 @@ class TrainConfig:
     patience: int = 100
     seed: int = 0
 
-    def echo(self) -> dict[str, str]:
-        return {"lr": repr(self.lr), "weight_decay": repr(self.weight_decay),
-                "epochs": str(self.epochs), "patience": str(self.patience),
-                "train_seed": str(self.seed)}
-
 
 @dataclass
 class EpochRecord:

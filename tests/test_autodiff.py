@@ -66,11 +66,11 @@ class TestUnary:
         assert ad.sigmoid(Tensor(0.0)).item() == 0.5
 
     def test_relu_definition(self):
-        out = ad.relu(Tensor([-1.0, 2.0]))
+        out = ad.apply_unary("relu", Tensor([-1.0, 2.0]))
         np.testing.assert_array_equal(out.data, [0.0, 2.0])
 
     def test_leaky_relu_definition(self):
-        out = ad.leaky_relu(Tensor([-1.0]), slope=0.2)
+        out = ad.apply_unary("leaky_relu", Tensor([-1.0]), slope=0.2)
         np.testing.assert_allclose(out.data, [-0.2], rtol=1e-6)
 
     def test_slope_required_iff_leaky(self):
@@ -222,31 +222,30 @@ class TestAdjoints:
                 ad.matvec(ad.transpose(b), v))
         _fd_check_op(f, 3)
 
-    def test_reshape_concat_stack_slice(self):
-        @_with_shapes((2, 3), (2, 2), (5,))
-        def f(a, b, v):
-            cat = ad.concat_cols([a, b])
-            s0 = ad.reduce_mean(cat)
+    def test_reshape_stack_slice(self):
+        @_with_shapes((2, 3), (5,))
+        def f(a, v):
+            s0 = ad.reduce_mean(a)
             s1 = ad.reduce_sum(ad.slice1d(v, 1, 4))
             w = ad.stack_scalars([s0, s1])
             return ad.reduce_sum(ad.reshape(w, (2, 1)))
-        _fd_check_op(f, 3)
+        _fd_check_op(f, 2)
 
-    def test_gather_rowsum_outersum_bias(self):
-        @_with_shapes((4, 3), (3,), (4,), (5,))
-        def f(m, b, u, v):
+    def test_gather_rowsum_bias(self):
+        @_with_shapes((4, 3), (3,))
+        def f(m, b):
             g = ad.gather_rows(ad.add_bias(m, b), np.array([0, 2, 2, 3]))
-            return ad.reduce_sum(ad.row_sum(g)) + ad.reduce_sum(ad.outer_sum(u, v))
-        _fd_check_op(f, 4)
+            return ad.reduce_sum(ad.row_sum(g))
+        _fd_check_op(f, 2)
 
     def test_unaries_and_clip(self):
         @_with_shapes((3, 3),)
         def f(x):
             y = ad.tanh(x)
             y = ad.sigmoid(y)
-            y = ad.exp(ad.leaky_relu(y, 0.2))
+            y = ad.apply_unary("exp", ad.apply_unary("leaky_relu", y, 0.2))
             y = ad.log(ad.clip(y, 1.2, 2.4))
-            return ad.reduce_sum(ad.relu(y))
+            return ad.reduce_sum(ad.apply_unary("relu", y))
         _fd_check_op(f, 1)
 
     def test_masked_softmax(self):
@@ -257,7 +256,7 @@ class TestAdjoints:
         @_with_shapes((3, 3),)
         def f(s):
             return ad.reduce_sum(ad.mul(ad.masked_row_softmax(s, mask),
-                                        ad.exp(s)))
+                                        ad.apply_unary("exp", s)))
         _fd_check_op(f, 1)
 
     def test_dropout_with_frozen_mask(self):
@@ -266,6 +265,37 @@ class TestAdjoints:
             out = ad.dropout(x, 0.4, np.random.default_rng(123), training=True)
             return ad.reduce_sum(ad.mul(out, out))
         _fd_check_op(f, 1)
+
+    def test_graph_attention_with_dropout(self):
+        mask = np.random.default_rng(5).random((7, 7)) < 0.4
+        mask |= mask.T | np.eye(7, dtype=bool)
+
+        @_with_shapes((7, 6), (2, 6), (7, 6))
+        def f(h, a, w):
+            # A fresh generator per call replays the same dropout masks.
+            out, _ = ad.graph_attention(h, a, mask, heads=2, slope=0.2,
+                                        dropout=0.4, rng=np.random.default_rng(9))
+            return ad.reduce_sum(ad.mul(ad.tanh(out), w))
+        _fd_check_op(f, 3)
+
+    def test_graph_attention_with_fixed_alpha(self):
+        fixed = np.random.default_rng(6).random((7, 7))
+        fixed /= fixed.sum(axis=1, keepdims=True)
+
+        @_with_shapes((7, 6), (7, 6))
+        def f(h, w):
+            out, _ = ad.graph_attention(h, None, None, heads=2, slope=0.2,
+                                        dropout=0.4, rng=np.random.default_rng(9),
+                                        fixed=fixed)
+            assert out._parents == (h,)
+            return ad.reduce_sum(ad.mul(ad.tanh(out), w))
+        _fd_check_op(f, 2)
+
+        h = Tensor(np.ones((7, 6)))
+        for a, alpha in ((None, None), (Tensor(np.zeros((2, 6))), fixed)):
+            with pytest.raises(ad.ParameterError):
+                ad.graph_attention(h, a, np.eye(7, dtype=bool), heads=2,
+                                   slope=0.2, fixed=alpha)
 
 
 class TestFiniteDiffCheck:

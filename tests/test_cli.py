@@ -11,6 +11,7 @@ import pytest
 from hinddi.cli import main
 from hinddi.config import RunConfig
 from hinddi.model import load_checkpoint, save_checkpoint
+from tests.test_model import per_head_layout
 
 
 def run_cli(*argv):
@@ -47,7 +48,9 @@ class TestBuildGraph:
         assert stats["Drug"] == "20"
         assert stats["Substructure"] == "167"
         assert (out / "graph" / "registry.tsv").exists()
-        assert (out / "validation.txt").read_text().startswith("validation: pass")
+        report = (out / "validation.txt").read_text().splitlines()
+        assert report[0] == "validation: pass"
+        assert sum("orphan substructure" in line for line in report) == 1
         manifest = json.loads((out / "build_graph.manifest.json").read_text())
         assert manifest["validation_passed"] is True
         assert manifest["config"]["run.seed"] == "0"
@@ -140,6 +143,50 @@ class TestTrain:
         assert run_cli("predict", "--config", cfg, "--checkpoint", legacy,
                        "--pairs", pairs, "--scores-out", tmp_path / "s.tsv") == 0
         assert len((tmp_path / "s.tsv").read_text().splitlines()) == 1
+
+    def test_per_head_checkpoint_still_loads(self, pipeline, tmp_path):
+        # Checkpoints written before the heads were fused name one tensor
+        # per head.
+        root, cfg = pipeline
+        out = root / "out"
+        params, echo = load_checkpoint(out / "checkpoint.bin")
+        legacy = tmp_path / "per_head.bin"
+        save_checkpoint(legacy, per_head_layout(params, int(echo["heads"])), echo)
+        assert run_cli("evaluate", "--config", cfg, "--checkpoint", legacy,
+                       "--split", "test") == 0
+        assert ((out / "eval_test.tsv").read_text()
+                == (out / "metrics_test.tsv").read_text())
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("D000\tD001\nD004\tD012\n", encoding="utf-8")
+        for name, checkpoint in (("new", out / "checkpoint.bin"), ("old", legacy)):
+            assert run_cli("predict", "--config", cfg, "--checkpoint", checkpoint,
+                           "--pairs", pairs, "--scores-out",
+                           tmp_path / f"{name}.tsv") == 0
+        assert (tmp_path / "old.tsv").read_text() == (tmp_path / "new.tsv").read_text()
+
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    def test_bad_checkpoint_gives_one_error_line(self, pipeline, tmp_path,
+                                                 capsys, command):
+        root, cfg = pipeline
+        good = root / "out" / "checkpoint.bin"
+        raw = good.read_bytes()
+        bad = []
+        for size in (14, len(raw) // 2):
+            bad.append(tmp_path / f"cut_{size}.bin")
+            bad[-1].write_bytes(raw[:size])
+        params, echo = load_checkpoint(good)
+        del echo["heads"]
+        bad.append(tmp_path / "no_heads.bin")
+        save_checkpoint(bad[-1], params, echo)
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("D000\tD001\n", encoding="utf-8")
+        extra = ["--pairs", pairs] if command == "predict" else []
+        for path in bad:
+            assert run_cli(command, "--config", cfg, "--checkpoint", path,
+                           *extra) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert str(path) in err
 
     def test_evaluate_reproduces_train_test_metrics(self, pipeline):
         root, cfg = pipeline
@@ -245,6 +292,16 @@ class TestPredict:
         assert run_cli("predict", "--config", cfg, "--checkpoint",
                        root / "out" / "checkpoint.bin", "--pairs", pairs) == 1
         assert "self-pair" in capsys.readouterr().err
+
+    def test_metapaths_checked_against_checkpoint(self, pipeline, tmp_path,
+                                                  capsys):
+        root, cfg = pipeline
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("D000\tD001\n", encoding="utf-8")
+        assert run_cli("predict", "--config", cfg, "--metapaths", "DID-1,DID-3",
+                       "--checkpoint", root / "out" / "checkpoint.bin",
+                       "--pairs", pairs) == 1
+        assert "checkpoint meta-paths" in capsys.readouterr().err
 
     def test_unknown_drug_named(self, pipeline, tmp_path, capsys):
         root, cfg = pipeline

@@ -103,6 +103,18 @@ class TestValidate:
         assert report.passed
         assert any("d1" in w for w in report.warnings)
 
+    def test_orphans_are_counted_per_kind(self):
+        hin = make_hin(4, 2, 1, 5, t_pairs=[(0, 0)], h_pairs=[(2, 2)],
+                       ddi=[(0, 2)])
+        report = validate(hin)
+        assert report.passed
+        assert report.warnings == [
+            "orphan drug: 2 with no relations, e.g. 'd1', 'd3'",
+            "orphan protein: 1 with no relations, e.g. 'p1'",
+            "orphan side_effect: 1 with no relations, e.g. 's0'",
+            "orphan substructure: 4 with no relations, e.g. 'b0', 'b1', 'b3', ...",
+        ]
+
 
 class TestStats:
     def test_empty_hin_all_zero(self):

@@ -1,6 +1,8 @@
 """Encoder stages, decoder, loss, full-model gradients and checkpoints."""
 
 import math
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,7 +15,6 @@ from hinddi.model import (
     EncoderOutput,
     ModelConfig,
     ModelParams,
-    aggregate_multihead,
     bce_loss,
     decode_pair,
     decode_pairs,
@@ -23,11 +24,27 @@ from hinddi.model import (
     init_params,
     load_checkpoint,
     metapath_attention,
-    node_level_attention,
-    project,
     random_row_stochastic,
     save_checkpoint,
 )
+
+
+LEGACY_CHECKPOINT = Path(__file__).parent / "data" / "checkpoint_v1_per_head.bin"
+
+
+def per_head_layout(params, heads):
+    """`params` as `save_checkpoint` saw them before the heads were fused:
+    one (d0, F) projection per head and one (2F,) vector per (meta-path,
+    head)."""
+    f = params.proj.shape[1] // heads
+    named = {f"proj.{k}": Tensor(params.proj.data[:, k * f:(k + 1) * f])
+             for k in range(heads)}
+    for mp in params.metapaths:
+        named.update({f"attn.{mp}.{k}": Tensor(params.attn[mp].data[k])
+                      for k in range(heads)})
+    named.update(w_mp=params.w_mp, b_mp=params.b_mp, q_mp=params.q_mp)
+    return SimpleNamespace(metapaths=params.metapaths, dtype=params.dtype,
+                           named=lambda: named)
 
 
 def random_graphs(rng, n, names=None, density=0.3, dtype=bool):
@@ -51,41 +68,27 @@ def small_setup(rng, n=6, d0=5, heads=2, hidden=3, attn_dim=4, dtype=np.float64,
     return config, params, graphs, features
 
 
-class TestProject:
-    def test_identity_matrix_is_identity(self):
-        h = Tensor(np.arange(6, dtype=np.float64).reshape(2, 3))
-        out = project(h, Tensor(np.eye(3)))
-        np.testing.assert_array_equal(out.data, h.data)
-
-    def test_zero_features_stay_zero(self):
-        out = project(Tensor(np.zeros((4, 3))), Tensor(np.ones((3, 2))))
-        assert np.all(out.data == 0)
-
-    def test_matches_triple_loop(self):
-        from tests.test_autodiff import matmul_oracle
-        rng = np.random.default_rng(2)
-        h, m = rng.random((5, 4)), rng.random((4, 3))
-        out = project(Tensor(h), Tensor(m))
-        np.testing.assert_allclose(out.data, matmul_oracle(h, m), rtol=1e-12)
+def attend(h, a, mask, heads=1, **kwargs):
+    """Run the fused op on plain arrays; returns (output, alphas) arrays."""
+    a = None if a is None else Tensor(np.asarray(a, dtype=np.float64))
+    out, alphas = ad.graph_attention(Tensor(np.asarray(h, dtype=np.float64)), a,
+                                     mask, heads=heads, slope=0.2, **kwargs)
+    return out.data, [alpha.data for alpha in alphas]
 
 
 class TestNodeLevelAttention:
     def test_zero_vector_gives_uniform_rows(self):
         rng = np.random.default_rng(0)
-        h = Tensor(rng.random((4, 3)))
         adj = np.eye(4, dtype=bool)
         adj[0, 1] = adj[1, 0] = adj[2, 3] = adj[3, 2] = True
-        alpha = node_level_attention(h, NeighborGraph("DID-1", adj),
-                                     Tensor(np.zeros(6)), slope=0.2)
-        np.testing.assert_allclose(alpha.data[adj],
-                                   np.full(adj.sum(), 0.5), atol=1e-12)
+        _, (alpha,) = attend(rng.random((4, 3)), np.zeros((1, 6)), adj)
+        np.testing.assert_allclose(alpha[adj], np.full(adj.sum(), 0.5), atol=1e-12)
 
     def test_isolated_drug_attends_to_itself(self):
         rng = np.random.default_rng(1)
-        h = Tensor(rng.random((3, 2)))
-        alpha = node_level_attention(h, NeighborGraph("DID-1", np.eye(3, dtype=bool)),
-                                     Tensor(rng.random(4)), slope=0.2)
-        np.testing.assert_allclose(alpha.data, np.eye(3), atol=1e-12)
+        _, (alpha,) = attend(rng.random((3, 2)), rng.random((1, 4)),
+                             np.eye(3, dtype=bool))
+        np.testing.assert_allclose(alpha, np.eye(3), atol=1e-12)
 
     def test_three_node_hand_evaluation(self):
         # Oracle: evaluate leaky_relu(a . [h_i || h_j]) and the row softmax
@@ -112,62 +115,62 @@ class TestNodeLevelAttention:
             for j in cols:
                 expect[i, j] = exps[j] / total
 
-        alpha = node_level_attention(Tensor(np.array(h)),
-                                     NeighborGraph("DID-1", adj),
-                                     Tensor(np.array(a)), slope=0.2)
-        np.testing.assert_allclose(alpha.data, expect, rtol=1e-12)
+        _, (alpha,) = attend(h, [a], adj)
+        np.testing.assert_allclose(alpha, expect, rtol=1e-12)
 
     def test_missing_self_loop_rejected(self):
         adj = np.zeros((2, 2), dtype=bool)
         adj[0, 1] = adj[1, 0] = True
         with pytest.raises(ContractError, match="self-loops"):
-            node_level_attention(Tensor(np.ones((2, 2))),
-                                 NeighborGraph("DID-1", adj),
-                                 Tensor(np.zeros(4)), slope=0.2)
+            attend(np.ones((2, 2)), np.zeros((1, 4)), adj)
 
 
 class TestAggregate:
     def test_identity_attention_is_self_aggregation(self):
         rng = np.random.default_rng(3)
-        h = Tensor(rng.standard_normal((4, 3)))
-        alpha = Tensor(np.eye(4))
-        out = aggregate_multihead([alpha], [h], "relu")
-        np.testing.assert_array_equal(out.data, np.maximum(h.data, 0))
+        h = rng.standard_normal((4, 6))
+        out, _ = attend(h, None, None, heads=2, fixed=np.eye(4))
+        np.testing.assert_array_equal(out, h)
 
     def test_identical_neighbor_features_fixed_point(self):
         # A convex combination of identical rows returns that row.
         row = np.array([0.5, -0.25, 2.0])
-        h = Tensor(np.tile(row, (4, 1)))
         rng = np.random.default_rng(4)
         adj = np.ones((4, 4), dtype=bool)
-        alpha = Tensor(random_row_stochastic(adj, rng, dtype=np.float64))
-        out = aggregate_multihead([alpha], [h], "relu")
-        np.testing.assert_allclose(out.data, np.tile(np.maximum(row, 0), (4, 1)),
-                                   rtol=1e-12)
+        out, _ = attend(np.tile(row, (4, 1)), None, None,
+                        fixed=random_row_stochastic(adj, rng, dtype=np.float64))
+        np.testing.assert_allclose(out, np.tile(row, (4, 1)), rtol=1e-12)
 
     def test_matches_direct_summation_oracle(self):
         rng = np.random.default_rng(5)
-        n, f = 4, 3
-        h = rng.standard_normal((n, f))
-        adj = np.ones((n, n), dtype=bool)
-        alpha = random_row_stochastic(adj, rng, dtype=np.float64)
-        expect = np.zeros((n, f))
-        for i in range(n):
-            for col in range(f):
-                acc = 0.0
-                for j in range(n):
-                    acc += alpha[i, j] * h[j, col]
-                expect[i, col] = max(acc, 0.0)
-        out = aggregate_multihead([Tensor(alpha)], [Tensor(h)], "relu")
-        np.testing.assert_allclose(out.data, expect, rtol=1e-12)
+        n, heads, f = 4, 2, 3
+        h = rng.standard_normal((n, heads * f))
+        adj = rng.random((n, n)) < 0.5
+        np.fill_diagonal(adj, True)
+        out, alphas = attend(h, rng.standard_normal((heads, 2 * f)), adj, heads=heads)
+        expect = np.zeros((n, heads * f))
+        for k in range(heads):
+            for i in range(n):
+                for c in range(k * f, (k + 1) * f):
+                    acc = 0.0
+                    for j in range(n):
+                        acc += alphas[k][i, j] * h[j, c]
+                    expect[i, c] = acc
+        np.testing.assert_allclose(out, expect, rtol=1e-12)
 
     def test_heads_concatenate_in_order(self):
-        h1 = Tensor(np.full((2, 2), 2.0))
-        h2 = Tensor(np.full((2, 3), 3.0))
-        alpha = Tensor(np.eye(2))
-        out = aggregate_multihead([alpha, alpha], [h1, h2], "relu")
-        assert out.shape == (2, 5)
-        assert np.all(out.data[:, :2] == 2.0) and np.all(out.data[:, 2:] == 3.0)
+        # Head 0 has a zero attention row, so it averages its own columns
+        # over all neighbors; head 1 attends unevenly over the next columns.
+        h = np.array([[0.0, 1.0, 2.0, 3.0],
+                      [4.0, 5.0, 6.0, 7.0],
+                      [8.0, 9.0, 1.0, 2.0]])
+        a = np.array([[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
+        out, alphas = attend(h, a, np.ones((3, 3), dtype=bool), heads=2)
+        assert out.shape == (3, 4)
+        np.testing.assert_allclose(out[:, :2], np.tile(h[:, :2].mean(axis=0), (3, 1)),
+                                   rtol=1e-12)
+        assert not np.allclose(alphas[1], 1 / 3)
+        np.testing.assert_allclose(out[:, 2:], alphas[1] @ h[:, 2:], rtol=1e-12)
 
 
 class TestMetapathAttention:
@@ -338,8 +341,9 @@ class TestForward:
         manual_z = {}
         for mp in params.metapaths:
             heads = []
+            f = config.hidden_dim
             for k in range(config.heads):
-                hk = x @ params.proj[k].data
+                hk = x @ params.proj.data[:, k * f:(k + 1) * f]
                 heads.append(np.maximum(fixed[mp] @ hk, 0))
             manual_z[mp] = np.concatenate(heads, axis=1)
         np.testing.assert_array_equal(out.beta.data,
@@ -374,6 +378,22 @@ class TestForward:
             return scores.data
 
         assert run().tobytes() == run().tobytes()
+
+    def test_each_metapath_is_one_fused_node_and_one_activation(self):
+        rng = np.random.default_rng(27)
+        config, params, graphs, features = small_setup(rng)
+        out = encode(params, features, graphs, config)
+        projections = set()
+        for mp in params.metapaths:
+            z = out.z_mp[mp]
+            assert z._op == config.activation
+            (fused,) = z._parents
+            assert fused._op == "graph_attention"
+            h, attn = fused._parents
+            assert attn is params.attn[mp]
+            assert h._op == "matmul" and h._parents[1] is params.proj
+            projections.add(id(h))
+        assert len(projections) == 1
 
     def test_graph_name_mismatch_rejected(self):
         rng = np.random.default_rng(23)
@@ -420,3 +440,32 @@ class TestCheckpoint:
         path.write_bytes(b"not a checkpoint at all")
         with pytest.raises(ContractError, match="not a checkpoint"):
             load_checkpoint(path)
+
+    def test_per_head_checkpoint_from_older_version_loads(self, tmp_path):
+        # Written by save_checkpoint before the heads were fused, from the
+        # init_params call below.
+        config = ModelConfig(input_dim=4, hidden_dim=3, heads=2, attn_dim=3)
+        expect = init_params(config, ("DID-1", "DID-3"), np.random.default_rng(0))
+        loaded, echo = load_checkpoint(LEGACY_CHECKPOINT)
+        assert ModelConfig.from_echo(echo) == config
+        assert list(loaded.named()) == list(expect.named())
+        for name, tensor in expect.named().items():
+            other = loaded.named()[name]
+            assert other.dtype == tensor.dtype and other.shape == tensor.shape
+            assert other.data.tobytes() == tensor.data.tobytes(), name
+        again = tmp_path / "again.ckpt"
+        save_checkpoint(again, per_head_layout(loaded, config.heads), config.echo())
+        assert again.read_bytes() == LEGACY_CHECKPOINT.read_bytes()
+
+    def test_every_truncation_is_a_contract_error(self, tmp_path):
+        rng = np.random.default_rng(28)
+        config, params, _, _ = small_setup(rng, n_mps=2, dtype=np.float32)
+        save_checkpoint(tmp_path / "m.ckpt", params, config.echo())
+        cut = tmp_path / "cut.ckpt"
+        for source in (tmp_path / "m.ckpt", LEGACY_CHECKPOINT):
+            raw = source.read_bytes()
+            for size in range(len(raw)):
+                cut.write_bytes(raw[:size])
+                with pytest.raises(ContractError, match=r"cut\.ckpt: (not a checkpoint "
+                                   r"file|truncated or corrupt checkpoint)$"):
+                    load_checkpoint(cut)
