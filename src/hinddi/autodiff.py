@@ -1,9 +1,23 @@
-"""Dense tensors with reverse-mode gradients.
+"""Dense tensors with reverse-mode gradients, and the ops of the model.
 
 The compute graph is recorded implicitly: every operation links its output
 tensor to its input tensors together with a closure that maps the output
 adjoint to input adjoints. :func:`backward` replays those closures in
 reverse topological order.
+
+The op set is what the two-level attention model needs. Three ops are
+generic: `matmul`, `apply_unary` (the encoder activation) and `dropout`.
+Four are fused, each one tape node with a hand-written adjoint:
+
+- `graph_attention`: K-head node-level attention over one meta-path's
+  neighbor mask;
+- `semantic_attention`: meta-path weights beta and the beta-weighted sum of
+  the meta-path embeddings;
+- `pair_scores`: the sigmoid of the embedding dot product of each drug pair;
+- `binary_cross_entropy`: summed over pairs, on clamped probabilities.
+
+Every op result is checked for NaN and Inf, and a fused op also checks the
+intermediates that a later squashing step (tanh, sigmoid) would hide.
 
 Scope is deliberately narrow: 0-d/1-d/2-d tensors, no general broadcasting,
 no views, no higher-order gradients. Two precisions are supported (float32
@@ -25,30 +39,14 @@ __all__ = [
     "ContractError",
     "ParameterError",
     "Tensor",
-    "add",
-    "sub",
-    "mul",
-    "neg",
-    "scale",
+    "UNARY_KINDS",
     "matmul",
-    "matvec",
-    "transpose",
-    "reshape",
-    "stack_scalars",
-    "slice1d",
-    "gather_rows",
-    "row_sum",
-    "add_bias",
     "apply_unary",
-    "tanh",
-    "sigmoid",
-    "log",
-    "clip",
-    "masked_row_softmax",
     "dropout",
     "graph_attention",
-    "reduce_sum",
-    "reduce_mean",
+    "semantic_attention",
+    "pair_scores",
+    "binary_cross_entropy",
     "backward",
     "zero_grad",
 ]
@@ -122,26 +120,8 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def __repr__(self) -> str:
         return f"Tensor(op={self._op!r}, shape={self.data.shape}, dtype={self.data.dtype})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
@@ -181,46 +161,7 @@ def _require_shape(op: str, cond: bool, msg: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# elementwise arithmetic
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum of two same-shape tensors."""
-    _check_dtypes("add", a, b)
-    _require_shape("add", a.shape == b.shape, f"shapes {a.shape} vs {b.shape}")
-    return _node(a.data + b.data, "add", (a, b), lambda g: [g, g])
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise difference of two same-shape tensors."""
-    _check_dtypes("sub", a, b)
-    _require_shape("sub", a.shape == b.shape, f"shapes {a.shape} vs {b.shape}")
-    return _node(a.data - b.data, "sub", (a, b), lambda g: [g, -g])
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product of two same-shape tensors."""
-    _check_dtypes("mul", a, b)
-    _require_shape("mul", a.shape == b.shape, f"shapes {a.shape} vs {b.shape}")
-    return _node(a.data * b.data, "mul", (a, b),
-                 lambda g: [g * b.data, g * a.data])
-
-
-def neg(a: Tensor) -> Tensor:
-    return _node(-a.data, "neg", (a,), lambda g: [-g])
-
-
-def scale(a: Tensor, s: Tensor) -> Tensor:
-    """Multiply a tensor by a scalar tensor (shape () or (1,))."""
-    _check_dtypes("scale", a, s)
-    _require_shape("scale", s.data.size == 1, f"scale factor has shape {s.shape}")
-    return _node(a.data * s.data.reshape(()), "scale", (a, s),
-                 lambda g: [g * s.data.reshape(()),
-                            np.sum(g * a.data).reshape(s.shape).astype(s.dtype)])
-
-
-# ---------------------------------------------------------------------------
-# linear algebra
+# generic ops
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -234,93 +175,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                  lambda g: [g @ b.data.T, a.data.T @ g])
 
 
-def matvec(a: Tensor, v: Tensor) -> Tensor:
-    """Matrix-vector product of a (m,k) and v (k,), giving (m,)."""
-    _check_dtypes("matvec", a, v)
-    _require_shape("matvec", a.data.ndim == 2 and v.data.ndim == 1,
-                   f"expects (m,k) and (k,), got {a.shape} and {v.shape}")
-    _require_shape("matvec", a.shape[1] == v.shape[0],
-                   f"inner extents disagree: {a.shape} vs {v.shape}")
-    return _node(a.data @ v.data, "matvec", (a, v),
-                 lambda g: [np.outer(g, v.data), a.data.T @ g])
-
-
-def transpose(a: Tensor) -> Tensor:
-    _require_shape("transpose", a.data.ndim == 2, f"expects 2-d, got {a.shape}")
-    return _node(a.data.T.copy(), "transpose", (a,), lambda g: [g.T])
-
-
-def reshape(a: Tensor, shape: tuple) -> Tensor:
-    orig = a.shape
-    return _node(a.data.reshape(shape).copy(), "reshape", (a,),
-                 lambda g: [g.reshape(orig)])
-
-
-def stack_scalars(tensors: Sequence[Tensor]) -> Tensor:
-    """Stack scalar tensors into a 1-d vector."""
-    tensors = list(tensors)
-    _check_dtypes("stack_scalars", *tensors)
-    _require_shape("stack_scalars", all(t.data.size == 1 for t in tensors),
-                   "expects scalar operands")
-    dt = tensors[0].dtype
-
-    def bwd(g):
-        return [np.asarray(g[i], dtype=dt).reshape(t.shape)
-                for i, t in enumerate(tensors)]
-
-    return _node(np.array([t.data.reshape(()) for t in tensors], dtype=dt),
-                 "stack_scalars", tensors, bwd)
-
-
-def slice1d(v: Tensor, start: int, stop: int) -> Tensor:
-    """Contiguous slice of a 1-d tensor."""
-    _require_shape("slice1d", v.data.ndim == 1, f"expects 1-d, got {v.shape}")
-    if not (0 <= start <= stop <= v.shape[0]):
-        raise ShapeError(f"slice1d: [{start}:{stop}] out of range for {v.shape}")
-
-    def bwd(g):
-        full = np.zeros_like(v.data)
-        full[start:stop] = g
-        return [full]
-
-    return _node(v.data[start:stop].copy(), "slice1d", (v,), bwd)
-
-
-def gather_rows(a: Tensor, idx) -> Tensor:
-    """Select rows of a (n,d) matrix; duplicate indices are allowed."""
-    _require_shape("gather_rows", a.data.ndim == 2, f"expects 2-d, got {a.shape}")
-    idx = np.asarray(idx, dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
-        raise IndexError(f"gather_rows: index out of range for {a.shape[0]} rows")
-
-    def bwd(g):
-        da = np.zeros_like(a.data)
-        np.add.at(da, idx, g)
-        return [da]
-
-    return _node(a.data[idx].copy(), "gather_rows", (a,), bwd)
-
-
-def row_sum(a: Tensor) -> Tensor:
-    """Sum a (n,d) matrix over columns, giving (n,)."""
-    _require_shape("row_sum", a.data.ndim == 2, f"expects 2-d, got {a.shape}")
-    return _node(a.data.sum(axis=1), "row_sum", (a,),
-                 lambda g: [np.repeat(g[:, None], a.shape[1], axis=1)])
-
-
-def add_bias(m: Tensor, v: Tensor) -> Tensor:
-    """Add a (d,) vector to every row of a (n,d) matrix."""
-    _check_dtypes("add_bias", m, v)
-    _require_shape("add_bias", m.data.ndim == 2 and v.data.ndim == 1,
-                   f"expects (n,d) and (d,), got {m.shape} and {v.shape}")
-    _require_shape("add_bias", m.shape[1] == v.shape[0],
-                   f"widths disagree: {m.shape} vs {v.shape}")
-    return _node(m.data + v.data[None, :], "add_bias", (m, v),
-                 lambda g: [g, g.sum(axis=0)])
-
-
-# ---------------------------------------------------------------------------
-# nonlinearities
+UNARY_KINDS = ("relu", "leaky_relu", "tanh", "sigmoid")
 
 
 def apply_unary(kind: str, x: Tensor, slope: float | None = None) -> Tensor:
@@ -344,67 +199,10 @@ def apply_unary(kind: str, x: Tensor, slope: float | None = None) -> Tensor:
     elif kind == "sigmoid":
         y = 1 / (1 + np.exp(-d))
         bwd = lambda g: [g * y * (1 - y)]
-    elif kind == "exp":
-        y = np.exp(d)
-        bwd = lambda g: [g * y]
-    elif kind == "log":
-        with np.errstate(divide="ignore", invalid="ignore"):
-            y = np.log(d)
-        bwd = lambda g: [g / d]
     else:
-        raise ParameterError(f"unknown unary kind {kind!r}")
+        raise ParameterError(f"unknown unary kind {kind!r}; "
+                             f"choose from {', '.join(UNARY_KINDS)}")
     return _node(y, kind, (x,), bwd)
-
-
-def tanh(x: Tensor) -> Tensor:
-    return apply_unary("tanh", x)
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    return apply_unary("sigmoid", x)
-
-
-def log(x: Tensor) -> Tensor:
-    return apply_unary("log", x)
-
-
-def clip(x: Tensor, lo: float, hi: float) -> Tensor:
-    """Clamp values to [lo, hi]; gradient is zero where clamping is active."""
-    d = x.data
-    inside = (d > lo) & (d < hi)
-    return _node(np.clip(d, lo, hi), "clip", (x,), lambda g: [g * inside])
-
-
-# ---------------------------------------------------------------------------
-# structured ops
-
-
-def masked_row_softmax(s: Tensor, mask: np.ndarray) -> Tensor:
-    """Row-wise softmax over the unmasked entries of a 2-d score matrix.
-
-    Entries where `mask` is false come out exactly zero; each masked row
-    sums to 1. Stabilized by subtracting the row max before exponentiation.
-    Every row of `mask` must contain at least one true entry.
-    """
-    _require_shape("masked_row_softmax", s.data.ndim == 2, f"expects 2-d, got {s.shape}")
-    mask = np.asarray(mask, dtype=bool)
-    _require_shape("masked_row_softmax", mask.shape == s.shape,
-                   f"mask shape {mask.shape} vs scores {s.shape}")
-    live = mask.any(axis=1)
-    if not live.all():
-        rows = np.flatnonzero(~live)
-        raise ContractError(f"masked_row_softmax: all-false mask rows {rows.tolist()}")
-    neg_inf = s.dtype.type(-np.inf)
-    shifted = np.where(mask, s.data, neg_inf)
-    shifted = shifted - shifted.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=1, keepdims=True)
-
-    def bwd(g):
-        dot = (g * y).sum(axis=1, keepdims=True)
-        return [y * (g - dot)]
-
-    return _node(y, "masked_row_softmax", (s,), bwd)
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool) -> Tensor:
@@ -421,6 +219,10 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool) ->
     keep = rng.random(x.shape) >= rate
     factor = (keep / (1.0 - rate)).astype(x.dtype)
     return _node(x.data * factor, "dropout", (x,), lambda g: [g * factor])
+
+
+# ---------------------------------------------------------------------------
+# fused ops
 
 
 def graph_attention(h: Tensor, a: Tensor | None, mask: np.ndarray, *,
@@ -456,8 +258,10 @@ def graph_attention(h: Tensor, a: Tensor | None, mask: np.ndarray, *,
                        f"attention matrix shape {a.shape}, expected ({heads}, {2 * f})")
         mask = np.asarray(mask, dtype=bool)
         _require_shape(op, mask.shape == (n, n), f"mask shape {mask.shape} for {n} nodes")
-        if not mask.diagonal().all():
-            raise ContractError(f"{op}: neighbor mask must include self-loops")
+        missing = np.flatnonzero(~mask.diagonal())
+        if missing.size:
+            raise ContractError(f"{op}: neighbor mask must include self-loops "
+                                f"(missing in rows {missing.tolist()})")
         parents = (h, a)
     else:
         fixed = np.asarray(fixed, dtype=dt)
@@ -516,21 +320,130 @@ def graph_attention(h: Tensor, a: Tensor | None, mask: np.ndarray, *,
             [_node(alpha, f"{op}.alpha", (), None) for alpha in alphas])
 
 
-# ---------------------------------------------------------------------------
-# reductions
+def semantic_attention(zs: Sequence[Tensor], w: Tensor | None, b: Tensor | None,
+                       q: Tensor | None, *, pool: str = "mean",
+                       fixed: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
+    """Meta-path attention over T same-shape (n, D) embeddings, as one node.
+
+    Meta-path t scores the mean (or, with pool="sum", the sum) over its n
+    rows of q . tanh(W z_t[i] + b), with W (d_q, D) and b, q (d_q,). A
+    softmax over the T scores gives beta, and the node is sum_t beta_t z_t.
+    A constant (T,) `fixed` beta replaces the learned one; w, b and q are
+    then None and the zs are the only parents.
+
+    Returns the node and beta, a constant.
+    """
+    op = "semantic_attention"
+    zs = list(zs)
+    if [t is not None for t in (w, b, q)] != [fixed is None] * 3:
+        raise ParameterError(f"{op}: pass either all of w, b, q or fixed")
+    if pool not in ("mean", "sum"):
+        raise ParameterError(f"{op}: pool must be 'mean' or 'sum', got {pool!r}")
+    _require_shape(op, bool(zs) and zs[0].data.ndim == 2
+                   and all(z.shape == zs[0].shape for z in zs),
+                   f"expects T >= 1 embeddings of one (n, D) shape, got "
+                   f"{[z.shape for z in zs]}")
+    dt = _check_dtypes(op, *zs)
+    n, width = zs[0].shape
+    hidden = []
+    if fixed is None:
+        _check_dtypes(op, zs[0], w, b, q)
+        _require_shape(op, b.data.ndim == 1 and w.shape == (b.shape[0], width)
+                       and q.shape == b.shape,
+                       f"W {w.shape}, b {b.shape}, q {q.shape} for width {width}")
+        wt = w.data.T.copy()
+        scores = []
+        for z in zs:
+            pre = z.data @ wt + b.data[None, :]
+            _check_finite(pre, op)  # tanh would hide an overflow
+            s = np.tanh(pre)
+            per_node = s @ q.data
+            scores.append(per_node.sum() / n if pool == "mean" else per_node.sum())
+            hidden.append(s)
+        scores = np.array(scores, dtype=dt)
+        _check_finite(scores, op)
+        e = np.exp(scores - scores.max())
+        beta = e / e.sum()
+        parents = (*zs, w, b, q)
+    else:
+        beta = np.asarray(fixed, dtype=dt)
+        _require_shape(op, beta.shape == (len(zs),),
+                       f"fixed beta shape {beta.shape} for {len(zs)} embeddings")
+        parents = tuple(zs)
+    out = zs[0].data * beta[0]
+    for t in range(1, len(zs)):
+        out = out + zs[t].data * beta[t]
+
+    def bwd(g):
+        dz = [g * beta[t] for t in range(len(zs))]
+        if fixed is not None:
+            return dz
+        d_beta = np.array([np.sum(g * z.data) for z in zs], dtype=dt)
+        d_scores = beta * (d_beta - (d_beta * beta).sum())
+        if pool == "mean":
+            d_scores = d_scores / n
+        # Each term is a full matrix or matrix-vector product, summed over
+        # t in order, so its rounding matches the adjoints of the generic
+        # tanh-layer ops and float32 training histories stay bit-identical.
+        dw, db, dq = [], [], []
+        for t, (z, s) in enumerate(zip(zs, hidden)):
+            # every row of z_t receives the same score adjoint d_scores[t]
+            d_node = np.full(n, d_scores[t], dtype=dt)
+            d_pre = np.outer(d_node, q.data) * (1 - s * s)
+            dq.append(s.T @ d_node)
+            db.append(d_pre.sum(axis=0))
+            dw.append((z.data.T @ d_pre).T)
+            dz[t] = dz[t] + d_pre @ wt.T
+        return dz + [sum(dw), sum(db), sum(dq)]
+
+    return _node(out, op, parents, bwd), _node(beta, f"{op}.beta", (), None)
 
 
-def reduce_sum(x: Tensor) -> Tensor:
-    """Sum all elements into a scalar."""
-    return _node(x.data.sum(), "reduce_sum", (x,),
-                 lambda g: [np.full_like(x.data, 1) * g])
+def pair_scores(z: Tensor, pairs: np.ndarray) -> Tensor:
+    """sigmoid(z[i] . z[j]) for each row (i, j) of an (m, 2) index array,
+    as one node; an index outside z's rows raises IndexError."""
+    op = "pair_scores"
+    _require_shape(op, z.data.ndim == 2, f"expects 2-d embeddings, got {z.shape}")
+    pairs = np.asarray(pairs, dtype=np.int64)
+    _require_shape(op, pairs.ndim == 2 and pairs.shape[1] == 2,
+                   f"expects (m, 2) pairs, got {pairs.shape}")
+    if pairs.size and (pairs.min() < 0 or pairs.max() >= z.shape[0]):
+        raise IndexError(f"{op}: index out of range for {z.shape[0]} rows")
+    i, j = pairs[:, 0], pairs[:, 1]
+    zd = z.data
+    dots = (zd[i] * zd[j]).sum(axis=1)
+    _check_finite(dots, op)  # the sigmoid would hide an overflow
+    y = 1 / (1 + np.exp(-dots))
+
+    def bwd(g):
+        d_dots = (g * y * (1 - y))[:, None]
+        dz_i, dz_j = np.zeros_like(zd), np.zeros_like(zd)
+        np.add.at(dz_i, i, d_dots * zd[j])
+        np.add.at(dz_j, j, d_dots * zd[i])
+        return [dz_i + dz_j]
+
+    return _node(y, op, (z,), bwd)
 
 
-def reduce_mean(x: Tensor) -> Tensor:
-    """Mean of all elements as a scalar."""
-    n = x.data.size
-    return _node(x.data.sum() / n, "reduce_mean", (x,),
-                 lambda g: [np.full_like(x.data, 1) * (g / n)])
+def binary_cross_entropy(p: Tensor, labels: np.ndarray, clamp: float) -> Tensor:
+    """Binary cross-entropy of probabilities `p` against 0/1 labels, summed,
+    as one node. `p` is clamped to [clamp, 1 - clamp] before the logs, and
+    the gradient is zero where the clamp is active."""
+    op = "binary_cross_entropy"
+    labels = np.asarray(labels)
+    if not np.isin(labels, (0, 1)).all():
+        raise ContractError(f"{op}: labels must be 0 or 1")
+    _require_shape(op, labels.shape == p.shape,
+                   f"labels shape {labels.shape} vs probabilities {p.shape}")
+    d = p.data
+    y = labels.astype(d.dtype)
+    one = np.ones_like(y)
+    lo, hi = clamp, 1.0 - clamp
+    inside = (d > lo) & (d < hi)
+    pc = np.clip(d, lo, hi)
+    loss = -(y * np.log(pc) + (one - y) * np.log(one - pc)).sum()
+    return _node(loss, op, (p,),
+                 lambda g: [-g * inside * (y / pc - (one - y) / (one - pc))])
 
 
 # ---------------------------------------------------------------------------

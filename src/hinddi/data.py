@@ -104,9 +104,6 @@ class SplitBundle:
     seed: int
     held_out: frozenset[int] | None = None
 
-    def all_pairs(self) -> list[LabeledPair]:
-        return self.train + self.validation + self.test
-
 
 def _partition_with_negatives(partitions: dict[str, list[tuple[int, int]]],
                               all_positive: set[tuple[int, int]], n_drugs: int,

@@ -5,10 +5,13 @@ One matmul projects drug features for all K heads at once into an
 fused `graph_attention` node scores each head's neighbors (leaky-relu of
 that head's row of a (K, 2F) attention matrix applied to the concatenated
 pair projection), normalizes the scores by a masked softmax over the
-neighbor mask and aggregates; one activation node follows. A second
-attention stage scores each meta-path embedding through a small tanh layer
-and fuses them with softmax weights. Pair probabilities come from a
-sigmoid over the dot product of the fused embeddings.
+neighbor mask and aggregates; one activation node follows. One
+`semantic_attention` node scores each meta-path embedding through a small
+tanh layer and fuses them with softmax weights beta. One `pair_scores` node
+gives pair probabilities, the sigmoid of the dot product of the fused
+embeddings, and one `binary_cross_entropy` node gives the training loss.
+Whatever the number of drugs, heads or pairs, a training step records
+dropout, the projection, two nodes per meta-path and these three.
 """
 
 from __future__ import annotations
@@ -16,13 +19,13 @@ from __future__ import annotations
 import io
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import ContractError, ParameterError, ShapeError, Tensor
+from .autodiff import UNARY_KINDS, ContractError, ParameterError, ShapeError, Tensor
 from .metapath import NeighborGraph
 
 __all__ = [
@@ -30,11 +33,8 @@ __all__ = [
     "ModelParams",
     "EncoderOutput",
     "init_params",
-    "metapath_attention",
-    "fuse",
     "encode",
     "decode_pairs",
-    "decode_pair",
     "bce_loss",
     "forward",
     "random_row_stochastic",
@@ -68,31 +68,20 @@ class ModelConfig:
             raise ParameterError(f"dropout {self.dropout} outside [0, 1)")
         if self.pool not in ("mean", "sum"):
             raise ParameterError(f"pool must be 'mean' or 'sum', got {self.pool!r}")
+        if self.activation not in UNARY_KINDS:
+            raise ParameterError(f"activation must be one of {', '.join(UNARY_KINDS)}; "
+                                 f"got {self.activation!r}")
 
     def echo(self) -> dict[str, str]:
-        return {
-            "input_dim": str(self.input_dim),
-            "hidden_dim": str(self.hidden_dim),
-            "heads": str(self.heads),
-            "attn_dim": str(self.attn_dim),
-            "leaky_slope": repr(self.leaky_slope),
-            "dropout": repr(self.dropout),
-            "activation": self.activation,
-            "pool": self.pool,
-            "seed": str(self.seed),
-        }
+        """Every field as a string: repr for floats, so they read back exactly."""
+        return {f.name: repr(getattr(self, f.name)) if f.type == "float"
+                else str(getattr(self, f.name)) for f in fields(self)}
 
     @classmethod
     def from_echo(cls, echo: dict[str, str]) -> "ModelConfig":
-        return cls(input_dim=int(echo["input_dim"]),
-                   hidden_dim=int(echo["hidden_dim"]),
-                   heads=int(echo["heads"]),
-                   attn_dim=int(echo["attn_dim"]),
-                   leaky_slope=float(echo["leaky_slope"]),
-                   dropout=float(echo["dropout"]),
-                   activation=echo["activation"],
-                   pool=echo["pool"],
-                   seed=int(echo["seed"]))
+        """Inverse of `echo`; other keys are ignored, a missing one raises KeyError."""
+        parse = {"int": int, "float": float, "str": str}
+        return cls(**{f.name: parse[f.type](echo[f.name]) for f in fields(cls)})
 
 
 @dataclass
@@ -175,37 +164,6 @@ class EncoderOutput:
 # encoder stages
 
 
-def metapath_attention(z_list: list[Tensor], w: Tensor, b: Tensor, q: Tensor,
-                       pool: str = "mean") -> tuple[Tensor, Tensor]:
-    """Score each meta-path embedding and softmax-normalize the scores.
-
-    Per meta-path: pool over drugs of q . tanh(W z_i + b). Returns the raw
-    scores (T,) and their softmax weights (T,).
-    """
-    scores = []
-    for z in z_list:
-        s = ad.tanh(ad.add_bias(ad.matmul(z, ad.transpose(w)), b))
-        per_node = ad.matvec(s, q)
-        scores.append(ad.reduce_mean(per_node) if pool == "mean"
-                      else ad.reduce_sum(per_node))
-    w_vec = ad.stack_scalars(scores)
-    t = len(z_list)
-    beta_row = ad.masked_row_softmax(ad.reshape(w_vec, (1, t)),
-                                     np.ones((1, t), dtype=bool))
-    return w_vec, ad.reshape(beta_row, (t,))
-
-
-def fuse(z_list: list[Tensor], beta: Tensor) -> Tensor:
-    """Weighted sum of meta-path embeddings with the given weights."""
-    if beta.shape != (len(z_list),):
-        raise ShapeError(f"beta shape {beta.shape} vs {len(z_list)} meta-paths")
-    fused = None
-    for t, z in enumerate(z_list):
-        term = ad.scale(z, ad.slice1d(beta, t, t + 1))
-        fused = term if fused is None else ad.add(fused, term)
-    return fused
-
-
 def random_row_stochastic(adjacency: np.ndarray, rng: np.random.Generator,
                           dtype=np.float32) -> np.ndarray:
     """A fixed random attention surrogate: uniform draws on the mask,
@@ -253,11 +211,11 @@ def encode(params: ModelParams, features: np.ndarray,
     z_list = [z_mp[mp] for mp in params.metapaths]
     t = len(z_list)
     if uniform_beta:
-        beta = Tensor(np.full(t, 1.0 / t, dtype=dtype))
+        fused, beta = ad.semantic_attention(z_list, None, None, None,
+                                            fixed=np.full(t, 1.0 / t, dtype=dtype))
     else:
-        _, beta = metapath_attention(z_list, params.w_mp, params.b_mp,
-                                     params.q_mp, config.pool)
-    fused = fuse(z_list, beta)
+        fused, beta = ad.semantic_attention(z_list, params.w_mp, params.b_mp,
+                                            params.q_mp, pool=config.pool)
     return EncoderOutput(z_mp=z_mp, beta=beta, fused=fused, alphas=alphas_out)
 
 
@@ -266,16 +224,9 @@ def encode(params: ModelParams, features: np.ndarray,
 
 
 def decode_pairs(fused: Tensor, pairs: np.ndarray) -> Tensor:
-    """Sigmoid of the row dot products fused[i] . fused[j] per pair."""
-    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    zi = ad.gather_rows(fused, pairs[:, 0])
-    zj = ad.gather_rows(fused, pairs[:, 1])
-    return ad.sigmoid(ad.row_sum(ad.mul(zi, zj)))
-
-
-def decode_pair(fused: Tensor, i: int, j: int) -> float:
-    """Interaction probability of one drug pair; symmetric in (i, j)."""
-    return float(decode_pairs(fused, np.array([[i, j]])).data[0])
+    """Sigmoid of the row dot products fused[i] . fused[j] per pair;
+    symmetric in (i, j)."""
+    return ad.pair_scores(fused, np.asarray(pairs, dtype=np.int64).reshape(-1, 2))
 
 
 def bce_loss(scores: Tensor, labels: np.ndarray) -> Tensor:
@@ -283,18 +234,7 @@ def bce_loss(scores: Tensor, labels: np.ndarray) -> Tensor:
 
     Predictions are clamped to [1e-7, 1 - 1e-7] before the logs.
     """
-    labels = np.asarray(labels)
-    if not np.isin(labels, (0, 1)).all():
-        raise ContractError("labels must be 0 or 1")
-    if labels.shape != scores.shape:
-        raise ShapeError(f"labels shape {labels.shape} vs scores {scores.shape}")
-    dtype = scores.dtype
-    y = Tensor(labels.astype(dtype))
-    one = Tensor(np.ones_like(y.data))
-    p = ad.clip(scores, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    pos = ad.mul(y, ad.log(p))
-    neg = ad.mul(ad.sub(one, y), ad.log(ad.sub(one, p)))
-    return ad.neg(ad.reduce_sum(ad.add(pos, neg)))
+    return ad.binary_cross_entropy(scores, labels, PROB_CLAMP)
 
 
 def forward(params: ModelParams, features: np.ndarray,
@@ -386,6 +326,8 @@ def load_checkpoint(path) -> tuple[ModelParams, dict[str, str]]:
             arr = np.frombuffer(view, dtype=le_dtype, count=size, offset=offset)
             offset += size * itemsize
             arrays[name] = arr.reshape(shape).astype(le_dtype.newbyteorder("="), copy=True)
+        if offset != len(raw):
+            raise ValueError("bytes after the last tensor")
 
         metapaths = tuple(echo["metapaths"].split(",")) if echo.get("metapaths") else ()
         if "proj" not in arrays:

@@ -33,10 +33,6 @@ class Adam:
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
 
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.grad = None
-
     def step(self) -> None:
         """Apply one Adam update from the gradients stored on the parameters."""
         self.step_count += 1

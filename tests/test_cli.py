@@ -174,6 +174,8 @@ class TestTrain:
         for size in (14, len(raw) // 2):
             bad.append(tmp_path / f"cut_{size}.bin")
             bad[-1].write_bytes(raw[:size])
+        bad.append(tmp_path / "longer.bin")
+        bad[-1].write_bytes(raw + bytes(16))
         params, echo = load_checkpoint(good)
         del echo["heads"]
         bad.append(tmp_path / "no_heads.bin")

@@ -1,6 +1,7 @@
 """Encoder stages, decoder, loss, full-model gradients and checkpoints."""
 
 import math
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -16,14 +17,11 @@ from hinddi.model import (
     ModelConfig,
     ModelParams,
     bce_loss,
-    decode_pair,
     decode_pairs,
     encode,
     forward,
-    fuse,
     init_params,
     load_checkpoint,
-    metapath_attention,
     random_row_stochastic,
     save_checkpoint,
 )
@@ -173,74 +171,85 @@ class TestAggregate:
         np.testing.assert_allclose(out[:, 2:], alphas[1] @ h[:, 2:], rtol=1e-12)
 
 
+def semantic(zs, seed, pool="mean", q=None):
+    """beta of `semantic_attention` over plain (n, 4) arrays, with random
+    (3, 4) W, (3,) b and, unless given, (3,) q."""
+    rng = np.random.default_rng(seed)
+    w, b = Tensor(rng.random((3, 4))), Tensor(rng.random(3))
+    q = Tensor(rng.random(3) if q is None else q)
+    _, beta = ad.semantic_attention([Tensor(z) for z in zs], w, b, q, pool=pool)
+    return beta.data
+
+
+def fuse(zs, beta):
+    """`semantic_attention` with a fixed beta, on plain arrays."""
+    out, _ = ad.semantic_attention([Tensor(z) for z in zs], None, None, None,
+                                   fixed=np.asarray(beta))
+    return out.data
+
+
 class TestMetapathAttention:
     def test_single_metapath_gets_weight_one(self):
         rng = np.random.default_rng(6)
-        z = Tensor(rng.random((5, 4)))
-        _, beta = metapath_attention([z], Tensor(rng.random((3, 4))),
-                                     Tensor(rng.random(3)), Tensor(rng.random(3)))
-        np.testing.assert_allclose(beta.data, [1.0])
+        np.testing.assert_allclose(semantic([rng.random((5, 4))], 6), [1.0])
 
     def test_identical_embeddings_split_evenly(self):
         rng = np.random.default_rng(7)
-        z = Tensor(rng.random((5, 4)))
-        z2 = Tensor(z.data.copy())
-        _, beta = metapath_attention([z, z2], Tensor(rng.random((3, 4))),
-                                     Tensor(rng.random(3)), Tensor(rng.random(3)))
-        np.testing.assert_allclose(beta.data, [0.5, 0.5], atol=1e-12)
+        z = rng.random((5, 4))
+        np.testing.assert_allclose(semantic([z, z.copy()], 7), [0.5, 0.5], atol=1e-12)
 
     def test_zero_query_gives_uniform_weights(self):
         rng = np.random.default_rng(8)
-        zs = [Tensor(rng.random((5, 4))) for _ in range(3)]
-        _, beta = metapath_attention(zs, Tensor(rng.random((3, 4))),
-                                     Tensor(rng.random(3)), Tensor(np.zeros(3)))
-        np.testing.assert_allclose(beta.data, np.full(3, 1 / 3), atol=1e-12)
+        zs = [rng.random((5, 4)) for _ in range(3)]
+        np.testing.assert_allclose(semantic(zs, 8, q=np.zeros(3)), np.full(3, 1 / 3),
+                                   atol=1e-12)
 
     def test_sum_pool_scales_scores_with_node_count(self):
+        # Softmax keeps score differences as log ratios of beta.
         rng = np.random.default_rng(9)
-        z = Tensor(rng.random((6, 4)))
-        w, b, q = (Tensor(rng.random((3, 4))), Tensor(rng.random(3)),
-                   Tensor(rng.random(3)))
-        scores_mean, _ = metapath_attention([z], w, b, q, pool="mean")
-        scores_sum, _ = metapath_attention([z], w, b, q, pool="sum")
-        np.testing.assert_allclose(scores_sum.data, 6 * scores_mean.data, rtol=1e-12)
+        zs = [rng.random((6, 4)) for _ in range(2)]
+        beta_mean = semantic(zs, 9, pool="mean")
+        beta_sum = semantic(zs, 9, pool="sum")
+        np.testing.assert_allclose(np.log(beta_sum[0] / beta_sum[1]),
+                                   6 * np.log(beta_mean[0] / beta_mean[1]), rtol=1e-10)
 
 
 class TestFuse:
     def test_one_hot_selects_single_embedding(self):
         rng = np.random.default_rng(10)
-        zs = [Tensor(rng.random((4, 3))) for _ in range(3)]
-        fused = fuse(zs, Tensor(np.array([0.0, 1.0, 0.0])))
-        np.testing.assert_allclose(fused.data, zs[1].data, atol=1e-12)
+        zs = [rng.random((4, 3)) for _ in range(3)]
+        np.testing.assert_allclose(fuse(zs, [0.0, 1.0, 0.0]), zs[1], atol=1e-12)
 
     def test_equal_embeddings_unchanged(self):
         rng = np.random.default_rng(11)
         z = rng.random((4, 3))
-        zs = [Tensor(z.copy()) for _ in range(4)]
-        fused = fuse(zs, Tensor(np.full(4, 0.25)))
-        np.testing.assert_allclose(fused.data, z, rtol=1e-12)
+        np.testing.assert_allclose(fuse([z.copy() for _ in range(4)], np.full(4, 0.25)),
+                                   z, rtol=1e-12)
 
     def test_hand_computed_blend(self):
-        z1 = Tensor(np.array([[4.0, 8.0]]))
-        z2 = Tensor(np.array([[8.0, 0.0]]))
-        fused = fuse([z1, z2], Tensor(np.array([0.25, 0.75])))
-        np.testing.assert_allclose(fused.data, [[7.0, 2.0]], rtol=1e-12)
+        fused = fuse([np.array([[4.0, 8.0]]), np.array([[8.0, 0.0]])], [0.25, 0.75])
+        np.testing.assert_allclose(fused, [[7.0, 2.0]], rtol=1e-12)
+
+
+def decode_pair(z, i, j):
+    """Score of one pair through `decode_pairs` on a one-row pair array."""
+    return float(decode_pairs(Tensor(z), np.array([[i, j]])).data[0])
 
 
 class TestDecoder:
     def test_unit_basis_pair(self):
         z = np.zeros((2, 4))
         z[0, 1] = z[1, 1] = 1.0
-        score = decode_pair(Tensor(z), 0, 1)
+        score = decode_pair(z, 0, 1)
         assert abs(score - 1 / (1 + math.exp(-1.0))) < 1e-12
 
     def test_orthogonal_embeddings_score_half(self):
         z = np.eye(3)
-        assert decode_pair(Tensor(z), 0, 1) == 0.5
+        assert decode_pair(z, 0, 1) == 0.5
 
     def test_symmetry_bit_exact(self):
         rng = np.random.default_rng(12)
-        z = Tensor(rng.standard_normal((8, 5)).astype(np.float32))
+        z = rng.standard_normal((8, 5)).astype(np.float32)
         for _ in range(20):
             i, j = rng.integers(8, size=2)
             a = decode_pair(z, int(i), int(j))
@@ -249,7 +258,7 @@ class TestDecoder:
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
-            decode_pair(Tensor(np.zeros((2, 2))), 0, 5)
+            decode_pair(np.zeros((2, 2)), 0, 5)
 
 
 class TestBceLoss:
@@ -395,12 +404,50 @@ class TestForward:
             projections.add(id(h))
         assert len(projections) == 1
 
+    def test_training_step_tape_is_21_nodes(self):
+        rng = np.random.default_rng(29)
+        config, params, graphs, features = small_setup(rng, dropout=0.5)
+        pairs = np.array([[0, 1], [2, 3], [4, 5], [1, 1]])
+        scores, _ = forward(params, features, graphs, pairs, config,
+                            training=True, rng=np.random.default_rng(3))
+        loss = bce_loss(scores, np.array([1, 0, 1, 0]))
+        seen, stack = {}, [loss]
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen[id(node)] = node
+                stack.extend(node._parents)
+        ops = Counter(node._op for node in seen.values())
+        assert ops == {"binary_cross_entropy": 1, "pair_scores": 1,
+                       "semantic_attention": 1, config.activation: 4,
+                       "graph_attention": 4, "matmul": 1, "dropout": 1, "leaf": 8}
+        leaves = {id(node) for node in seen.values() if node._op == "leaf"}
+        assert leaves == {id(t) for t in params.trainable()}
+
     def test_graph_name_mismatch_rejected(self):
         rng = np.random.default_rng(23)
         config, params, graphs, features = small_setup(rng)
         del graphs["DID-4"]
         with pytest.raises(ShapeError):
             encode(params, features, graphs, config)
+
+
+class TestModelConfig:
+    def test_echo_strings(self):
+        config = ModelConfig(input_dim=7, hidden_dim=3, heads=2, attn_dim=5,
+                             leaky_slope=0.1, dropout=0.25, activation="tanh",
+                             pool="sum", seed=3)
+        assert config.echo() == {
+            "input_dim": "7", "hidden_dim": "3", "heads": "2", "attn_dim": "5",
+            "leaky_slope": "0.1", "dropout": "0.25", "activation": "tanh",
+            "pool": "sum", "seed": "3"}
+        assert ModelConfig.from_echo({**config.echo(), "metapaths": "DID-1"}) == config
+
+    def test_unknown_activation_names_the_allowed_kinds(self):
+        with pytest.raises(ad.ParameterError,
+                           match="activation must be one of relu, leaky_relu, tanh, "
+                                 "sigmoid; got 'gelu'"):
+            ModelConfig(input_dim=4, activation="gelu")
 
 
 class TestCheckpoint:
@@ -469,3 +516,15 @@ class TestCheckpoint:
                 with pytest.raises(ContractError, match=r"cut\.ckpt: (not a checkpoint "
                                    r"file|truncated or corrupt checkpoint)$"):
                     load_checkpoint(cut)
+
+    def test_trailing_bytes_are_a_contract_error(self, tmp_path):
+        rng = np.random.default_rng(30)
+        config, params, _, _ = small_setup(rng, n_mps=2, dtype=np.float32)
+        save_checkpoint(tmp_path / "m.ckpt", params, config.echo())
+        longer = tmp_path / "longer.ckpt"
+        for source in (tmp_path / "m.ckpt", LEGACY_CHECKPOINT):
+            for extra in (b"\x00", bytes(16)):
+                longer.write_bytes(source.read_bytes() + extra)
+                with pytest.raises(ContractError,
+                                   match=r"longer\.ckpt: truncated or corrupt checkpoint$"):
+                    load_checkpoint(longer)
