@@ -386,7 +386,7 @@ def cmd_predict(args, cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_gradcheck(args, cfg: RunConfig | None) -> int:
+def cmd_gradcheck(args) -> int:
     started = time.time()
     seed = args.seed if args.seed is not None else 0
     graphs, features, pairs, labels = desk_instance(seed=seed)
@@ -432,9 +432,8 @@ def cmd_gradcheck(args, cfg: RunConfig | None) -> int:
 # argument parsing
 
 
-def _add_common(parser: argparse.ArgumentParser, config_required=True) -> None:
-    parser.add_argument("--config", required=config_required,
-                        help="run configuration file")
+def _add_common(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--config", required=True, help="run configuration file")
     parser.add_argument("--seed", type=int, default=None,
                         help="override [run] seed")
     parser.add_argument("--precision", choices=("32", "64"), default=None,
@@ -506,12 +505,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_config(args) -> RunConfig:
     cfg = RunConfig.from_file(args.config)
-    cfg.apply_overrides(seed=getattr(args, "seed", None),
-                        precision=getattr(args, "precision", None),
-                        protocol=getattr(args, "protocol", None),
-                        feature_mode=getattr(args, "feature_mode", None),
-                        metapaths=getattr(args, "metapaths", None),
-                        out_dir=getattr(args, "out_dir", None))
+    cfg.apply_overrides(seed=args.seed, precision=args.precision,
+                        protocol=args.protocol, feature_mode=args.feature_mode,
+                        metapaths=args.metapaths, out_dir=args.out_dir)
     return cfg
 
 
@@ -521,7 +517,7 @@ def main(argv=None) -> int:
         if args.command == "synth":
             return cmd_synth(args)
         if args.command == "gradcheck":
-            return cmd_gradcheck(args, None)
+            return cmd_gradcheck(args)
         cfg = _load_config(args)
         handler = {
             "build-graph": cmd_build_graph,

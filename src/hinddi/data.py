@@ -32,7 +32,7 @@ __all__ = [
 _PURPOSES = ("split", "negatives", "init", "dropout", "ablation")
 
 
-class SplitError(Exception):
+class SplitError(ValueError):
     """A split request cannot be satisfied."""
 
 

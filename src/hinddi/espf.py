@@ -40,7 +40,7 @@ FINGERPRINT_BITS = 167
 _TWO_LETTER = ("Cl", "Br")
 
 
-class SmilesError(Exception):
+class SmilesError(ValueError):
     """A SMILES string could not be tokenized."""
 
 
@@ -194,7 +194,6 @@ class FeatureMatrix:
     """Per-drug initial feature rows, aligned with the drug registry order."""
 
     drug_ids: tuple[str, ...]
-    feature_names: tuple[str, ...]
     values: np.ndarray  # (n_drugs, d0) uint8 presence
     mode: str  # "espf" or "fingerprint"
 
@@ -229,7 +228,7 @@ def build_feature_matrix(smiles_by_drug: dict[str, str], vocab: Vocabulary,
                           + (" ..." if len(missing) > 5 else ""))
     rows = [encode_drug(tokenize_smiles(smiles_by_drug[d]), vocab) for d in drug_ids]
     values = np.stack(rows) if rows else np.zeros((0, vocab.size), dtype=np.uint8)
-    return FeatureMatrix(tuple(drug_ids), vocab.units, values, "espf")
+    return FeatureMatrix(tuple(drug_ids), values, "espf")
 
 
 def save_vocab(vocab: Vocabulary, path) -> None:
@@ -333,8 +332,7 @@ def load_fingerprints(path, registry: EntityRegistry,
     for k, drug in enumerate(drug_ids):
         if drug in rows:
             values[k] = rows[drug]
-    names = tuple(_fingerprint_bit_id(b) for b in range(FINGERPRINT_BITS))
-    return h, FeatureMatrix(tuple(drug_ids), names, values, "fingerprint")
+    return h, FeatureMatrix(tuple(drug_ids), values, "fingerprint")
 
 
 def save_features(features: FeatureMatrix, path) -> None:
@@ -366,11 +364,13 @@ def load_features(path, registry: EntityRegistry) -> FeatureMatrix:
         if d0 is not None and len(bits) != d0:
             raise RelationParseError(
                 f"{path}:{lineno}: row width {len(bits)} != declared d0 {d0}")
+        if set(bits) - {"0", "1"}:
+            raise RelationParseError(
+                f"{path}:{lineno}: drug {drug!r} has a feature other than 0/1")
         rows[drug] = np.frombuffer(bits.encode("ascii"), dtype=np.uint8) - ord("0")
     drug_ids = registry.ids(EntityKind.DRUG)
     missing = [d for d in drug_ids if d not in rows]
     if missing:
         raise RelationParseError(f"{path}: no feature rows for drugs {missing[:5]}")
     values = np.stack([rows[d] for d in drug_ids])
-    names = tuple(f"f{k}" for k in range(values.shape[1]))
-    return FeatureMatrix(tuple(drug_ids), names, values, mode)
+    return FeatureMatrix(tuple(drug_ids), values, mode)

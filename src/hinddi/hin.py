@@ -91,9 +91,6 @@ class EntityRegistry:
     def count(self, kind: EntityKind) -> int:
         return len(self._ids[kind])
 
-    def contains(self, kind: EntityKind, ident: str) -> bool:
-        return ident in self._index[kind]
-
 
 @dataclass(frozen=True)
 class RelationMatrix:

@@ -51,7 +51,7 @@ class ModelConfig:
     (8 heads of 8 hidden units, dropout 0.6, leaky slope 0.2)."""
 
     input_dim: int
-    hidden_dim: int = 8
+    hidden_dim: int = field(default=8, metadata={"key": "hidden"})  # [model] hidden
     heads: int = 8
     attn_dim: int = 128
     leaky_slope: float = 0.2

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import NonFiniteError, backward, zero_grad
+from .autodiff import NonFiniteError, ParameterError, backward, zero_grad
 from .data import SplitBundle, pairs_to_arrays, purpose_rng
 from .metapath import NeighborGraph
 from .metrics import Metrics, evaluate
@@ -49,6 +49,16 @@ class TrainConfig:
     epochs: int = 200
     patience: int = 100
     seed: int = 0
+
+    def __post_init__(self):
+        if self.epochs < 1:
+            raise ParameterError(f"epochs must be >= 1, got {self.epochs}")
+        if self.patience < 0:
+            raise ParameterError(f"patience must be >= 0, got {self.patience}")
+        if not self.lr > 0:
+            raise ParameterError(f"lr must be > 0, got {self.lr}")
+        if self.weight_decay < 0:
+            raise ParameterError(f"weight_decay must be >= 0, got {self.weight_decay}")
 
 
 @dataclass
