@@ -19,6 +19,7 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,7 @@ from .config import ConfigError, RunConfig
 from .data import purpose_rng, split_cold_start, split_edges
 from .espf import load_features, save_features, save_vocab
 from .gradcheck import finite_diff_check
-from .hin import EntityKind, HinError, load_hin, save_hin, stats, validate
+from .hin import EntityKind, HinError, load_hin, load_pairs, save_hin, stats, validate
 from .metapath import commuting_matrix, spec_by_name
 from .metrics import Metrics
 from .model import (
@@ -96,13 +97,6 @@ def _write_manifest(cfg: RunConfig, command: str, inputs: list[Path],
 
 def _write_metrics(path: Path, metrics: Metrics) -> None:
     _write_atomic(path, "\n".join(metrics.to_lines()) + "\n")
-
-
-def _metrics_dict(metrics: Metrics) -> dict:
-    return {"precision": metrics.precision, "recall": metrics.recall,
-            "f1": metrics.f1, "auroc": metrics.auroc,
-            "threshold": metrics.threshold,
-            "tp": metrics.tp, "fp": metrics.fp, "tn": metrics.tn, "fn": metrics.fn}
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +190,7 @@ def cmd_synth(args) -> int:
 def cmd_build_graph(args, cfg: RunConfig) -> int:
     started = time.time()
     paths = cfg.input_paths()
-    hin = load_hin_inputs(paths, mode=cfg.registry_mode)
+    hin = load_hin_inputs(paths)
     report = validate(hin)
     counts = stats(hin)
 
@@ -287,7 +281,7 @@ def cmd_train(args, cfg: RunConfig) -> int:
         path = cfg.out_dir / f"metrics_{split_name}.tsv"
         _write_metrics(path, metrics)
         artifacts.append(path)
-        results[split_name] = _metrics_dict(metrics)
+        results[split_name] = asdict(metrics)
     summary = {"seed": cfg.seed, "protocol": bundle.protocol,
                "best_epoch": history.best_epoch,
                "stopped_epoch": history.stopped_epoch,
@@ -322,7 +316,7 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
     _write_metrics(path, metrics)
     _write_manifest(cfg, "evaluate", [Path(args.checkpoint)], [path], started,
                     extra={"split": args.split,
-                           "metrics": _metrics_dict(metrics)})
+                           "metrics": asdict(metrics)})
     for line in metrics.to_lines():
         print(line)
     return 0
@@ -357,15 +351,7 @@ def cmd_predict(args, cfg: RunConfig) -> int:
 
     registry = hin.registry
     requested = []
-    text = Path(args.pairs).read_text(encoding="utf-8")
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise ConfigError(f"{args.pairs}:{lineno}: expected two drug ids")
-        a, b = parts
+    for lineno, a, b in load_pairs(args.pairs):
         i = registry.index_of(EntityKind.DRUG, a)
         j = registry.index_of(EntityKind.DRUG, b)
         if i == j:
@@ -397,12 +383,7 @@ def cmd_gradcheck(args) -> int:
 
     def loss_fn():
         scores, _ = forward(params, features, graphs, pairs, config)
-        loss = bce_loss(scores, labels)
-        if args.corrupt_adjoint:
-            # deliberately wrong adjoint, used to prove the check catches it
-            loss = ad._node(loss.data * 1.0, "corrupt", (loss,),
-                            lambda g: [g * 1.05])
-        return loss
+        return bce_loss(scores, labels)
 
     report = finite_diff_check(loss_fn, params.named(), probes=args.probes,
                                epsilon=args.epsilon,
@@ -498,8 +479,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--probes", type=int, default=5)
     p.add_argument("--epsilon", type=float, default=1e-5)
-    p.add_argument("--corrupt-adjoint", action="store_true",
-                   help=argparse.SUPPRESS)
     return parser
 
 

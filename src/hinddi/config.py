@@ -28,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import ParameterError
+from .data import SplitError, check_drug_fraction, check_ratios
 from .metapath import builtin_spec_names
 from .model import ModelConfig
 from .pipeline import InputPaths
@@ -69,7 +70,6 @@ class RunConfig:
     fingerprints: Path | None = _key("data")
     smiles: Path | None = _key("data")
     ddi: Path | None = _key("data")
-    registry_mode: str = _key("data", "discover", ("discover", "strict"))
     out_dir: Path = _key("output", Path("out"))
     feature_mode: str = _key("features", "espf", ("espf", "fingerprint"))
     espf_threshold: int = _key("features", 5)
@@ -143,11 +143,13 @@ class RunConfig:
         if not self.metapaths:
             raise ConfigError("at least one meta-path is required")
         # input_dim comes from the features; any valid value checks the rest
-        for section, build in (("model", lambda: self.model_config(input_dim=1)),
-                               ("training", self.train_config)):
+        for section, check in (("model", lambda: self.model_config(input_dim=1)),
+                               ("training", self.train_config),
+                               ("split", lambda: check_ratios(self.ratios)),
+                               ("split", lambda: check_drug_fraction(self.drug_fraction))):
             try:
-                build()
-            except ParameterError as err:
+                check()
+            except (ParameterError, SplitError) as err:
                 raise ConfigError(f"[{section}] {err}") from None
 
     # ---- derived views

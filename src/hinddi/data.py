@@ -20,6 +20,8 @@ __all__ = [
     "LabeledPair",
     "SplitBundle",
     "SplitError",
+    "check_ratios",
+    "check_drug_fraction",
     "purpose_rng",
     "sample_negatives",
     "split_edges",
@@ -34,6 +36,20 @@ _PURPOSES = ("split", "negatives", "init", "dropout", "ablation")
 
 class SplitError(ValueError):
     """A split request cannot be satisfied."""
+
+
+def check_ratios(ratios) -> tuple[float, float, float]:
+    """The edge split's train/validation/test ratios, as floats."""
+    ratios = tuple(float(r) for r in ratios)
+    if len(ratios) != 3 or any(r < 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
+        raise SplitError(f"ratios must be three nonnegative values summing to 1, got {ratios}")
+    return ratios
+
+
+def check_drug_fraction(drug_fraction: float) -> None:
+    """The cold-start split's held-out drug fraction."""
+    if not (0 < drug_fraction < 1):
+        raise SplitError(f"drug_fraction must be in (0, 1), got {drug_fraction}")
 
 
 def purpose_rng(seed: int, purpose: str) -> np.random.Generator:
@@ -126,9 +142,7 @@ def split_edges(ddis, n_drugs: int, ratios=(0.8, 0.1, 0.1),
                 seed: int = 0) -> SplitBundle:
     """Random-edge protocol: shuffle positives, partition by the ratios,
     then sample 1:1 negatives per partition."""
-    ratios = tuple(float(r) for r in ratios)
-    if len(ratios) != 3 or any(r < 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
-        raise SplitError(f"ratios must be three nonnegative values summing to 1, got {ratios}")
+    ratios = check_ratios(ratios)
     positives = sorted(_canonical(ddis))
     split_rng = purpose_rng(seed, "split")
     neg_rng = purpose_rng(seed, "negatives")
@@ -157,8 +171,7 @@ def split_cold_start(ddis, n_drugs: int, drug_fraction: float = 0.2,
     touching one goes to test, the rest split train/validation 90/10.
     Negatives follow the same touching rule per partition.
     """
-    if not (0 < drug_fraction < 1):
-        raise SplitError(f"drug_fraction must be in (0, 1), got {drug_fraction}")
+    check_drug_fraction(drug_fraction)
     positives = sorted(_canonical(ddis))
     split_rng = purpose_rng(seed, "split")
     neg_rng = purpose_rng(seed, "negatives")

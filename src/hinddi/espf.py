@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .hin import EntityKind, EntityRegistry, RelationMatrix, RelationParseError
+from .hin import EntityKind, EntityRegistry, RelationMatrix, RelationParseError, load_pairs
 
 __all__ = [
     "SmilesError",
@@ -25,6 +25,7 @@ __all__ = [
     "build_vocab",
     "encode_drug",
     "build_feature_matrix",
+    "smiles_in_registry_order",
     "save_vocab",
     "load_vocab",
     "load_smiles",
@@ -204,31 +205,28 @@ class FeatureMatrix:
 
 def load_smiles(path) -> dict[str, str]:
     """Read a drug_id -> SMILES TSV."""
-    out: dict[str, str] = {}
-    text = Path(path).read_text(encoding="utf-8")
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2 or not parts[0] or not parts[1]:
-            raise RelationParseError(
-                f"{path}:{lineno}: expected drug_id<TAB>smiles, got {raw!r}")
-        out[parts[0]] = parts[1]
-    return out
+    return {drug: smiles for _, drug, smiles in load_pairs(path)}
 
 
-def build_feature_matrix(smiles_by_drug: dict[str, str], vocab: Vocabulary,
-                         registry: EntityRegistry) -> FeatureMatrix:
-    """Encode every registered drug; missing SMILES is an error."""
+def smiles_in_registry_order(smiles_by_drug: dict[str, str],
+                             registry: EntityRegistry) -> list[str]:
+    """The SMILES of every registered drug, by drug index; a missing one is
+    an error."""
     drug_ids = registry.ids(EntityKind.DRUG)
     missing = [d for d in drug_ids if d not in smiles_by_drug]
     if missing:
         raise SmilesError(f"no SMILES for drugs: {missing[:5]}"
                           + (" ..." if len(missing) > 5 else ""))
-    rows = [encode_drug(tokenize_smiles(smiles_by_drug[d]), vocab) for d in drug_ids]
+    return [smiles_by_drug[d] for d in drug_ids]
+
+
+def build_feature_matrix(smiles_by_drug: dict[str, str], vocab: Vocabulary,
+                         registry: EntityRegistry) -> FeatureMatrix:
+    """Encode every registered drug; missing SMILES is an error."""
+    rows = [encode_drug(tokenize_smiles(s), vocab)
+            for s in smiles_in_registry_order(smiles_by_drug, registry)]
     values = np.stack(rows) if rows else np.zeros((0, vocab.size), dtype=np.uint8)
-    return FeatureMatrix(tuple(drug_ids), values, "espf")
+    return FeatureMatrix(tuple(registry.ids(EntityKind.DRUG)), values, "espf")
 
 
 def save_vocab(vocab: Vocabulary, path) -> None:
@@ -301,16 +299,7 @@ def load_fingerprints(path, registry: EntityRegistry,
         registry.add(EntityKind.SUBSTRUCTURE, _fingerprint_bit_id(bit))
     rows: dict[str, np.ndarray] = {}
     pairs = []
-    text = Path(path).read_text(encoding="utf-8")
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise RelationParseError(
-                f"{path}:{lineno}: expected drug_id<TAB>bitstring, got {raw!r}")
-        drug, bits = parts
+    for lineno, drug, bits in load_pairs(path):
         if len(bits) != FINGERPRINT_BITS or set(bits) - {"0", "1"}:
             raise RelationParseError(
                 f"{path}:{lineno}: drug {drug!r} needs a {FINGERPRINT_BITS}-character "
@@ -325,7 +314,7 @@ def load_fingerprints(path, registry: EntityRegistry,
             pairs.append((d, registry.index_of(EntityKind.SUBSTRUCTURE,
                                                _fingerprint_bit_id(int(bit)))))
     shape = (registry.count(EntityKind.DRUG), registry.count(EntityKind.SUBSTRUCTURE))
-    h = RelationMatrix.from_pairs(EntityKind.DRUG, EntityKind.SUBSTRUCTURE, shape, pairs)
+    h = RelationMatrix.from_pairs(shape, pairs)
 
     drug_ids = registry.ids(EntityKind.DRUG)
     values = np.zeros((len(drug_ids), FINGERPRINT_BITS), dtype=np.uint8)
@@ -348,19 +337,16 @@ def load_features(path, registry: EntityRegistry) -> FeatureMatrix:
     mode = "espf"
     rows: dict[str, np.ndarray] = {}
     d0 = None
-    text = Path(path).read_text(encoding="utf-8")
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if raw.startswith("#"):
-            for part in raw[1:].split("\t"):
-                key, _, value = part.partition("=")
-                if key == "mode":
-                    mode = value
-                elif key == "d0":
-                    d0 = int(value)
-            continue
-        if not raw.strip():
-            continue
-        drug, _, bits = raw.partition("\t")
+    with open(path, encoding="utf-8") as handle:
+        header = handle.readline()
+    if header.startswith("#"):
+        for part in header[1:].rstrip("\n").split("\t"):
+            key, _, value = part.partition("=")
+            if key == "mode":
+                mode = value
+            elif key == "d0":
+                d0 = int(value)
+    for lineno, drug, bits in load_pairs(path):
         if d0 is not None and len(bits) != d0:
             raise RelationParseError(
                 f"{path}:{lineno}: row width {len(bits)} != declared d0 {d0}")

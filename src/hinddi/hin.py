@@ -5,6 +5,12 @@ substructure). Relations are sparse boolean incidence matrices loaded from
 two-column TSV files: T (drug targets protein), C (drug causes side
 effect), H (drug possesses substructure) and P (protein interacts with
 protein, symmetric).
+
+`RELATIONS` is the one schema of the network: it maps each relation name
+to its source kind, target kind and file name in a saved graph directory.
+Loading, assembly, validation, stats, graph-directory IO and meta-path
+chaining all read it, so a matrix is known by its name alone. `load_pairs`
+is the one reader of two-column TSV files.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ import scipy.sparse as sp
 
 __all__ = [
     "EntityKind",
+    "RELATIONS",
     "HinError",
     "RelationParseError",
     "SchemaError",
@@ -54,6 +61,17 @@ class EntityKind(Enum):
     PROTEIN = "protein"
     SIDE_EFFECT = "side_effect"
     SUBSTRUCTURE = "substructure"
+
+
+# relation name -> (source kind, target kind, file name in a graph directory
+# written by save_hin). A relation whose source and target kinds are the same
+# is symmetric.
+RELATIONS = {
+    "T": (EntityKind.DRUG, EntityKind.PROTEIN, "drug_protein.tsv"),
+    "C": (EntityKind.DRUG, EntityKind.SIDE_EFFECT, "drug_side_effect.tsv"),
+    "H": (EntityKind.DRUG, EntityKind.SUBSTRUCTURE, "drug_substructure.tsv"),
+    "P": (EntityKind.PROTEIN, EntityKind.PROTEIN, "ppi.tsv"),
+}
 
 
 @dataclass
@@ -97,21 +115,19 @@ class RelationMatrix:
     """Sparse boolean incidence between two entity kinds.
 
     Coordinates are kept as a (k, 2) int64 array, deduplicated and sorted
-    row-major; row = source index, column = target index.
+    row-major; row = source index, column = target index. The kinds are
+    those `RELATIONS` gives the matrix's name.
     """
 
-    source: EntityKind
-    target: EntityKind
     shape: tuple[int, int]
     coords: np.ndarray
 
     @classmethod
-    def from_pairs(cls, source: EntityKind, target: EntityKind,
-                   shape: tuple[int, int], pairs) -> "RelationMatrix":
+    def from_pairs(cls, shape: tuple[int, int], pairs) -> "RelationMatrix":
         arr = np.asarray(sorted(set(map(tuple, pairs))), dtype=np.int64)
         if arr.size == 0:
             arr = np.empty((0, 2), dtype=np.int64)
-        return cls(source, target, (int(shape[0]), int(shape[1])), arr)
+        return cls((int(shape[0]), int(shape[1])), arr)
 
     def __post_init__(self):
         c = self.coords
@@ -120,8 +136,7 @@ class RelationMatrix:
         if c.size:
             if c.min() < 0 or c[:, 0].max() >= self.shape[0] or c[:, 1].max() >= self.shape[1]:
                 raise SchemaError(
-                    f"coordinate out of bounds for {self.source.value}x{self.target.value} "
-                    f"matrix of shape {self.shape}")
+                    f"coordinate out of bounds for matrix of shape {self.shape}")
 
     @property
     def nnz(self) -> int:
@@ -136,39 +151,26 @@ class RelationMatrix:
         return sp.csr_matrix((ones, (self.coords[:, 0], self.coords[:, 1])),
                              shape=self.shape)
 
-    def coord_set(self) -> set[tuple[int, int]]:
-        return {(int(i), int(j)) for i, j in self.coords}
-
 
 @dataclass
 class Hin:
-    """The assembled network: registry, the four relation matrices, and the
-    optional labeled interaction pair list (canonical i < j, deduplicated)."""
+    """The assembled network: registry, the relation matrices by name (the
+    keys of `RELATIONS`, in its order), and the optional labeled interaction
+    pair list (canonical i < j, deduplicated)."""
 
     registry: EntityRegistry
-    t: RelationMatrix
-    c: RelationMatrix
-    h: RelationMatrix
-    p: RelationMatrix
+    relations: dict[str, RelationMatrix]
     ddi: list[tuple[int, int]] = field(default_factory=list)
 
     def matrix(self, name: str) -> RelationMatrix:
         try:
-            return {"T": self.t, "C": self.c, "H": self.h, "P": self.p}[name]
+            return self.relations[name]
         except KeyError:
             raise SchemaError(f"unknown relation matrix {name!r}") from None
 
     @property
     def n_drugs(self) -> int:
         return self.registry.count(EntityKind.DRUG)
-
-
-_RELATION_SCHEMAS = {
-    "T": (EntityKind.DRUG, EntityKind.PROTEIN),
-    "C": (EntityKind.DRUG, EntityKind.SIDE_EFFECT),
-    "H": (EntityKind.DRUG, EntityKind.SUBSTRUCTURE),
-    "P": (EntityKind.PROTEIN, EntityKind.PROTEIN),
-}
 
 
 def load_pairs(path) -> list[tuple[int, str, str]]:
@@ -196,26 +198,27 @@ def _resolve(registry: EntityRegistry, kind: EntityKind, ident: str, mode: str) 
     return registry.index_of(kind, ident)
 
 
-def load_relation(path, source: EntityKind, target: EntityKind,
-                  registry: EntityRegistry, mode: str = "discover") -> RelationMatrix:
-    """Load one relation matrix from a two-column id TSV.
+def load_relation(path, name: str, registry: EntityRegistry,
+                  mode: str = "discover") -> RelationMatrix:
+    """Load relation `name` of `RELATIONS` from a two-column id TSV.
 
-    Duplicate lines collapse to one coordinate. Protein-protein relations
-    are symmetrized: each loaded edge is stored in both directions. In
+    Duplicate lines collapse to one coordinate. A relation within one kind
+    (P) is symmetrized: each loaded edge is stored in both directions. In
     "discover" mode unseen ids extend the registry; in "strict" mode they
     raise SchemaError.
     """
     if mode not in ("discover", "strict"):
         raise ValueError(f"unknown registry mode {mode!r}")
+    source, target, _ = RELATIONS[name]
     pairs = []
     for lineno, left, right in load_pairs(path):
         i = _resolve(registry, source, left, mode)
         j = _resolve(registry, target, right, mode)
         pairs.append((i, j))
-        if source == target == EntityKind.PROTEIN:
+        if source == target:
             pairs.append((j, i))
-    shape = (registry.count(source), registry.count(target))
-    return RelationMatrix.from_pairs(source, target, shape, pairs)
+    return RelationMatrix.from_pairs((registry.count(source), registry.count(target)),
+                                     pairs)
 
 
 def load_ddi(path, registry: EntityRegistry, mode: str = "discover") -> list[tuple[int, int]]:
@@ -230,24 +233,20 @@ def load_ddi(path, registry: EntityRegistry, mode: str = "discover") -> list[tup
     return sorted(pairs)
 
 
-def build_hin(registry: EntityRegistry, t: RelationMatrix, c: RelationMatrix,
-              h: RelationMatrix, p: RelationMatrix,
+def build_hin(registry: EntityRegistry, relations: dict[str, RelationMatrix],
               ddi: list[tuple[int, int]] | None = None) -> Hin:
-    """Assemble a Hin, refitting matrix shapes to the final registry counts.
+    """Assemble a Hin from one matrix per `RELATIONS` name, refitting matrix
+    shapes to the final registry counts.
 
-    Needed because discover-mode loading can keep growing the registry
-    after an earlier matrix was built.
+    Refitting is needed because discover-mode loading can keep growing the
+    registry after an earlier matrix was built.
     """
-    def fit(m: RelationMatrix) -> RelationMatrix:
-        return m.resized((registry.count(m.source), registry.count(m.target)))
-
-    for name, matrix in (("T", t), ("C", c), ("H", h), ("P", p)):
-        want = _RELATION_SCHEMAS[name]
-        if (matrix.source, matrix.target) != want:
-            raise SchemaError(
-                f"matrix {name} has kinds ({matrix.source.value}, {matrix.target.value}), "
-                f"expected ({want[0].value}, {want[1].value})")
-    return Hin(registry, fit(t), fit(c), fit(h), fit(p), sorted(set(ddi or [])))
+    if set(relations) != set(RELATIONS):
+        raise SchemaError(f"relation matrices {sorted(relations)}, "
+                          f"expected {sorted(RELATIONS)}")
+    fitted = {name: relations[name].resized((registry.count(s), registry.count(t)))
+              for name, (s, t, _) in RELATIONS.items()}
+    return Hin(registry, fitted, sorted(set(ddi or [])))
 
 
 @dataclass
@@ -276,14 +275,14 @@ def validate(hin: Hin) -> ValidationReport:
     report = ValidationReport()
     reg = hin.registry
 
-    for name in ("T", "C", "H", "P"):
+    for name, (source, target, _) in RELATIONS.items():
         m = hin.matrix(name)
-        want_shape = (reg.count(m.source), reg.count(m.target))
+        want_shape = (reg.count(source), reg.count(target))
         if m.shape != want_shape:
             report.errors.append(
                 f"{name}: shape {m.shape} disagrees with registry counts {want_shape}")
 
-    pset = hin.p.coord_set()
+    pset = {(int(i), int(j)) for i, j in hin.matrix("P").coords}
     for i, j in sorted(pset):
         if i == j:
             report.errors.append(
@@ -299,10 +298,11 @@ def validate(hin: Hin) -> ValidationReport:
             report.errors.append(f"DDI: pair ({i}, {j}) out of bounds or not canonical")
 
     degree = {kind: np.zeros(reg.count(kind), dtype=np.int64) for kind in EntityKind}
-    for m in (hin.t, hin.c, hin.h, hin.p):
+    for name, (source, target, _) in RELATIONS.items():
+        m = hin.matrix(name)
         if m.nnz:
-            np.add.at(degree[m.source], m.coords[:, 0], 1)
-            np.add.at(degree[m.target], m.coords[:, 1], 1)
+            np.add.at(degree[source], m.coords[:, 0], 1)
+            np.add.at(degree[target], m.coords[:, 1], 1)
     for i, j in hin.ddi:
         degree[EntityKind.DRUG][i] += 1
         degree[EntityKind.DRUG][j] += 1
@@ -319,7 +319,7 @@ def validate(hin: Hin) -> ValidationReport:
 
 def stats(hin: Hin) -> dict[str, int]:
     """Node and edge counts; PPI counts undirected protein pairs once."""
-    p_coords = hin.p.coords
+    p_coords = hin.matrix("P").coords
     ppi = int(np.sum(p_coords[:, 0] < p_coords[:, 1])) if p_coords.size else 0
     reg = hin.registry
     return {
@@ -328,8 +328,8 @@ def stats(hin: Hin) -> dict[str, int]:
         "SideEffect": reg.count(EntityKind.SIDE_EFFECT),
         "Substructure": reg.count(EntityKind.SUBSTRUCTURE),
         "DDI": len(hin.ddi),
-        "DPI": hin.t.nnz,
-        "DrugSideEffect": hin.c.nnz,
+        "DPI": hin.matrix("T").nnz,
+        "DrugSideEffect": hin.matrix("C").nnz,
         "PPI": ppi,
     }
 
@@ -337,20 +337,10 @@ def stats(hin: Hin) -> dict[str, int]:
 # ---------------------------------------------------------------------------
 # directory serialization
 
-_RELATION_FILES = {
-    "T": "drug_protein.tsv",
-    "C": "drug_side_effect.tsv",
-    "H": "drug_substructure.tsv",
-    "P": "ppi.tsv",
-}
-
-
-def _write_relation(m: RelationMatrix, registry: EntityRegistry, path: Path) -> None:
-    lines = []
-    for i, j in m.coords:
-        if m.source == m.target and i > j:
-            continue  # undirected: store each pair once
-        lines.append(f"{registry.id_of(m.source, int(i))}\t{registry.id_of(m.target, int(j))}")
+def _write_pairs(path: Path, pairs, source: EntityKind, target: EntityKind,
+                 registry: EntityRegistry) -> None:
+    lines = [f"{registry.id_of(source, int(i))}\t{registry.id_of(target, int(j))}"
+             for i, j in pairs]
     path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 
@@ -363,12 +353,12 @@ def save_hin(hin: Hin, dirpath) -> None:
         for idx, ident in enumerate(hin.registry.ids(kind)):
             reg_lines.append(f"{kind.value}\t{idx}\t{ident}")
     (d / "registry.tsv").write_text("\n".join(reg_lines) + "\n", encoding="utf-8")
-    for name, fname in _RELATION_FILES.items():
-        _write_relation(hin.matrix(name), hin.registry, d / fname)
-    ddi_lines = [f"{hin.registry.id_of(EntityKind.DRUG, i)}\t{hin.registry.id_of(EntityKind.DRUG, j)}"
-                 for i, j in hin.ddi]
-    (d / "ddi.tsv").write_text("\n".join(ddi_lines) + ("\n" if ddi_lines else ""),
-                               encoding="utf-8")
+    for name, (source, target, fname) in RELATIONS.items():
+        coords = hin.matrix(name).coords
+        if source == target:  # undirected: store each pair once
+            coords = coords[coords[:, 0] <= coords[:, 1]]
+        _write_pairs(d / fname, coords, source, target, hin.registry)
+    _write_pairs(d / "ddi.tsv", hin.ddi, EntityKind.DRUG, EntityKind.DRUG, hin.registry)
 
 
 def load_registry(path) -> EntityRegistry:
@@ -396,10 +386,6 @@ def load_hin(dirpath) -> Hin:
     """Load a directory written by save_hin (strict registry mode)."""
     d = Path(dirpath)
     registry = load_registry(d / "registry.tsv")
-    matrices = {}
-    for name, fname in _RELATION_FILES.items():
-        source, target = _RELATION_SCHEMAS[name]
-        matrices[name] = load_relation(d / fname, source, target, registry, mode="strict")
-    ddi = load_ddi(d / "ddi.tsv", registry, mode="strict")
-    return build_hin(registry, matrices["T"], matrices["C"], matrices["H"],
-                     matrices["P"], ddi)
+    relations = {name: load_relation(d / fname, name, registry, mode="strict")
+                 for name, (_, _, fname) in RELATIONS.items()}
+    return build_hin(registry, relations, load_ddi(d / "ddi.tsv", registry, mode="strict"))

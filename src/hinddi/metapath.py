@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hin import _RELATION_SCHEMAS, EntityKind, Hin, RelationMatrix, SchemaError
+from .hin import RELATIONS, EntityKind, Hin, SchemaError
 
 __all__ = [
     "MetaPathStep",
@@ -22,11 +22,8 @@ __all__ = [
     "builtin_specs",
     "builtin_spec_names",
     "commuting_matrix",
-    "brute_force_path_counts",
     "neighbor_graph",
 ]
-
-BRUTE_FORCE_LIMIT = 50
 
 
 @dataclass(frozen=True)
@@ -35,8 +32,8 @@ class MetaPathStep:
     matrix: str
     transposed: bool = False
 
-    def kinds(self, hin_schema: dict[str, tuple[EntityKind, EntityKind]]) -> tuple[EntityKind, EntityKind]:
-        source, target = hin_schema[self.matrix]
+    def kinds(self) -> tuple[EntityKind, EntityKind]:
+        source, target, _ = RELATIONS[self.matrix]
         return (target, source) if self.transposed else (source, target)
 
 
@@ -49,7 +46,7 @@ class MetaPathSpec:
     def __post_init__(self):
         if not self.steps:
             raise SchemaError(f"{self.name}: empty meta-path")
-        kinds = [s.kinds(_RELATION_SCHEMAS) for s in self.steps]
+        kinds = [s.kinds() for s in self.steps]
         if kinds[0][0] != EntityKind.DRUG or kinds[-1][1] != EntityKind.DRUG:
             raise SchemaError(f"{self.name}: meta-path must start and end at drugs")
         for k, (left, right) in enumerate(zip(kinds, kinds[1:])):
@@ -57,15 +54,6 @@ class MetaPathSpec:
                 raise SchemaError(
                     f"{self.name}: step {k} ends at {left[1].value} but step {k + 1} "
                     f"starts at {right[0].value}")
-
-    @property
-    def is_palindromic(self) -> bool:
-        rev = tuple(MetaPathStep(s.matrix, not s.transposed) for s in reversed(self.steps))
-        # P is symmetric, so orientation of a P step does not matter.
-        def canon(steps):
-            return tuple((s.matrix, False if s.matrix == "P" else s.transposed)
-                         for s in steps)
-        return canon(self.steps) == canon(rev)
 
 
 def builtin_specs() -> list[MetaPathSpec]:
@@ -119,42 +107,6 @@ def commuting_matrix(hin: Hin, spec: MetaPathSpec) -> CommutingMatrix:
     if counts.shape != (n, n):
         raise SchemaError(f"{spec.name}: product shape {counts.shape}, expected {(n, n)}")
     return CommutingMatrix(spec.name, counts)
-
-
-def brute_force_path_counts(hin: Hin, spec: MetaPathSpec) -> np.ndarray:
-    """Count concrete paths between every drug pair by depth-first enumeration.
-
-    Returns an (n_drugs, n_drugs) int64 array whose entry (i, j) is the
-    number of path instances from drug i to drug j. Test oracle, deliberately
-    independent of the matrix-product route; refuses instances with more
-    than BRUTE_FORCE_LIMIT entities of any kind.
-    """
-    for kind in EntityKind:
-        if hin.registry.count(kind) > BRUTE_FORCE_LIMIT:
-            raise SchemaError(
-                f"brute_force_path_counts: {kind.value} count exceeds {BRUTE_FORCE_LIMIT}")
-
-    adjacency = []
-    for step in spec.steps:
-        m = hin.matrix(step.matrix)
-        table: dict[int, list[int]] = {}
-        for a, b in m.coords:
-            src, dst = (int(b), int(a)) if step.transposed else (int(a), int(b))
-            table.setdefault(src, []).append(dst)
-        adjacency.append(table)
-
-    def walk(depth: int, node: int, row: list[int]) -> None:
-        if depth == len(adjacency):
-            row[node] += 1
-            return
-        for nxt in adjacency[depth].get(node, ()):
-            walk(depth + 1, nxt, row)
-
-    n = hin.n_drugs
-    rows = [[0] * n for _ in range(n)]
-    for i, row in enumerate(rows):
-        walk(0, i, row)
-    return np.array(rows, dtype=np.int64).reshape(n, n)
 
 
 @dataclass(frozen=True)

@@ -61,9 +61,11 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("input_dim", "hidden_dim", "heads", "attn_dim"):
-            if getattr(self, name) < 1:
-                raise ParameterError(f"{name} must be >= 1")
+        positive = ("input_dim", "hidden_dim", "heads", "attn_dim")
+        for f in fields(self):
+            if f.name in positive and getattr(self, f.name) < 1:
+                # name the config key: hidden_dim is [model] hidden
+                raise ParameterError(f"{f.metadata.get('key', f.name)} must be >= 1")
         if not (0 <= self.dropout < 1):
             raise ParameterError(f"dropout {self.dropout} outside [0, 1)")
         if self.pool not in ("mean", "sum"):

@@ -18,9 +18,10 @@ from .espf import (
     build_vocab,
     load_fingerprints,
     load_smiles,
+    smiles_in_registry_order,
     tokenize_smiles,
 )
-from .hin import EntityKind, EntityRegistry, Hin, build_hin, load_ddi, load_relation
+from .hin import EntityRegistry, Hin, build_hin, load_ddi, load_relation
 from .metapath import NeighborGraph, commuting_matrix, neighbor_graph, spec_by_name
 
 __all__ = ["InputPaths", "load_hin_inputs", "make_graphs", "make_espf_features",
@@ -47,19 +48,16 @@ class InputPaths:
                    smiles=d / "smiles.tsv")
 
 
-def load_hin_inputs(paths: InputPaths, mode: str = "discover") -> Hin:
-    """Load all relations in a fixed order (ddi, T, C, H, P) so that
-    discovered entity indices are reproducible."""
+def load_hin_inputs(paths: InputPaths) -> Hin:
+    """Load all relations in a fixed order (ddi, T, C, H, P), discovering
+    entities as they appear, so that entity indices are reproducible."""
     registry = EntityRegistry()
-    ddi = load_ddi(paths.ddi, registry, mode=mode)
-    t = load_relation(paths.drug_protein, EntityKind.DRUG, EntityKind.PROTEIN,
-                      registry, mode=mode)
-    c = load_relation(paths.drug_side_effect, EntityKind.DRUG,
-                      EntityKind.SIDE_EFFECT, registry, mode=mode)
-    h, _ = load_fingerprints(paths.fingerprints, registry, mode=mode)
-    p = load_relation(paths.ppi, EntityKind.PROTEIN, EntityKind.PROTEIN,
-                      registry, mode=mode)
-    return build_hin(registry, t, c, h, p, ddi)
+    ddi = load_ddi(paths.ddi, registry)
+    relations = {"T": load_relation(paths.drug_protein, "T", registry),
+                 "C": load_relation(paths.drug_side_effect, "C", registry),
+                 "H": load_fingerprints(paths.fingerprints, registry)[0],
+                 "P": load_relation(paths.ppi, "P", registry)}
+    return build_hin(registry, relations, ddi)
 
 
 def make_graphs(hin: Hin, metapath_names, threshold: int = 1) -> dict[str, NeighborGraph]:
@@ -74,12 +72,7 @@ def make_graphs(hin: Hin, metapath_names, threshold: int = 1) -> dict[str, Neigh
 def make_espf_features(smiles_path, hin: Hin, threshold: int = 5,
                        max_size: int = 512) -> tuple[FeatureMatrix, Vocabulary]:
     smiles = load_smiles(smiles_path)
-    drug_ids = hin.registry.ids(EntityKind.DRUG)
-    missing = [d for d in drug_ids if d not in smiles]
-    if missing:
-        raise ValueError(f"SMILES file lacks drugs {missing[:5]}"
-                         + (" ..." if len(missing) > 5 else ""))
-    corpus = [tokenize_smiles(smiles[d]) for d in drug_ids]
+    corpus = [tokenize_smiles(s) for s in smiles_in_registry_order(smiles, hin.registry)]
     vocab = build_vocab(corpus, threshold=threshold, max_size=max_size)
     return build_feature_matrix(smiles, vocab, hin.registry), vocab
 

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .espf import FINGERPRINT_BITS
-from .hin import EntityKind, EntityRegistry, RelationMatrix, build_hin
+from .hin import RELATIONS, EntityKind, EntityRegistry, RelationMatrix, build_hin
 from .metapath import NeighborGraph, builtin_specs, commuting_matrix, neighbor_graph
 
 __all__ = ["PlantedDataset", "generate_planted", "write_planted", "desk_instance"]
@@ -152,24 +152,22 @@ def desk_instance(seed: int = 0, n_drugs: int = 12, n_proteins: int = 8,
     for k in range(n_substructures):
         reg.add(EntityKind.SUBSTRUCTURE, f"B{k:02d}")
 
-    def bipartite(rows, cols, source, target):
-        mask = rng.random((rows, cols)) < density
-        # keep every source entity connected so no relation row is empty
-        for r in range(rows):
-            if not mask[r].any():
-                mask[r, int(rng.integers(cols))] = True
-        return RelationMatrix.from_pairs(source, target, (rows, cols),
-                                         list(zip(*np.nonzero(mask))))
-
-    t = bipartite(n_drugs, n_proteins, EntityKind.DRUG, EntityKind.PROTEIN)
-    c = bipartite(n_drugs, n_side_effects, EntityKind.DRUG, EntityKind.SIDE_EFFECT)
-    h = bipartite(n_drugs, n_substructures, EntityKind.DRUG, EntityKind.SUBSTRUCTURE)
-    p_pairs = [(i, j) for i in range(n_proteins) for j in range(i + 1, n_proteins)
-               if rng.random() < density]
-    p = RelationMatrix.from_pairs(EntityKind.PROTEIN, EntityKind.PROTEIN,
-                                  (n_proteins, n_proteins),
-                                  p_pairs + [(j, i) for i, j in p_pairs])
-    hin = build_hin(reg, t, c, h, p)
+    relations = {}
+    for name, (source, target, _) in RELATIONS.items():
+        rows, cols = reg.count(source), reg.count(target)
+        if source == target:  # symmetric, no self-loops
+            pairs = [(i, j) for i in range(rows) for j in range(i + 1, cols)
+                     if rng.random() < density]
+            pairs += [(j, i) for i, j in pairs]
+        else:
+            mask = rng.random((rows, cols)) < density
+            # keep every source entity connected so no relation row is empty
+            for r in range(rows):
+                if not mask[r].any():
+                    mask[r, int(rng.integers(cols))] = True
+            pairs = list(zip(*np.nonzero(mask)))
+        relations[name] = RelationMatrix.from_pairs((rows, cols), pairs)
+    hin = build_hin(reg, relations)
 
     graphs: dict[str, NeighborGraph] = {}
     for spec in builtin_specs():

@@ -1,9 +1,12 @@
-"""Shared fixture builders for toy and randomized networks."""
+"""Shared fixture builders for toy and randomized networks, and test
+oracles over them."""
 
 import numpy as np
 import pytest
 
-from hinddi.hin import EntityKind, EntityRegistry, RelationMatrix, build_hin
+from hinddi.hin import EntityKind, EntityRegistry, RelationMatrix, SchemaError, build_hin
+
+BRUTE_FORCE_LIMIT = 50
 
 
 def make_registry(n_drugs, n_proteins=0, n_side_effects=0, n_substructures=0):
@@ -24,15 +27,18 @@ def make_hin(n_drugs, n_proteins, n_side_effects, n_substructures,
     """Assemble a Hin from explicit coordinate lists; P pairs are symmetrized."""
     reg = make_registry(n_drugs, n_proteins, n_side_effects, n_substructures)
     sym = list(p_pairs) + [(j, i) for i, j in p_pairs]
-    t = RelationMatrix.from_pairs(EntityKind.DRUG, EntityKind.PROTEIN,
-                                  (n_drugs, n_proteins), t_pairs)
-    c = RelationMatrix.from_pairs(EntityKind.DRUG, EntityKind.SIDE_EFFECT,
-                                  (n_drugs, n_side_effects), c_pairs)
-    h = RelationMatrix.from_pairs(EntityKind.DRUG, EntityKind.SUBSTRUCTURE,
-                                  (n_drugs, n_substructures), h_pairs)
-    p = RelationMatrix.from_pairs(EntityKind.PROTEIN, EntityKind.PROTEIN,
-                                  (n_proteins, n_proteins), sym)
-    return build_hin(reg, t, c, h, p, list(ddi))
+    relations = {
+        "T": RelationMatrix.from_pairs((n_drugs, n_proteins), t_pairs),
+        "C": RelationMatrix.from_pairs((n_drugs, n_side_effects), c_pairs),
+        "H": RelationMatrix.from_pairs((n_drugs, n_substructures), h_pairs),
+        "P": RelationMatrix.from_pairs((n_proteins, n_proteins), sym),
+    }
+    return build_hin(reg, relations, list(ddi))
+
+
+def coord_set(m):
+    """A relation matrix's coordinates as a set of (row, column) ints."""
+    return {(int(i), int(j)) for i, j in m.coords}
 
 
 def random_hin(rng, max_per_kind=20, density=0.25, ppi_density=0.3):
@@ -59,3 +65,39 @@ def random_hin(rng, max_per_kind=20, density=0.25, ppi_density=0.3):
 def toy_hin():
     """Two drugs, two proteins: d0 targets {p0, p1}, d1 targets {p1}."""
     return make_hin(2, 2, 0, 0, t_pairs=[(0, 0), (0, 1), (1, 1)])
+
+
+def brute_force_path_counts(hin, spec):
+    """Count concrete paths between every drug pair by depth-first enumeration.
+
+    Returns an (n_drugs, n_drugs) int64 array whose entry (i, j) is the
+    number of path instances from drug i to drug j. Oracle for the commuting
+    matrices, deliberately independent of the matrix-product route; refuses
+    instances with more than BRUTE_FORCE_LIMIT entities of any kind.
+    """
+    for kind in EntityKind:
+        if hin.registry.count(kind) > BRUTE_FORCE_LIMIT:
+            raise SchemaError(
+                f"brute_force_path_counts: {kind.value} count exceeds {BRUTE_FORCE_LIMIT}")
+
+    adjacency = []
+    for step in spec.steps:
+        m = hin.matrix(step.matrix)
+        table = {}
+        for a, b in m.coords:
+            src, dst = (int(b), int(a)) if step.transposed else (int(a), int(b))
+            table.setdefault(src, []).append(dst)
+        adjacency.append(table)
+
+    def walk(depth, node, row):
+        if depth == len(adjacency):
+            row[node] += 1
+            return
+        for nxt in adjacency[depth].get(node, ()):
+            walk(depth + 1, nxt, row)
+
+    n = hin.n_drugs
+    rows = [[0] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        walk(0, i, row)
+    return np.array(rows, dtype=np.int64).reshape(n, n)

@@ -17,7 +17,7 @@ from hinddi.cli import main as cli_main
 from hinddi.data import purpose_rng, split_cold_start, split_edges
 from hinddi.espf import build_vocab, save_vocab, tokenize_smiles
 from hinddi.gradcheck import finite_diff_check
-from hinddi.metapath import brute_force_path_counts, builtin_specs, commuting_matrix
+from hinddi.metapath import builtin_specs, commuting_matrix
 from hinddi.metrics import auroc
 from hinddi.model import (
     ModelConfig,
@@ -32,7 +32,7 @@ from hinddi.model import (
 from hinddi.pipeline import InputPaths, load_hin_inputs, make_espf_features, make_graphs
 from hinddi.synth import desk_instance, generate_planted, write_planted
 from hinddi.train import TrainConfig, ablate, evaluate_pairs, train
-from tests.conftest import random_hin
+from tests.conftest import brute_force_path_counts, random_hin
 from tests.test_metrics import auroc_oracle
 from tests.test_model import random_graphs
 

@@ -8,6 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hinddi import autodiff as ad
+from hinddi import cli
 from hinddi.cli import main
 from hinddi.config import RunConfig
 from hinddi.model import load_checkpoint, save_checkpoint
@@ -313,6 +315,18 @@ class TestPredict:
                        root / "out" / "checkpoint.bin", "--pairs", pairs) == 1
         assert "DXXX" in capsys.readouterr().err
 
+    def test_one_column_line_named(self, pipeline, tmp_path, capsys):
+        root, cfg = pipeline
+        pairs = tmp_path / "short.tsv"
+        pairs.write_text("# header\nD000\tD001\nD002\n", encoding="utf-8")
+        assert run_cli("predict", "--config", cfg, "--checkpoint",
+                       root / "out" / "checkpoint.bin", "--pairs", pairs,
+                       "--scores-out", tmp_path / "scores.tsv") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert f"{pairs}:3:" in err
+        assert not (tmp_path / "scores.tsv").exists()
+
 
 class TestGradcheck:
     def test_passes_by_default(self, capsys):
@@ -322,8 +336,15 @@ class TestGradcheck:
         for group in ("proj", "attn", "w_mp", "b_mp", "q_mp"):
             assert group in out
 
-    def test_corrupt_adjoint_fails(self, capsys):
-        assert run_cli("gradcheck", "--probes", "2", "--corrupt-adjoint") == 1
+    def test_corrupt_adjoint_fails(self, monkeypatch, capsys):
+        right = cli.bce_loss
+
+        def wrong(scores, labels):  # the loss, with an adjoint 5% too large
+            loss = right(scores, labels)
+            return ad._node(loss.data * 1.0, "corrupt", (loss,), lambda g: [g * 1.05])
+
+        monkeypatch.setattr(cli, "bce_loss", wrong)
+        assert run_cli("gradcheck", "--probes", "2") == 1
         assert "FAIL" in capsys.readouterr().err
 
 

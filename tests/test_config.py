@@ -25,7 +25,6 @@ ppi = ../shared/ppi.tsv
 fingerprints = inputs/fingerprints.tsv
 smiles = inputs/smiles.tsv
 ddi = inputs/ddi.tsv
-registry_mode = strict
 
 [output]
 out_dir = runs/out
@@ -90,7 +89,6 @@ class TestSchema:
             ("data.fingerprints", "inputs/fingerprints.tsv"),
             ("data.smiles", "inputs/smiles.tsv"),
             ("data.ddi", "inputs/ddi.tsv"),
-            ("data.registry_mode", "strict"),
             ("output.out_dir", "runs/out"),
             ("features.feature_mode", "fingerprint"),
             ("features.espf_threshold", "3"),
@@ -141,11 +139,12 @@ class TestSchema:
         path = st.builds(lambda d, f: f"{d}/{f}.tsv" if d else f"{f}.tsv",
                          st.sampled_from(["", "in", "../up"]), name)
         unit = st.floats(0, 1, exclude_max=True)
+        first_ratio = data.draw(unit)
+        second_ratio = data.draw(st.floats(0, 1 - first_ratio))
         values = {
             "data": {k: data.draw(st.none() | path) for k in (
                 "drug_protein", "drug_side_effect", "ppi", "fingerprints",
-                "smiles", "ddi")}
-            | {"registry_mode": data.draw(st.sampled_from(["discover", "strict"]))},
+                "smiles", "ddi")},
             "output": {"out_dir": data.draw(path)},
             "features": {
                 "feature_mode": data.draw(st.sampled_from(["espf", "fingerprint"])),
@@ -170,8 +169,10 @@ class TestSchema:
                 "patience": data.draw(st.integers(0, 1000))},
             "split": {
                 "protocol": data.draw(st.sampled_from(["edges", "coldstart"])),
-                "ratios": ",".join(str(data.draw(unit)) for _ in range(3)),
-                "drug_fraction": data.draw(unit)},
+                "ratios": ",".join(str(r) for r in (
+                    first_ratio, second_ratio, (1 - first_ratio) - second_ratio)),
+                "drug_fraction": data.draw(st.floats(0, 1, exclude_min=True,
+                                                     exclude_max=True))},
             "run": {"seed": data.draw(st.integers(0, 2**32 - 1)),
                     "precision": data.draw(st.sampled_from(["32", "64"]))},
         }
@@ -210,6 +211,12 @@ def corrupt_smiles(run):
     lines = smiles.read_text(encoding="utf-8").splitlines(keepends=True)
     lines[0] = lines[0].split("\t")[0] + "\tC[C\n"
     smiles.write_text("".join(lines), encoding="utf-8")
+
+
+def drop_first_smiles(run):
+    smiles = run / "smiles.tsv"
+    lines = smiles.read_text(encoding="utf-8").splitlines(keepends=True)
+    smiles.write_text("".join(lines[1:]), encoding="utf-8")
 
 
 def corrupt_feature_bit(run):
@@ -262,6 +269,16 @@ BAD_INPUTS = {
     "unknown protocol": (
         "build-graph", append("[split]\nprotocol = random\n"),
         "[split] protocol must be one of edges, coldstart"),
+    "ratios not summing to 1": (
+        "build-graph", append("[split]\nratios = 0.5,0.3,0.1\n"),
+        "[split] ratios must be three nonnegative values summing to 1"),
+    "two ratios at load": (
+        "build-graph", append("[split]\nratios = 0.5,0.5\n"), "[split] ratios must be three"),
+    "drug fraction above 1 at load": (
+        "build-graph", append("[split]\ndrug_fraction = 1.5\n"),
+        "[split] drug_fraction must be in (0, 1), got 1.5"),
+    "zero hidden": (
+        "build-graph", append("[model]\nhidden = 0\n"), "[model] hidden must be >= 1"),
     "two split ratios": (
         "train", append("[split]\nratios = 0.5,0.5\n"), "ratios must be three"),
     "drug fraction above 1": (
@@ -269,6 +286,8 @@ BAD_INPUTS = {
         "drug_fraction must be in (0, 1)"),
     "unbalanced bracket in smiles": (
         "featurize", corrupt_smiles, "unbalanced '['"),
+    "drug without smiles": (
+        "featurize", drop_first_smiles, "no SMILES for drugs: ['D000']"),
     "feature other than 0/1": (
         "train", corrupt_feature_bit,
         "features.tsv:2: drug 'D000' has a feature other than 0/1"),

@@ -1,5 +1,7 @@
 """SMILES tokenization, merge vocabulary and feature encoding."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from hinddi.espf import (
     build_vocab,
     encode_drug,
     load_fingerprints,
+    load_smiles,
     load_vocab,
     save_vocab,
     tokenize_smiles,
@@ -132,6 +135,20 @@ class TestEncode:
         assert fm.drug_ids == ("d0", "d1")
 
 
+class TestLoadSmiles:
+    def test_pairs_by_drug(self, tmp_path):
+        f = tmp_path / "smiles.tsv"
+        f.write_text("# drug\tsmiles\nd0\tCCO\n\nd1\tC[NH3+]\n", encoding="utf-8")
+        assert load_smiles(f) == {"d0": "CCO", "d1": "C[NH3+]"}
+
+    @pytest.mark.parametrize("line", ["d1", "d1\tCC\tO", "\tCC"])
+    def test_malformed_line_names_file_and_line(self, tmp_path, line):
+        f = tmp_path / "smiles.tsv"
+        f.write_text(f"d0\tCCO\n{line}\n", encoding="utf-8")
+        with pytest.raises(RelationParseError, match=f"^{re.escape(str(f))}:2: "):
+            load_smiles(f)
+
+
 class TestVocabRoundTrip:
     def test_save_load_identical(self, tmp_path):
         corpus = [tokenize_smiles(s) for s in
@@ -181,17 +198,19 @@ class TestFingerprints:
                      encoding="utf-8")
         reg = EntityRegistry()
         h, _ = load_fingerprints(f, reg)
-        from tests.conftest import make_hin
         from hinddi.hin import RelationMatrix, build_hin
-        empty = lambda s, t, shape: RelationMatrix.from_pairs(s, t, shape, [])
-        hin = build_hin(reg,
-                        empty(EntityKind.DRUG, EntityKind.PROTEIN, (2, 0)),
-                        empty(EntityKind.DRUG, EntityKind.SIDE_EFFECT, (2, 0)),
-                        h,
-                        empty(EntityKind.PROTEIN, EntityKind.PROTEIN, (0, 0)))
+        empty = RelationMatrix.from_pairs((0, 0), [])
+        hin = build_hin(reg, {"T": empty, "C": empty, "H": h, "P": empty})
         spec = [s for s in builtin_specs() if s.name == "DID-3"][0]
         counts = commuting_matrix(hin, spec).counts
         assert counts[0, 1] >= 1
+
+    @pytest.mark.parametrize("line", ["d1", "d1\t0101\t1"])
+    def test_malformed_line_names_file_and_line(self, tmp_path, line):
+        f = tmp_path / "fp.tsv"
+        f.write_text(f"d0\t{self.bitstring([3])}\n{line}\n", encoding="utf-8")
+        with pytest.raises(RelationParseError, match=f"^{re.escape(str(f))}:2: "):
+            load_fingerprints(f, EntityRegistry())
 
     def test_wrong_length_names_drug(self, tmp_path):
         f = tmp_path / "fp.tsv"

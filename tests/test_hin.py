@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hinddi.hin import (
+    RELATIONS,
     EntityKind,
     EntityRegistry,
     Hin,
@@ -18,7 +19,7 @@ from hinddi.hin import (
     stats,
     validate,
 )
-from tests.conftest import make_hin
+from tests.conftest import coord_set, make_hin
 
 
 def write(path, text):
@@ -30,37 +31,37 @@ class TestLoadRelation:
     def test_basic_construction(self, tmp_path):
         f = write(tmp_path / "t.tsv", "d1\tp1\nd1\tp2\nd2\tp2\n")
         reg = EntityRegistry()
-        t = load_relation(f, EntityKind.DRUG, EntityKind.PROTEIN, reg)
+        t = load_relation(f, "T", reg)
         assert t.nnz == 3
         assert t.shape == (2, 2)
-        assert t.coord_set() == {(0, 0), (0, 1), (1, 1)}
+        assert coord_set(t) == {(0, 0), (0, 1), (1, 1)}
 
     def test_duplicates_collapse(self, tmp_path):
         f = write(tmp_path / "t.tsv", "d1\tp1\nd1\tp1\n")
-        t = load_relation(f, EntityKind.DRUG, EntityKind.PROTEIN, EntityRegistry())
+        t = load_relation(f, "T", EntityRegistry())
         assert t.nnz == 1
 
     def test_ppi_symmetrized(self, tmp_path):
         f = write(tmp_path / "p.tsv", "p1\tp2\n")
-        p = load_relation(f, EntityKind.PROTEIN, EntityKind.PROTEIN, EntityRegistry())
-        assert p.coord_set() == {(0, 1), (1, 0)}
+        p = load_relation(f, "P", EntityRegistry())
+        assert coord_set(p) == {(0, 1), (1, 0)}
 
     def test_comments_and_blank_lines_ignored(self, tmp_path):
         f = write(tmp_path / "t.tsv", "# header\n\nd1\tp1\n")
-        t = load_relation(f, EntityKind.DRUG, EntityKind.PROTEIN, EntityRegistry())
+        t = load_relation(f, "T", EntityRegistry())
         assert t.nnz == 1
 
     def test_malformed_line_reports_line_number(self, tmp_path):
         f = write(tmp_path / "t.tsv", "d1\tp1\nd2 only one column\n")
         with pytest.raises(RelationParseError, match=":2:"):
-            load_relation(f, EntityKind.DRUG, EntityKind.PROTEIN, EntityRegistry())
+            load_relation(f, "T", EntityRegistry())
 
     def test_strict_mode_rejects_unknown_id(self, tmp_path):
         f = write(tmp_path / "t.tsv", "d1\tp1\n")
         reg = EntityRegistry()
         reg.add(EntityKind.DRUG, "d1")
         with pytest.raises(SchemaError, match="p1"):
-            load_relation(f, EntityKind.DRUG, EntityKind.PROTEIN, reg, mode="strict")
+            load_relation(f, "T", reg, mode="strict")
 
     def test_ddi_canonicalized_and_deduplicated(self, tmp_path):
         f = write(tmp_path / "ddi.tsv", "d2\td1\nd1\td2\nd3\td1\n")
@@ -84,17 +85,15 @@ class TestValidate:
 
     def test_injected_asymmetry_names_pair(self):
         hin = make_hin(2, 2, 0, 0, t_pairs=[(0, 0), (1, 1)])
-        broken = RelationMatrix.from_pairs(EntityKind.PROTEIN, EntityKind.PROTEIN,
-                                           (2, 2), [(0, 1)])
-        report = validate(Hin(hin.registry, hin.t, hin.c, hin.h, broken, hin.ddi))
+        broken = RelationMatrix.from_pairs((2, 2), [(0, 1)])
+        report = validate(Hin(hin.registry, hin.relations | {"P": broken}, hin.ddi))
         assert not report.passed
         assert any("p0" in e and "p1" in e for e in report.errors)
 
     def test_diagonal_entry_is_error(self):
         hin = make_hin(1, 1, 0, 0, t_pairs=[(0, 0)])
-        diag = RelationMatrix.from_pairs(EntityKind.PROTEIN, EntityKind.PROTEIN,
-                                         (1, 1), [(0, 0)])
-        report = validate(Hin(hin.registry, hin.t, hin.c, hin.h, diag, hin.ddi))
+        diag = RelationMatrix.from_pairs((1, 1), [(0, 0)])
+        report = validate(Hin(hin.registry, hin.relations | {"P": diag}, hin.ddi))
         assert any("diagonal" in e for e in report.errors)
 
     def test_orphan_is_warning_not_failure(self):
@@ -172,7 +171,7 @@ class TestRoundTrip:
         save_hin(hin, tmp_path / "graph")
         back = load_hin(tmp_path / "graph")
         for name in ("T", "C", "H", "P"):
-            assert back.matrix(name).coord_set() == hin.matrix(name).coord_set()
+            assert coord_set(back.matrix(name)) == coord_set(hin.matrix(name))
         assert back.ddi == sorted(set(hin.ddi))
         for kind in EntityKind:
             assert back.registry.ids(kind) == hin.registry.ids(kind)
@@ -183,23 +182,23 @@ class TestRoundTrip:
         for _ in range(10):
             hin = random_hin(rng)
             s = stats(hin)
-            assert s["DPI"] == len(hin.t.coord_set())
-            assert s["DrugSideEffect"] == len(hin.c.coord_set())
-            assert s["PPI"] * 2 == len(hin.p.coord_set())
+            assert s["DPI"] == len(coord_set(hin.matrix("T")))
+            assert s["DrugSideEffect"] == len(coord_set(hin.matrix("C")))
+            assert s["PPI"] * 2 == len(coord_set(hin.matrix("P")))
 
 
 class TestRelationMatrix:
     def test_out_of_bounds_rejected(self):
         with pytest.raises(SchemaError, match="bounds"):
-            RelationMatrix.from_pairs(EntityKind.DRUG, EntityKind.PROTEIN,
-                                      (2, 2), [(0, 5)])
+            RelationMatrix.from_pairs((2, 2), [(0, 5)])
 
     def test_kind_schema_enforced_on_assembly(self):
-        reg = EntityRegistry()
-        wrong = RelationMatrix.from_pairs(EntityKind.DRUG, EntityKind.DRUG, (0, 0), [])
-        empty = lambda s, t: RelationMatrix.from_pairs(s, t, (0, 0), [])
-        with pytest.raises(SchemaError, match="kinds"):
-            build_hin(reg, wrong,
-                      empty(EntityKind.DRUG, EntityKind.SIDE_EFFECT),
-                      empty(EntityKind.DRUG, EntityKind.SUBSTRUCTURE),
-                      empty(EntityKind.PROTEIN, EntityKind.PROTEIN))
+        # kinds come from RELATIONS by name, so the schema to enforce is
+        # the set of names: one missing (or unknown) matrix is an error
+        empty = {name: RelationMatrix.from_pairs((0, 0), []) for name in RELATIONS}
+        build_hin(EntityRegistry(), empty)
+        del empty["H"]
+        with pytest.raises(SchemaError, match="expected"):
+            build_hin(EntityRegistry(), empty)
+        with pytest.raises(SchemaError, match="expected"):
+            build_hin(EntityRegistry(), empty | {"H": empty["T"], "X": empty["T"]})
