@@ -19,6 +19,27 @@ Four are fused, each one tape node with a hand-written adjoint:
 Every op result is checked for NaN and Inf, and a fused op also checks the
 intermediates that a later squashing step (tanh, sigmoid) would hide.
 
+`graph_attention` has two branches for a learned alpha, chosen per call
+from the density of the neighbor mask (nonzeros / n^2). Below
+`SPARSE_DENSITY` (5%) it works on the mask's E edges in CSR order: (E, K)
+scores, a segment softmax per row, dropout drawn per edge and head, and
+row and column sums as products with the (n, E) edge incidence, so its
+time and memory grow with E. Otherwise it works on dense (n, n) arrays per
+head, whose cost does not depend on the density. Measured fwd+bwd time of
+one meta-path (8 heads of 8, dropout 0.6, float32, random symmetric masks;
+2-vCPU guest, BLAS on one thread), dense vs edges:
+
+    n       5%              10%             19%
+    128     3.7 vs 1.5 ms   3.7 vs 2.0 ms   3.5 vs 3.3 ms
+    513     62 vs 13 ms     63 vs 29 ms     60 vs 57 ms
+    1,026   267 vs 64 ms    270 vs 119 ms   286 vs 238 ms
+
+In eval mode (no dropout) the edge branch loses from about 15% density
+(n = 513: 24 vs 22 ms at 14.5%, 24 vs 29 ms at 19%), and at n = 50 both
+take about 0.5 ms at any density. The 5% threshold keeps a margin below
+every crossover; paper-scale meta-path graphs are either about 1% or
+over 70% dense.
+
 Scope is deliberately narrow: 0-d/1-d/2-d tensors, no general broadcasting,
 no views, no higher-order gradients. Two precisions are supported (float32
 for training, float64 for gradient checking); mixing them in one operation
@@ -30,6 +51,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 __all__ = [
     "AutodiffError",
@@ -85,7 +107,8 @@ class Tensor:
     internally and remember their parents and adjoint rule. `data` of a
     leaf may be replaced in place between graph builds (this is how the
     optimizer updates parameters); tensors are otherwise treated as
-    immutable values.
+    immutable values. The alphas that `graph_attention` returns from its
+    edge branch are constants whose data is a `scipy.sparse.csr_array`.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_op")
@@ -125,7 +148,7 @@ class Tensor:
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.all(np.isfinite(arr.data if sp.issparse(arr) else arr)):
         raise NonFiniteError(f"{op} produced non-finite values")
 
 
@@ -225,21 +248,35 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool) ->
 # fused ops
 
 
+# A neighbor mask with fewer nonzeros than this share of its n*n entries is
+# attended on its edges; a denser one on dense (n, n) arrays. See the
+# crossover table in the module docstring.
+SPARSE_DENSITY = 0.05
+
+
 def graph_attention(h: Tensor, a: Tensor | None, mask: np.ndarray, *,
                     heads: int, slope: float, dropout: float = 0.0,
                     rng: np.random.Generator | None = None,
                     fixed: np.ndarray | None = None) -> tuple[Tensor, list[Tensor]]:
-    """K-head graph attention over a dense neighbor mask, as one node.
+    """K-head graph attention over a neighbor mask, as one node.
 
     Head k owns columns [k*F, (k+1)*F) of the (n, K*F) projection `h`. It
     scores pair (i, j) as leaky_relu(a[k, :F] . h_k[i] + a[k, F:] . h_k[j]),
-    softmax-normalizes each row over `mask` (self-loops required) into
-    alpha_k and writes alpha_k @ h_k, before any activation, into its own
-    columns. With `dropout` > 0 each alpha_k is dropped out with one (n, n)
-    draw from `rng`, in head order. A constant (n, n) `fixed` alpha
+    softmax-normalizes each row over the (n, n) bool `mask` (self-loops
+    required) into alpha_k and writes alpha_k @ h_k, before any
+    activation, into its own columns. A constant (n, n) `fixed` alpha
     replaces the learned one for every head; `a` is then None.
 
-    Returns the node and the K alphas before dropout, uncopied.
+    A learned alpha is computed on the mask's E edges when fewer than
+    `SPARSE_DENSITY` of the mask's entries are set, and on dense (n, n)
+    arrays otherwise; a fixed alpha is always dense. The two branches agree
+    to rounding. With `dropout` > 0 the dense branch drops out each alpha_k
+    with one (n, n) draw from `rng`, in head order; the edge branch drops
+    out all heads with one (E, K) draw, edges in row-major order.
+
+    Returns the node and the K alphas before dropout, uncopied: (n, n)
+    arrays on the dense branch, `scipy.sparse.csr_array`s on the mask's
+    edges on the edge branch.
     """
     op = "graph_attention"
     if (a is None) == (fixed is None):
@@ -268,6 +305,23 @@ def graph_attention(h: Tensor, a: Tensor | None, mask: np.ndarray, *,
         _require_shape(op, fixed.shape == (n, n), f"fixed alpha shape {fixed.shape} for {n} nodes")
         parents = (h,)
     s = dt.type(slope)
+    if fixed is None and np.count_nonzero(mask) < SPARSE_DENSITY * n * n:
+        out, alphas, bwd = _attention_edges(hd, a.data, mask, heads, s, dropout, rng)
+    else:
+        out, alphas, bwd = _attention_dense(hd, None if a is None else a.data, mask,
+                                            fixed, heads, s, dropout, rng)
+    return (_node(out, op, parents, bwd),
+            [_node(alpha, f"{op}.alpha", (), None) for alpha in alphas])
+
+
+def _attention_dense(hd, a, mask, fixed, heads, s, dropout, rng):
+    """`graph_attention` on dense (n, n) arrays, one head at a time so each
+    working set stays in cache; `a` is None iff `fixed` is given. Returns
+    the output, the K alphas and the adjoint, which maps the output's
+    adjoint to [dh] or [dh, da]."""
+    n, width = hd.shape
+    f = width // heads
+    dt = hd.dtype
     neg_inf = dt.type(-np.inf)
     keep_scale = dt.type(1.0 / (1.0 - dropout))
 
@@ -277,7 +331,7 @@ def graph_attention(h: Tensor, a: Tensor | None, mask: np.ndarray, *,
         cols = slice(k * f, (k + 1) * f)
         hk = hd[:, cols]
         if fixed is None:
-            src, dst = hk @ a.data[k, :f], hk @ a.data[k, f:]
+            src, dst = hk @ a[k, :f], hk @ a[k, f:]
             e = src[:, None] + dst[None, :]
             e = np.where(mask, np.where(e > 0, e, s * e), neg_inf)
             e -= e.max(axis=1, keepdims=True)
@@ -295,7 +349,7 @@ def graph_attention(h: Tensor, a: Tensor | None, mask: np.ndarray, *,
 
     def bwd(g):
         dh = np.zeros_like(hd)
-        da = None if fixed is not None else np.zeros_like(a.data)
+        da = None if fixed is not None else np.zeros_like(a)
         for k in range(heads):
             cols = slice(k * f, (k + 1) * f)
             hk, gk, alpha = hd[:, cols], g[:, cols], alphas[k]
@@ -311,13 +365,63 @@ def graph_attention(h: Tensor, a: Tensor | None, mask: np.ndarray, *,
             src, dst = scores[k]
             d_e *= np.where(src[:, None] + dst[None, :] > 0, dt.type(1), s)
             d_src, d_dst = d_e.sum(axis=1), d_e.sum(axis=0)
-            dh[:, cols] += np.outer(d_src, a.data[k, :f]) + np.outer(d_dst, a.data[k, f:])
+            dh[:, cols] += np.outer(d_src, a[k, :f]) + np.outer(d_dst, a[k, f:])
             da[k, :f] = hk.T @ d_src
             da[k, f:] = hk.T @ d_dst
         return [dh] if da is None else [dh, da]
 
-    return (_node(out, op, parents, bwd),
-            [_node(alpha, f"{op}.alpha", (), None) for alpha in alphas])
+    return out, alphas, bwd
+
+
+def _attention_edges(hd, a, mask, heads, s, dropout, rng):
+    """`graph_attention` with a learned alpha on the E edges of `mask`, all
+    K heads at once: scores, alphas and dropout are (E, K) arrays with
+    edges in row-major (CSR) order. Row maxima are `np.maximum.reduceat`
+    over the row pointer; row and column sums are products with the (n, E)
+    incidence of each node's row and column edges. Returns what
+    `_attention_dense` returns."""
+    n, width = hd.shape
+    f = width // heads
+    dt = hd.dtype
+    rows, cols = np.divmod(np.flatnonzero(mask), n)
+    edge, ones = np.arange(rows.size), np.ones(rows.size, dtype=dt)
+    row_sum = sp.csr_array((ones, (rows, edge)), shape=(n, rows.size))
+    col_sum = sp.csr_array((ones, (cols, edge)), shape=(n, rows.size))
+    starts = row_sum.indptr[:-1]  # every row holds its self-loop: none is empty
+
+    h3 = hd.reshape(n, heads, f)
+    src = np.einsum("nkf,kf->nk", h3, a[:, :f])
+    dst = np.einsum("nkf,kf->nk", h3, a[:, f:])
+    raw = src[rows] + dst[cols]
+    e = np.where(raw > 0, raw, s * raw)
+    e -= np.maximum.reduceat(e, starts)[rows]
+    np.exp(e, out=e)
+    alpha = e / (row_sum @ e)[rows]
+    weight = alpha
+    if dropout:
+        factor = (rng.random(alpha.shape) >= dropout) * dt.type(1.0 / (1.0 - dropout))
+        weight = alpha * factor
+    neighbors = h3[cols]                                    # (E, K, F)
+    out = row_sum @ (weight[:, :, None] * neighbors).reshape(-1, width)
+
+    def bwd(g):
+        g_rows = g.reshape(n, heads, f)[rows]               # (E, K, F)
+        dh = col_sum @ (weight[:, :, None] * g_rows).reshape(-1, width)
+        d_alpha = np.einsum("ekf,ekf->ek", g_rows, neighbors)
+        if dropout:
+            d_alpha *= factor
+        d_e = alpha * (d_alpha - (row_sum @ (d_alpha * alpha))[rows])
+        d_e *= np.where(raw > 0, dt.type(1), s)
+        d_src, d_dst = row_sum @ d_e, col_sum @ d_e
+        dh += (d_src[:, :, None] * a[None, :, :f]
+               + d_dst[:, :, None] * a[None, :, f:]).reshape(n, width)
+        da = np.concatenate([np.einsum("nk,nkf->kf", d_src, h3),
+                             np.einsum("nk,nkf->kf", d_dst, h3)], axis=1)
+        return [dh, da]
+
+    alphas = [sp.csr_array((alpha[:, k], cols, row_sum.indptr), shape=(n, n))
+              for k in range(heads)]
+    return out, alphas, bwd
 
 
 def semantic_attention(zs: Sequence[Tensor], w: Tensor | None, b: Tensor | None,

@@ -43,6 +43,7 @@ from .model import (
     save_checkpoint,
 )
 from .pipeline import (
+    INPUT_FILES,
     load_hin_inputs,
     make_espf_features,
     make_fingerprint_features,
@@ -152,12 +153,7 @@ def cmd_synth(args) -> int:
     paths = write_planted(dataset, out)
     config_text = "\n".join([
         "[data]",
-        "drug_protein = drug_protein.tsv",
-        "drug_side_effect = drug_side_effect.tsv",
-        "ppi = ppi.tsv",
-        "fingerprints = fingerprints.tsv",
-        "smiles = smiles.tsv",
-        "ddi = ddi.tsv",
+        *(f"{key} = {name}" for key, name in INPUT_FILES.items()),
         "",
         "[output]",
         "out_dir = out",

@@ -64,8 +64,9 @@ class EntityKind(Enum):
 
 
 # relation name -> (source kind, target kind, file name in a graph directory
-# written by save_hin). A relation whose source and target kinds are the same
-# is symmetric.
+# written by save_hin; `pipeline.INPUT_FILES` gives T, C and P the same name
+# in an input directory). A relation whose source and target kinds are the
+# same is symmetric.
 RELATIONS = {
     "T": (EntityKind.DRUG, EntityKind.PROTEIN, "drug_protein.tsv"),
     "C": (EntityKind.DRUG, EntityKind.SIDE_EFFECT, "drug_side_effect.tsv"),

@@ -5,12 +5,15 @@ One matmul projects drug features for all K heads at once into an
 fused `graph_attention` node scores each head's neighbors (leaky-relu of
 that head's row of a (K, 2F) attention matrix applied to the concatenated
 pair projection), normalizes the scores by a masked softmax over the
-neighbor mask and aggregates; one activation node follows. One
-`semantic_attention` node scores each meta-path embedding through a small
-tanh layer and fuses them with softmax weights beta. One `pair_scores` node
-gives pair probabilities, the sigmoid of the dot product of the fused
-embeddings, and one `binary_cross_entropy` node gives the training loss.
-Whatever the number of drugs, heads or pairs, a training step records
+neighbor mask and aggregates; one activation node follows. The attention
+node works on the graph's edges when the graph is under 5% dense (on
+paper-scale data DID-1 and DID-2, about 1%), so a sparse graph costs time
+and memory in proportion to its edges and its alphas are CSR arrays, and
+on dense (n, n) arrays otherwise. One `semantic_attention` node scores
+each meta-path embedding through a small tanh layer and fuses them with
+softmax weights beta. One `pair_scores` node gives pair probabilities, the
+sigmoid of the dot product of the fused embeddings, and one
+`binary_cross_entropy` node gives the training loss. Whatever the number of drugs, heads or pairs, a training step records
 dropout, the projection, two nodes per meta-path and these three.
 """
 

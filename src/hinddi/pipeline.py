@@ -21,11 +21,21 @@ from .espf import (
     smiles_in_registry_order,
     tokenize_smiles,
 )
-from .hin import EntityRegistry, Hin, build_hin, load_ddi, load_relation
+from .hin import RELATIONS, EntityRegistry, Hin, build_hin, load_ddi, load_relation
 from .metapath import NeighborGraph, commuting_matrix, neighbor_graph, spec_by_name
 
-__all__ = ["InputPaths", "load_hin_inputs", "make_graphs", "make_espf_features",
-           "make_fingerprint_features"]
+__all__ = ["INPUT_FILES", "InputPaths", "load_hin_inputs", "make_graphs",
+           "make_espf_features", "make_fingerprint_features"]
+
+# InputPaths field ([data] key) -> file name in an input directory, as
+# `InputPaths.in_dir` reads it and `synth` writes it. The relation files
+# have their graph-directory names.
+INPUT_FILES = {"drug_protein": RELATIONS["T"][2],
+               "drug_side_effect": RELATIONS["C"][2],
+               "ppi": RELATIONS["P"][2],
+               "fingerprints": "fingerprints.tsv",
+               "smiles": "smiles.tsv",
+               "ddi": "ddi.tsv"}
 
 
 @dataclass
@@ -40,12 +50,7 @@ class InputPaths:
     @classmethod
     def in_dir(cls, directory) -> "InputPaths":
         d = Path(directory)
-        return cls(drug_protein=d / "drug_protein.tsv",
-                   drug_side_effect=d / "drug_side_effect.tsv",
-                   ppi=d / "ppi.tsv",
-                   fingerprints=d / "fingerprints.tsv",
-                   ddi=d / "ddi.tsv",
-                   smiles=d / "smiles.tsv")
+        return cls(**{key: d / name for key, name in INPUT_FILES.items()})
 
 
 def load_hin_inputs(paths: InputPaths) -> Hin:

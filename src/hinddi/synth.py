@@ -20,6 +20,7 @@ import numpy as np
 from .espf import FINGERPRINT_BITS
 from .hin import RELATIONS, EntityKind, EntityRegistry, RelationMatrix, build_hin
 from .metapath import NeighborGraph, builtin_specs, commuting_matrix, neighbor_graph
+from .pipeline import INPUT_FILES
 
 __all__ = ["PlantedDataset", "generate_planted", "write_planted", "desk_instance"]
 
@@ -115,20 +116,20 @@ def write_planted(dataset: PlantedDataset, out_dir) -> dict[str, Path]:
         p.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
         paths[name] = p
 
-    dump("drug_protein.tsv",
+    dump(INPUT_FILES["drug_protein"],
          [f"{dataset.drug_ids[i]}\t{dataset.protein_ids[t]}"
           for i, ts in enumerate(dataset.targets) for t in ts])
-    dump("drug_side_effect.tsv",
+    dump(INPUT_FILES["drug_side_effect"],
          [f"{dataset.drug_ids[i]}\t{dataset.side_effect_ids[s]}"
           for i, ss in enumerate(dataset.side_effects) for s in ss])
-    dump("ppi.tsv",
+    dump(INPUT_FILES["ppi"],
          [f"{dataset.protein_ids[i]}\t{dataset.protein_ids[j]}"
           for i, j in dataset.ppi])
-    dump("smiles.tsv",
+    dump(INPUT_FILES["smiles"],
          [f"{drug}\t{s}" for drug, s in dataset.smiles.items()])
-    dump("fingerprints.tsv",
+    dump(INPUT_FILES["fingerprints"],
          [f"{drug}\t{bits}" for drug, bits in dataset.fingerprints.items()])
-    dump("ddi.tsv",
+    dump(INPUT_FILES["ddi"],
          [f"{dataset.drug_ids[i]}\t{dataset.drug_ids[j]}" for i, j in dataset.ddi])
     return paths
 

@@ -36,6 +36,21 @@ def make_hin(n_drugs, n_proteins, n_side_effects, n_substructures,
     return build_hin(reg, relations, list(ddi))
 
 
+def ring_mask(n, chords=(), isolated=()):
+    """A drug neighbor mask: self-loops, a ring and the symmetric `chords`;
+    drugs in `isolated` keep only their self-loop. The ring alone sets 3n
+    of the n*n entries, under `autodiff.SPARSE_DENSITY` from n = 61 on."""
+    mask = np.eye(n, dtype=bool)
+    ring = np.arange(n)
+    mask[ring, (ring + 1) % n] = mask[(ring + 1) % n, ring] = True
+    for i, j in chords:
+        mask[i, j] = mask[j, i] = True
+    for i in isolated:
+        mask[i] = mask[:, i] = False
+        mask[i, i] = True
+    return mask
+
+
 def coord_set(m):
     """A relation matrix's coordinates as a set of (row, column) ints."""
     return {(int(i), int(j)) for i, j in m.coords}

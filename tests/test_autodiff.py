@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,6 +10,7 @@ from hinddi import autodiff as ad
 from hinddi.autodiff import Tensor, backward
 from hinddi.gradcheck import finite_diff_check
 from hinddi.optim import Adam
+from tests.conftest import ring_mask
 
 
 def total(x, weights=None):
@@ -141,6 +143,42 @@ class TestMaskedRowSoftmax:
         with pytest.raises(ad.ContractError, match=r"\[1\]"):
             attention_alpha(np.zeros((2, 1)), [0.0, 0.0],
                             np.array([[True, True], [False, False]]))
+
+
+class TestAttentionOnEdges:
+    """`graph_attention` on a mask under `SPARSE_DENSITY`, which takes the
+    edge branch, against the dense branch on the same mask (float64)."""
+
+    def test_output_alphas_and_adjoints_match_dense_branch(self):
+        rng = np.random.default_rng(12)
+        n, heads, f = 64, 3, 4
+        mask = ring_mask(n, chords=[(2, 40), (5, 6 + n // 2)], isolated=[9])
+        h = rng.standard_normal((n, heads * f))
+        a = rng.standard_normal((heads, 2 * f))
+        g = rng.standard_normal((n, heads * f))
+        slope = np.float64(0.2)
+        out, alphas, bwd = ad._attention_dense(h, a, mask, None, heads, slope, 0.0, None)
+        node, edge_alphas = ad.graph_attention(Tensor(h, requires_grad=True),
+                                               Tensor(a, requires_grad=True), mask,
+                                               heads=heads, slope=0.2)
+        np.testing.assert_allclose(node.data, out, rtol=1e-12, atol=1e-14)
+        for edge_alpha, alpha in zip(edge_alphas, alphas, strict=True):
+            assert isinstance(edge_alpha.data, sp.csr_array)
+            assert edge_alpha.data.nnz == np.count_nonzero(mask)
+            np.testing.assert_allclose(edge_alpha.data.toarray(), alpha,
+                                       rtol=1e-12, atol=1e-15)
+        for d_edges, d_dense in zip(node._backward(g), bwd(g), strict=True):
+            np.testing.assert_allclose(d_edges, d_dense, rtol=1e-12, atol=1e-13)
+
+    def test_dropout_draws_one_value_per_edge_and_head(self):
+        mask = ring_mask(64)
+        h, a = Tensor(np.ones((64, 4))), Tensor(np.zeros((2, 4)))
+        rng = np.random.default_rng(4)
+        ad.graph_attention(h, a, mask, heads=2, slope=0.2, dropout=0.5, rng=rng)
+        after = rng.random()
+        rng = np.random.default_rng(4)
+        rng.random((np.count_nonzero(mask), 2))
+        assert rng.random() == after
 
 
 class TestDropout:
@@ -279,6 +317,18 @@ class TestAdjoints:
             # A fresh generator per call replays the same dropout masks.
             out, _ = ad.graph_attention(h, a, mask, heads=2, slope=0.2,
                                         dropout=0.4, rng=np.random.default_rng(9))
+            return total(ad.apply_unary("tanh", out), w)
+        _fd_check_op(f, 2)
+
+    def test_graph_attention_on_edges_with_dropout(self):
+        mask = ring_mask(64, chords=[(3, 30), (10, 50)])
+        w = _weights((64, 6))
+
+        @_with_shapes((64, 6), (2, 6))
+        def f(h, a):
+            out, alphas = ad.graph_attention(h, a, mask, heads=2, slope=0.2,
+                                             dropout=0.4, rng=np.random.default_rng(9))
+            assert all(sp.issparse(alpha.data) for alpha in alphas)
             return total(ad.apply_unary("tanh", out), w)
         _fd_check_op(f, 2)
 

@@ -25,6 +25,7 @@ from hinddi.model import (
     random_row_stochastic,
     save_checkpoint,
 )
+from tests.conftest import ring_mask
 
 
 LEGACY_CHECKPOINT = Path(__file__).parent / "data" / "checkpoint_v1_per_head.bin"
@@ -53,6 +54,13 @@ def random_graphs(rng, n, names=None, density=0.3, dtype=bool):
         np.fill_diagonal(adj, True)
         graphs[name] = NeighborGraph(name, adj)
     return graphs
+
+
+def ring_graphs(rng, n=64, names=None):
+    """Graphs under `autodiff.SPARSE_DENSITY`: a ring with two random
+    chords per meta-path."""
+    return {name: NeighborGraph(name, ring_mask(n, chords=rng.integers(0, n, (2, 2))))
+            for name in names or builtin_spec_names()}
 
 
 def small_setup(rng, n=6, d0=5, heads=2, hidden=3, attn_dim=4, dtype=np.float64,
@@ -87,6 +95,10 @@ class TestNodeLevelAttention:
         _, (alpha,) = attend(rng.random((3, 2)), rng.random((1, 4)),
                              np.eye(3, dtype=bool))
         np.testing.assert_allclose(alpha, np.eye(3), atol=1e-12)
+        # on the edge branch
+        _, (alpha,) = attend(rng.random((64, 2)), rng.random((1, 4)),
+                             ring_mask(64, isolated=[9]))
+        np.testing.assert_allclose(alpha[[9]].toarray(), np.eye(64)[[9]], atol=1e-12)
 
     def test_three_node_hand_evaluation(self):
         # Oracle: evaluate leaky_relu(a . [h_i || h_j]) and the row softmax
@@ -121,6 +133,10 @@ class TestNodeLevelAttention:
         adj[0, 1] = adj[1, 0] = True
         with pytest.raises(ContractError, match="self-loops"):
             attend(np.ones((2, 2)), np.zeros((1, 4)), adj)
+        adj = ring_mask(64)
+        adj[9, 9] = False
+        with pytest.raises(ContractError, match=r"self-loops \(missing in rows \[9\]\)"):
+            attend(np.ones((64, 2)), np.zeros((1, 4)), adj)
 
 
 class TestAggregate:
@@ -299,13 +315,16 @@ class TestForward:
     def test_alpha_rows_sum_to_one_over_mask(self):
         rng = np.random.default_rng(15)
         config, params, graphs, features = small_setup(rng)
-        out = encode(params, features, graphs, config)
-        for mp, alphas in out.alphas.items():
-            mask = graphs[mp].adjacency
-            for alpha in alphas:
-                np.testing.assert_allclose(alpha.data.sum(axis=1),
-                                           np.ones(mask.shape[0]), atol=1e-6)
-                assert np.all(alpha.data[~mask] == 0)
+        # the second graph set takes the edge branch, whose alphas are CSR arrays
+        for graphs, features in ((graphs, features),
+                                 (ring_graphs(rng), rng.random((64, config.input_dim)))):
+            out = encode(params, features, graphs, config)
+            for mp, alphas in out.alphas.items():
+                mask = graphs[mp].adjacency
+                for alpha in alphas:
+                    np.testing.assert_allclose(alpha.data.sum(axis=1),
+                                               np.ones(mask.shape[0]), atol=1e-6)
+                    assert np.all(alpha.data[~mask] == 0)
 
     def test_beta_is_a_distribution(self):
         rng = np.random.default_rng(16)
@@ -367,26 +386,30 @@ class TestForward:
         pairs = np.array([[0, 1], [2, 3], [4, 5], [6, 7], [8, 9], [10, 11],
                           [0, 11], [3, 8]])
         labels = np.array([1, 0, 1, 1, 0, 0, 1, 0])
+        # every graph of the second set takes the edge branch
+        for graphs, features in ((graphs, features),
+                                 (ring_graphs(rng), rng.random((64, 6)))):
+            def loss_fn():
+                scores, _ = forward(params, features, graphs, pairs, config)
+                return bce_loss(scores, labels)
 
-        def loss_fn():
-            scores, _ = forward(params, features, graphs, pairs, config)
-            return bce_loss(scores, labels)
-
-        report = finite_diff_check(loss_fn, params.named(), probes=4,
-                                   rng=np.random.default_rng(21))
-        assert report.max_rel_error < 1e-7, report.worst_by_param
+            report = finite_diff_check(loss_fn, params.named(), probes=4,
+                                       rng=np.random.default_rng(21))
+            assert report.max_rel_error < 1e-7, report.worst_by_param
 
     def test_training_mode_with_seeded_dropout_is_deterministic(self):
         rng = np.random.default_rng(22)
         config, params, graphs, features = small_setup(rng, dropout=0.4)
         pairs = np.array([[0, 1], [2, 3]])
 
-        def run():
+        def run(graphs, features):
             scores, _ = forward(params, features, graphs, pairs, config,
                                 training=True, rng=np.random.default_rng(77))
             return scores.data
 
-        assert run().tobytes() == run().tobytes()
+        for graphs, features in ((graphs, features),
+                                 (ring_graphs(rng), rng.random((64, config.input_dim)))):
+            assert run(graphs, features).tobytes() == run(graphs, features).tobytes()
 
     def test_each_metapath_is_one_fused_node_and_one_activation(self):
         rng = np.random.default_rng(27)
