@@ -94,6 +94,15 @@ def _all_pair_ids(n_drugs: int) -> np.ndarray:
     return iu.astype(np.int64) * n_drugs + ju.astype(np.int64)
 
 
+def _without(candidates: np.ndarray, taken: np.ndarray) -> np.ndarray:
+    """The candidate pair ids not in `taken`, in candidate order.
+
+    Candidates are sorted and unique, so this equals `np.setdiff1d` without
+    its sort and unique passes over them; `taken` may hold duplicates.
+    """
+    return candidates[~np.isin(candidates, taken)]
+
+
 def _ids_to_pairs(ids: np.ndarray, n: int, label: int) -> list[LabeledPair]:
     return [LabeledPair(int(v // n), int(v % n), label) for v in ids]
 
@@ -103,8 +112,7 @@ def sample_negatives(n_drugs: int, positives, count: int,
     """Uniform, without replacement, over unordered non-positive pairs."""
     pos_ids = _pair_ids(_canonical(positives), n_drugs)
     excl_ids = _pair_ids(_canonical(exclude), n_drugs)
-    candidates = np.setdiff1d(_all_pair_ids(n_drugs),
-                              np.concatenate([pos_ids, excl_ids]))
+    candidates = _without(_all_pair_ids(n_drugs), np.concatenate([pos_ids, excl_ids]))
     chosen = _sample_pair_ids(candidates, count, rng)
     return _ids_to_pairs(chosen, n_drugs, 0)
 
@@ -130,7 +138,7 @@ def _partition_with_negatives(partitions: dict[str, list[tuple[int, int]]],
     taken = _pair_ids(all_positive, n_drugs)
     out: dict[str, list[LabeledPair]] = {}
     for name, positives in partitions.items():
-        candidates = np.setdiff1d(candidate_ids_by_part[name], taken)
+        candidates = _without(candidate_ids_by_part[name], taken)
         neg_ids = _sample_pair_ids(candidates, len(positives), rng)
         taken = np.concatenate([taken, neg_ids])
         out[name] = ([LabeledPair(i, j, 1) for i, j in positives]

@@ -3,7 +3,9 @@
 A frequency-threshold pair-merging vocabulary is built over tokenized
 SMILES strings: the most frequent adjacent token pair is repeatedly merged
 into a new unit until no pair reaches the threshold or the vocabulary hits
-its size cap. Drugs are then encoded as bags of final units. Precomputed
+its size cap. Pair counts are kept per sequence and updated after each
+merge only for the sequences that held the merged pair, as in incremental
+BPE. Drugs are then encoded as bags of final units. Precomputed
 167-bit structural fingerprints can be ingested instead, both as the
 drug-substructure relation matrix and (optionally) as initial features.
 """
@@ -98,17 +100,17 @@ class Vocabulary:
         return len(self.units)
 
 
-def _count_pairs(sequences: list[list[str]]) -> dict[tuple[str, str], int]:
-    """Adjacent-pair frequencies, non-overlapping left-to-right per sequence."""
+def _pair_counts(seq: list[str]) -> dict[tuple[str, str], int]:
+    """Adjacent-pair frequencies in one sequence, non-overlapping left to
+    right, so each count is what merging that pair would remove."""
     counts: dict[tuple[str, str], int] = {}
-    for seq in sequences:
-        last_end: dict[tuple[str, str], int] = {}
-        for i in range(len(seq) - 1):
-            pair = (seq[i], seq[i + 1])
-            if last_end.get(pair, -1) >= i:
-                continue
-            last_end[pair] = i + 1
-            counts[pair] = counts.get(pair, 0) + 1
+    last_end: dict[tuple[str, str], int] = {}
+    for i in range(len(seq) - 1):
+        pair = (seq[i], seq[i + 1])
+        if last_end.get(pair, -1) >= i:
+            continue
+        last_end[pair] = i + 1
+        counts[pair] = counts.get(pair, 0) + 1
     return counts
 
 
@@ -137,46 +139,64 @@ def build_vocab(corpus: list[list[str]], threshold: int = 5,
     `max_size` entries. Frequency ties break on the lexicographically
     smallest concatenation (then smallest pair) so construction is
     deterministic.
+
+    Counts are kept incrementally: each sequence's non-overlapping pair
+    counts, their corpus totals, and for every pair the sequences holding
+    it. A merge rewrites and recounts only the sequences that held the
+    merged pair, so the result equals recounting the whole corpus after
+    every merge.
     """
     if threshold < 1:
         raise ValueError(f"threshold must be >= 1, got {threshold}")
     if not corpus:
         raise ValueError("empty corpus")
     sequences = [list(seq) for seq in corpus]
+    seq_counts = [_pair_counts(seq) for seq in sequences]
+    totals: dict[tuple[str, str], int] = {}
+    holders: dict[tuple[str, str], set[int]] = {}
+    for s, counts in enumerate(seq_counts):
+        for pair, c in counts.items():
+            totals[pair] = totals.get(pair, 0) + c
+            holders.setdefault(pair, set()).add(s)
     units = sorted({tok for seq in sequences for tok in seq})
+    n_base = len(units)
     known = set(units)
     merges: list[tuple[str, str]] = []
-    while len(units) < max_size:
-        counts = _count_pairs(sequences)
-        if not counts:
-            break
-        best = max(counts.values())
+    while len(units) < max_size and totals:
+        best = max(totals.values())
         if best < threshold:
             break
-        pair = min((p for p, c in counts.items() if c == best),
+        pair = min((p for p, c in totals.items() if c == best),
                    key=lambda p: (p[0] + p[1], p))
-        sequences = [_merge_sequence(seq, pair) for seq in sequences]
+        for s in holders.pop(pair):
+            old = seq_counts[s]
+            sequences[s] = _merge_sequence(sequences[s], pair)
+            new = seq_counts[s] = _pair_counts(sequences[s])
+            for p, c in old.items():
+                total = totals[p] - c
+                if total:
+                    totals[p] = total
+                else:
+                    del totals[p]
+                if p not in new and p != pair:  # pair's holders were popped
+                    holders[p].discard(s)
+            for p, c in new.items():
+                totals[p] = totals.get(p, 0) + c
+                if p not in old:
+                    holders.setdefault(p, set()).add(s)
         merges.append(pair)
         unit = pair[0] + pair[1]
         if unit not in known:
             units.append(unit)
             known.add(unit)
-    n_base = len({tok for seq in corpus for tok in seq})
     return Vocabulary(tuple(units), n_base, tuple(merges), threshold, max_size)
 
 
-def encode_drug(tokens: list[str], vocab: Vocabulary) -> np.ndarray:
-    """Presence row over the vocabulary for one drug.
-
-    Replays the merges in merge order, then sets the bit of every final
-    unit. A residual unit not in the vocabulary falls back to the base-unit
-    bits of its characters; characters never seen in the corpus contribute
-    nothing.
-    """
+def _encode(tokens: list[str], vocab: Vocabulary, index: dict[str, int]) -> np.ndarray:
     seq = list(tokens)
-    for pair in vocab.merges:
-        seq = _merge_sequence(seq, pair)
-    index = vocab.index()
+    for left, right in vocab.merges:
+        if left in seq:
+            seq = _merge_sequence(seq, (left, right))
     row = np.zeros(vocab.size, dtype=np.uint8)
     for unit in seq:
         k = index.get(unit)
@@ -188,6 +208,17 @@ def encode_drug(tokens: list[str], vocab: Vocabulary) -> np.ndarray:
             if k is not None:
                 row[k] = 1
     return row
+
+
+def encode_drug(tokens: list[str], vocab: Vocabulary) -> np.ndarray:
+    """Presence row over the vocabulary for one drug.
+
+    Replays the merges in merge order, then sets the bit of every final
+    unit. A residual unit not in the vocabulary falls back to the base-unit
+    bits of its characters; characters never seen in the corpus contribute
+    nothing. A merge whose left unit is absent cannot apply and is skipped.
+    """
+    return _encode(tokens, vocab, vocab.index())
 
 
 @dataclass(frozen=True)
@@ -223,7 +254,8 @@ def smiles_in_registry_order(smiles_by_drug: dict[str, str],
 def build_feature_matrix(smiles_by_drug: dict[str, str], vocab: Vocabulary,
                          registry: EntityRegistry) -> FeatureMatrix:
     """Encode every registered drug; missing SMILES is an error."""
-    rows = [encode_drug(tokenize_smiles(s), vocab)
+    index = vocab.index()
+    rows = [_encode(tokenize_smiles(s), vocab, index)
             for s in smiles_in_registry_order(smiles_by_drug, registry)]
     values = np.stack(rows) if rows else np.zeros((0, vocab.size), dtype=np.uint8)
     return FeatureMatrix(tuple(registry.ids(EntityKind.DRUG)), values, "espf")
@@ -295,8 +327,8 @@ def load_fingerprints(path, registry: EntityRegistry,
     substructure relation matrix from the set bits; the same bits double as
     an optional initial feature matrix.
     """
-    for bit in range(FINGERPRINT_BITS):
-        registry.add(EntityKind.SUBSTRUCTURE, _fingerprint_bit_id(bit))
+    bit_index = [registry.add(EntityKind.SUBSTRUCTURE, _fingerprint_bit_id(bit))
+                 for bit in range(FINGERPRINT_BITS)]
     rows: dict[str, np.ndarray] = {}
     pairs = []
     for lineno, drug, bits in load_pairs(path):
@@ -310,9 +342,7 @@ def load_fingerprints(path, registry: EntityRegistry,
             d = registry.index_of(EntityKind.DRUG, drug)
         row = np.frombuffer(bits.encode("ascii"), dtype=np.uint8) - ord("0")
         rows[drug] = row
-        for bit in np.flatnonzero(row):
-            pairs.append((d, registry.index_of(EntityKind.SUBSTRUCTURE,
-                                               _fingerprint_bit_id(int(bit)))))
+        pairs.extend((d, bit_index[bit]) for bit in np.flatnonzero(row))
     shape = (registry.count(EntityKind.DRUG), registry.count(EntityKind.SUBSTRUCTURE))
     h = RelationMatrix.from_pairs(shape, pairs)
 

@@ -1,9 +1,10 @@
-"""Shared fixture builders for toy and randomized networks, and test
-oracles over them."""
+"""Shared fixture builders for toy and randomized networks, and reference
+oracles that tests compare the program against."""
 
 import numpy as np
 import pytest
 
+from hinddi.espf import Vocabulary, _merge_sequence
 from hinddi.hin import EntityKind, EntityRegistry, RelationMatrix, SchemaError, build_hin
 
 BRUTE_FORCE_LIMIT = 50
@@ -116,3 +117,60 @@ def brute_force_path_counts(hin, spec):
     for i, row in enumerate(rows):
         walk(0, i, row)
     return np.array(rows, dtype=np.int64).reshape(n, n)
+
+
+def count_pairs(sequences):
+    """Adjacent-pair frequencies over a corpus, non-overlapping left to
+    right per sequence."""
+    counts = {}
+    for seq in sequences:
+        last_end = {}
+        for i in range(len(seq) - 1):
+            pair = (seq[i], seq[i + 1])
+            if last_end.get(pair, -1) >= i:
+                continue
+            last_end[pair] = i + 1
+            counts[pair] = counts.get(pair, 0) + 1
+    return counts
+
+
+def reference_build_vocab(corpus, threshold, max_size):
+    """Oracle for `espf.build_vocab`: recount the whole corpus after every
+    merge and rewrite every sequence."""
+    sequences = [list(seq) for seq in corpus]
+    units = sorted({tok for seq in sequences for tok in seq})
+    n_base = len(units)
+    merges = []
+    while len(units) < max_size:
+        counts = count_pairs(sequences)
+        if not counts:
+            break
+        best = max(counts.values())
+        if best < threshold:
+            break
+        pair = min((p for p, c in counts.items() if c == best),
+                   key=lambda p: (p[0] + p[1], p))
+        sequences = [_merge_sequence(seq, pair) for seq in sequences]
+        merges.append(pair)
+        if pair[0] + pair[1] not in units:
+            units.append(pair[0] + pair[1])
+    return Vocabulary(tuple(units), n_base, tuple(merges), threshold, max_size)
+
+
+def reference_encode_drug(tokens, vocab):
+    """Oracle for `espf.encode_drug`: replay every merge, then set the bit of
+    each final unit, or of its characters when the unit is unknown."""
+    seq = list(tokens)
+    for pair in vocab.merges:
+        seq = _merge_sequence(seq, pair)
+    row = np.zeros(vocab.size, dtype=np.uint8)
+    for unit in seq:
+        for part in ([unit] if unit in vocab.units else unit):
+            if part in vocab.units:
+                row[vocab.units.index(part)] = 1
+    return row
+
+
+def setdiff_without(candidates, taken):
+    """Oracle for `data._without`: the sorted unique candidates not taken."""
+    return np.setdiff1d(candidates, taken)

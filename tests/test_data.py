@@ -5,6 +5,7 @@ import pytest
 
 import warnings
 
+from hinddi import data
 from hinddi.data import (
     LabeledPair,
     SplitError,
@@ -13,6 +14,7 @@ from hinddi.data import (
     split_cold_start,
     split_edges,
 )
+from tests.conftest import setdiff_without
 
 
 def pair_set(pairs, label=None):
@@ -157,3 +159,35 @@ class TestPurposeStreams:
         a = purpose_rng(0, "split").random(4)
         b = purpose_rng(0, "dropout").random(4)
         assert not np.array_equal(a, b)
+
+
+class TestCandidatesMinusTaken:
+    """Negatives drawn from the candidates minus the taken pair ids equal a
+    draw from `np.setdiff1d` of the two."""
+
+    @pytest.fixture
+    def network(self):
+        rng = np.random.default_rng(200)
+        return sorted({(int(min(i, j)), int(max(i, j)))
+                       for i, j in rng.integers(200, size=(1500, 2)) if i != j})
+
+    def bundles(self, network, seed):
+        return (split_edges(network, 200, seed=seed),
+                split_cold_start(network, 200, 0.2, seed=seed))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_splits_match_setdiff_reference(self, network, seed, monkeypatch):
+        got = self.bundles(network, seed)
+        monkeypatch.setattr(data, "_without", setdiff_without)
+        expected = self.bundles(network, seed)
+        for a, b in zip(got, expected):
+            assert (a.train, a.validation, a.test, a.held_out) == \
+                (b.train, b.validation, b.test, b.held_out)
+
+    def test_sample_negatives_with_duplicate_exclusions(self, network, monkeypatch):
+        exclude = network[100:300] + network[200:250] + [(j, i) for i, j in network[:20]]
+        got = sample_negatives(200, network[:400], 5000, purpose_rng(4, "negatives"),
+                               exclude=exclude)
+        monkeypatch.setattr(data, "_without", setdiff_without)
+        assert got == sample_negatives(200, network[:400], 5000,
+                                       purpose_rng(4, "negatives"), exclude=exclude)

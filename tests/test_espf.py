@@ -1,9 +1,12 @@
 """SMILES tokenization, merge vocabulary and feature encoding."""
 
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hinddi.espf import (
     FINGERPRINT_BITS,
@@ -21,7 +24,15 @@ from hinddi.espf import (
 )
 from hinddi.hin import EntityKind, EntityRegistry
 from hinddi.metapath import builtin_specs, commuting_matrix
-from tests.conftest import make_registry
+from tests.conftest import coord_set, make_registry, reference_build_vocab, reference_encode_drug
+
+# SMILES-like strings from a small alphabet in runs of up to five, so pair
+# frequencies tie often and runs such as "CCCC" exercise non-overlap.
+_smiles = st.lists(st.tuples(st.sampled_from(["C", "N", "O", "=", "Cl"]),
+                             st.integers(1, 5)),
+                   min_size=1, max_size=8).map(
+    lambda runs: "".join(tok * k for tok, k in runs))
+_corpora = st.lists(_smiles, min_size=1, max_size=8)
 
 
 class TestTokenize:
@@ -83,10 +94,12 @@ class TestBuildVocab:
 
     def test_merges_shrink_corpus_by_pair_frequency(self):
         corpus = [tokenize_smiles(s) for s in ("CCOCC", "CCNCC", "CCCC")]
-        from hinddi.espf import _count_pairs, _merge_sequence
+        from hinddi.espf import _merge_sequence, _pair_counts
         sequences = [list(s) for s in corpus]
         for _ in range(4):
-            counts = _count_pairs(sequences)
+            counts = Counter()
+            for s in sequences:
+                counts.update(_pair_counts(s))
             if not counts:
                 break
             pair = max(counts, key=lambda p: (counts[p],))
@@ -98,6 +111,13 @@ class TestBuildVocab:
     def test_bad_threshold(self):
         with pytest.raises(ValueError):
             build_vocab([["C"]], threshold=0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(corpus=_corpora, threshold=st.integers(1, 4), max_size=st.integers(1, 24))
+    def test_incremental_counts_match_full_recount(self, corpus, threshold, max_size):
+        corpus = [tokenize_smiles(s) for s in corpus]
+        assert (build_vocab(corpus, threshold, max_size)
+                == reference_build_vocab(corpus, threshold, max_size))
 
 
 class TestEncode:
@@ -124,6 +144,24 @@ class TestEncode:
         row = encode_drug(tokenize_smiles("CSO"), vocab)  # S unseen
         bits = {vocab.units[k] for k in np.flatnonzero(row)}
         assert bits == {"C", "O"}
+
+    @settings(max_examples=150, deadline=None)
+    @given(corpus=_corpora, others=st.lists(_smiles | st.just("CSN[nH]C"), max_size=4),
+           threshold=st.integers(1, 4), max_size=st.integers(1, 24),
+           truncate=st.booleans())
+    def test_matches_replay_of_every_merge(self, corpus, others, threshold, max_size,
+                                           truncate):
+        vocab = build_vocab([tokenize_smiles(s) for s in corpus], threshold, max_size)
+        if truncate:  # merge products missing from the units fall back to chars
+            vocab = Vocabulary(vocab.units[:vocab.n_base], vocab.n_base, vocab.merges,
+                               threshold, max_size)
+        smiles = corpus + others
+        expected = [reference_encode_drug(tokenize_smiles(s), vocab) for s in smiles]
+        for s, row in zip(smiles, expected):
+            np.testing.assert_array_equal(encode_drug(tokenize_smiles(s), vocab), row)
+        fm = build_feature_matrix({f"d{k}": s for k, s in enumerate(smiles)}, vocab,
+                                  make_registry(len(smiles)))
+        np.testing.assert_array_equal(fm.values, np.stack(expected))
 
     def test_registry_alignment_and_missing_smiles(self):
         reg = make_registry(2)
@@ -204,6 +242,18 @@ class TestFingerprints:
         spec = [s for s in builtin_specs() if s.name == "DID-3"][0]
         counts = commuting_matrix(hin, spec).counts
         assert counts[0, 1] >= 1
+
+    def test_bits_map_to_registered_substructures(self, tmp_path):
+        # Substructures registered earlier shift the bit entities' indices.
+        f = tmp_path / "fp.tsv"
+        f.write_text(f"d0\t{self.bitstring([0, 42, 100])}\n", encoding="utf-8")
+        reg = EntityRegistry()
+        reg.add(EntityKind.SUBSTRUCTURE, "b0")
+        reg.add(EntityKind.SUBSTRUCTURE, "fp_100")
+        h, _ = load_fingerprints(f, reg)
+        d0 = reg.index_of(EntityKind.DRUG, "d0")
+        assert coord_set(h) == {(d0, reg.index_of(EntityKind.SUBSTRUCTURE, f"fp_{b:03d}"))
+                                for b in (0, 42, 100)}
 
     @pytest.mark.parametrize("line", ["d1", "d1\t0101\t1"])
     def test_malformed_line_names_file_and_line(self, tmp_path, line):
