@@ -1,5 +1,7 @@
 """Tensor core: forward semantics, adjoints vs finite differences, Adam."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -400,6 +402,35 @@ def test_fused_ops_reject_an_overflow_that_squashing_would_hide():
                                   Tensor(np.ones(1, dtype=np.float32)))
         with pytest.raises(ad.NonFiniteError, match="pair_scores"):
             ad.pair_scores(big, np.array([[0, 1]]))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_pair_scores_in_blocks_equal_one_gather(monkeypatch, dtype):
+    # 40 pairs in blocks of 7, the last one short: every score is
+    # bit-identical to the sigmoid of dot products gathered all at once.
+    monkeypatch.setattr(ad, "PAIR_BLOCK", 7)
+    rng = np.random.default_rng(0)
+    zd = rng.standard_normal((9, 64)).astype(dtype)
+    pairs = rng.integers(0, 9, size=(40, 2))
+    dots = (zd[pairs[:, 0]] * zd[pairs[:, 1]]).sum(axis=1)
+    got = ad.pair_scores(Tensor(zd), pairs).data
+    assert got.dtype == dtype
+    assert got.tobytes() == (1 / (1 + np.exp(-dots))).tobytes()
+
+
+def test_pair_scores_temporaries_do_not_grow_with_the_pairs(monkeypatch):
+    # One gather of all 4,950 pairs would hold two 1.3 MB (m, 64) arrays;
+    # blocks of 256 pairs hold two of 64 kB.
+    monkeypatch.setattr(ad, "PAIR_BLOCK", 256)
+    z = Tensor(np.ones((100, 64), dtype=np.float32))
+    pairs = np.stack(np.triu_indices(100, 1), axis=1)
+    tracemalloc.start()
+    try:
+        ad.pair_scores(z, pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 @settings(max_examples=60, deadline=None)
