@@ -271,7 +271,7 @@ def cmd_train(args, cfg: RunConfig) -> int:
     artifacts = [checkpoint_path, history_path]
     for split_name, pairs in (("validation", bundle.validation),
                               ("test", bundle.test)):
-        if not pairs:
+        if not len(pairs):
             continue
         _, metrics = evaluate_pairs(params, model_config, pairs, graphs, values)
         path = cfg.out_dir / f"metrics_{split_name}.tsv"
@@ -305,7 +305,7 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
     bundle = _make_split(cfg, hin)
     pairs = {"train": bundle.train, "validation": bundle.validation,
              "test": bundle.test}[args.split]
-    if not pairs:
+    if not len(pairs):
         raise ConfigError(f"{args.split} split is empty")
     _, metrics = evaluate_pairs(params, model_config, pairs, graphs, values)
     path = cfg.out_dir / f"eval_{args.split}.tsv"

@@ -1,29 +1,32 @@
 """Labeled pair assembly and the two split protocols.
 
-Positives are the known interaction pairs; negatives are sampled uniformly
-without replacement from unordered drug pairs that collide with no
-positive. The edge split partitions positives at random; the cold-start
-split hides every interaction of a held-out drug subset so the test set
-only contains pairs touching unseen drugs.
+Every pair set is a numpy int64 array. The splits take any iterable of
+(i, j) drug pairs, work on pair ids `i * n_drugs + j` of the canonical
+(i < j) pairs, and return each partition as an (m, 3) array of rows
+`[i, j, label]`: its positives in shuffled order, then its negatives.
+Positives are the known interaction pairs; negatives are sampled
+uniformly without replacement from unordered drug pairs that collide
+with no positive. The edge split partitions positives at random; the
+cold-start split hides every interaction of a held-out drug subset so the
+test set only contains pairs touching unseen drugs.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
 
+from .hin import pair_array
+
 __all__ = [
-    "LabeledPair",
     "SplitBundle",
     "SplitError",
     "check_ratios",
     "check_drug_fraction",
     "purpose_rng",
-    "sample_negatives",
     "split_edges",
     "split_cold_start",
     "pairs_to_arrays",
@@ -57,26 +60,14 @@ def purpose_rng(seed: int, purpose: str) -> np.random.Generator:
     return np.random.default_rng(children[_PURPOSES.index(purpose)])
 
 
-class LabeledPair(NamedTuple):
-    i: int
-    j: int
-    label: int
-
-
-def _canonical(pairs) -> set[tuple[int, int]]:
-    out = set()
-    for i, j in pairs:
-        if i == j:
-            raise SplitError(f"self-pair ({i}, {j}) is not a valid example")
-        out.add((min(int(i), int(j)), max(int(i), int(j))))
-    return out
-
-
-def _pair_ids(pairs: set[tuple[int, int]], n: int) -> np.ndarray:
-    if not pairs:
-        return np.empty(0, dtype=np.int64)
-    arr = np.array(sorted(pairs), dtype=np.int64)
-    return arr[:, 0] * n + arr[:, 1]
+def _positive_ids(ddis, n_drugs: int) -> np.ndarray:
+    """Sorted unique ids of the canonical positives; a self-pair is an error."""
+    pairs = pair_array(ddis)
+    self_pairs = np.flatnonzero(pairs[:, 0] == pairs[:, 1])
+    if self_pairs.size:
+        i, j = pairs[self_pairs[0]]
+        raise SplitError(f"self-pair ({i}, {j}) is not a valid example")
+    return np.unique(pairs.min(axis=1) * n_drugs + pairs.max(axis=1))
 
 
 def _sample_pair_ids(candidates: np.ndarray, count: int,
@@ -103,46 +94,35 @@ def _without(candidates: np.ndarray, taken: np.ndarray) -> np.ndarray:
     return candidates[~np.isin(candidates, taken)]
 
 
-def _ids_to_pairs(ids: np.ndarray, n: int, label: int) -> list[LabeledPair]:
-    return [LabeledPair(int(v // n), int(v % n), label) for v in ids]
-
-
-def sample_negatives(n_drugs: int, positives, count: int,
-                     rng: np.random.Generator, exclude=()) -> list[LabeledPair]:
-    """Uniform, without replacement, over unordered non-positive pairs."""
-    pos_ids = _pair_ids(_canonical(positives), n_drugs)
-    excl_ids = _pair_ids(_canonical(exclude), n_drugs)
-    candidates = _without(_all_pair_ids(n_drugs), np.concatenate([pos_ids, excl_ids]))
-    chosen = _sample_pair_ids(candidates, count, rng)
-    return _ids_to_pairs(chosen, n_drugs, 0)
-
-
 @dataclass
 class SplitBundle:
-    """Disjoint train/validation/test labeled pairs under one protocol."""
+    """Disjoint train/validation/test partitions under one protocol, each an
+    (m, 3) int64 array of rows `[i, j, label]` (i < j, label 1 or 0):
+    positives first, then as many negatives."""
 
-    train: list[LabeledPair]
-    validation: list[LabeledPair]
-    test: list[LabeledPair]
+    train: np.ndarray
+    validation: np.ndarray
+    test: np.ndarray
     protocol: str
     seed: int
     held_out: frozenset[int] | None = None
 
 
-def _partition_with_negatives(partitions: dict[str, list[tuple[int, int]]],
-                              all_positive: set[tuple[int, int]], n_drugs: int,
+def _partition_with_negatives(partitions: dict[str, np.ndarray],
+                              positives: np.ndarray, n_drugs: int,
                               rng: np.random.Generator,
-                              candidate_ids_by_part: dict[str, np.ndarray]) -> dict[str, list[LabeledPair]]:
-    """Attach 1:1 negatives per partition; each partition's negatives are
-    excluded from the later ones."""
-    taken = _pair_ids(all_positive, n_drugs)
-    out: dict[str, list[LabeledPair]] = {}
-    for name, positives in partitions.items():
+                              candidate_ids_by_part: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Attach 1:1 negatives to each partition's positive ids; each
+    partition's negatives are excluded from the later ones."""
+    taken = positives
+    out = {}
+    for name, pos_ids in partitions.items():
         candidates = _without(candidate_ids_by_part[name], taken)
-        neg_ids = _sample_pair_ids(candidates, len(positives), rng)
+        neg_ids = _sample_pair_ids(candidates, pos_ids.size, rng)
         taken = np.concatenate([taken, neg_ids])
-        out[name] = ([LabeledPair(i, j, 1) for i, j in positives]
-                     + _ids_to_pairs(neg_ids, n_drugs, 0))
+        ids = np.concatenate([pos_ids, neg_ids])
+        labels = np.repeat(np.array([1, 0], dtype=np.int64), [pos_ids.size, neg_ids.size])
+        out[name] = np.column_stack([ids // n_drugs, ids % n_drugs, labels])
     return out
 
 
@@ -151,21 +131,20 @@ def split_edges(ddis, n_drugs: int, ratios=(0.8, 0.1, 0.1),
     """Random-edge protocol: shuffle positives, partition by the ratios,
     then sample 1:1 negatives per partition."""
     ratios = check_ratios(ratios)
-    positives = sorted(_canonical(ddis))
+    positives = _positive_ids(ddis, n_drugs)
     split_rng = purpose_rng(seed, "split")
     neg_rng = purpose_rng(seed, "negatives")
-    order = split_rng.permutation(len(positives))
-    shuffled = [positives[k] for k in order]
-    n = len(shuffled)
+    shuffled = positives[split_rng.permutation(positives.size)]
+    n = shuffled.size
     c1 = math.floor(n * ratios[0])
     c2 = math.floor(n * (ratios[0] + ratios[1]))
     parts = {"train": shuffled[:c1], "validation": shuffled[c1:c2],
              "test": shuffled[c2:]}
     for name, part in parts.items():
-        if not part:
+        if not part.size:
             warnings.warn(f"split_edges: empty {name} partition", stacklevel=2)
     everywhere = _all_pair_ids(n_drugs)
-    labeled = _partition_with_negatives(parts, set(positives), n_drugs, neg_rng,
+    labeled = _partition_with_negatives(parts, positives, n_drugs, neg_rng,
                                         {k: everywhere for k in parts})
     return SplitBundle(labeled["train"], labeled["validation"], labeled["test"],
                        protocol="edges", seed=seed)
@@ -180,38 +159,40 @@ def split_cold_start(ddis, n_drugs: int, drug_fraction: float = 0.2,
     Negatives follow the same touching rule per partition.
     """
     check_drug_fraction(drug_fraction)
-    positives = sorted(_canonical(ddis))
+    positives = _positive_ids(ddis, n_drugs)
     split_rng = purpose_rng(seed, "split")
     neg_rng = purpose_rng(seed, "negatives")
     k = math.ceil(drug_fraction * n_drugs)
-    held = frozenset(int(d) for d in split_rng.choice(n_drugs, size=k, replace=False))
+    chosen = split_rng.choice(n_drugs, size=k, replace=False)
+    is_held = np.zeros(n_drugs, dtype=bool)
+    is_held[chosen] = True
 
-    test_pos = [p for p in positives if p[0] in held or p[1] in held]
-    rest = [p for p in positives if p[0] not in held and p[1] not in held]
-    if positives and not rest:
+    def touches(ids):
+        return is_held[ids // n_drugs] | is_held[ids % n_drugs]
+
+    touching = touches(positives)
+    test_pos, rest = positives[touching], positives[~touching]
+    if positives.size and not rest.size:
         raise SplitError("cold-start split hides every positive; lower the fraction")
-    if not test_pos:
+    if not test_pos.size:
         warnings.warn("split_cold_start: no positive touches a held-out drug",
                       stacklevel=2)
-    order = split_rng.permutation(len(rest))
-    shuffled = [rest[k] for k in order]
-    c1 = math.floor(len(shuffled) * 0.9)
+    shuffled = rest[split_rng.permutation(rest.size)]
+    c1 = math.floor(shuffled.size * 0.9)
     parts = {"train": shuffled[:c1], "validation": shuffled[c1:], "test": test_pos}
 
     all_ids = _all_pair_ids(n_drugs)
-    rows, cols = all_ids // n_drugs, all_ids % n_drugs
-    touches = np.isin(rows, list(held)) | np.isin(cols, list(held))
-    candidates = {"train": all_ids[~touches], "validation": all_ids[~touches],
-                  "test": all_ids[touches]}
-    labeled = _partition_with_negatives(parts, set(positives), n_drugs, neg_rng,
+    near = touches(all_ids)
+    candidates = {"train": all_ids[~near], "validation": all_ids[~near],
+                  "test": all_ids[near]}
+    labeled = _partition_with_negatives(parts, positives, n_drugs, neg_rng,
                                         candidates)
     return SplitBundle(labeled["train"], labeled["validation"], labeled["test"],
-                       protocol="coldstart", seed=seed, held_out=held)
+                       protocol="coldstart", seed=seed,
+                       held_out=frozenset(chosen.tolist()))
 
 
-def pairs_to_arrays(pairs: list[LabeledPair]) -> tuple[np.ndarray, np.ndarray]:
-    """(m, 2) index array plus (m,) label array."""
-    if not pairs:
-        return np.empty((0, 2), dtype=np.int64), np.empty(0, dtype=np.int64)
-    arr = np.array(pairs, dtype=np.int64)
-    return arr[:, :2], arr[:, 2]
+def pairs_to_arrays(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Views of an (m, 3) `[i, j, label]` array: the (m, 2) index pairs and
+    the (m,) labels."""
+    return pairs[:, :2], pairs[:, 2]

@@ -10,7 +10,8 @@ protein, symmetric).
 to its source kind, target kind and file name in a saved graph directory.
 Loading, assembly, validation, stats, graph-directory IO and meta-path
 chaining all read it, so a matrix is known by its name alone. `load_pairs`
-is the one reader of two-column TSV files.
+is the one reader of two-column TSV files. Labeled drug pairs are an
+(m, 2) int64 array, one row per pair.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ __all__ = [
     "load_relation",
     "load_pairs",
     "load_ddi",
+    "pair_array",
     "build_hin",
     "validate",
     "stats",
@@ -156,12 +158,13 @@ class RelationMatrix:
 @dataclass
 class Hin:
     """The assembled network: registry, the relation matrices by name (the
-    keys of `RELATIONS`, in its order), and the optional labeled interaction
-    pair list (canonical i < j, deduplicated)."""
+    keys of `RELATIONS`, in its order), and the labeled interaction pairs:
+    an (m, 2) int64 array of unique rows in sorted order. `load_ddi` gives
+    each row as (i, j) with i < j; `validate` reports a row that is not."""
 
     registry: EntityRegistry
     relations: dict[str, RelationMatrix]
-    ddi: list[tuple[int, int]] = field(default_factory=list)
+    ddi: np.ndarray = field(default_factory=lambda: pair_array(()))
 
     def matrix(self, name: str) -> RelationMatrix:
         try:
@@ -222,22 +225,31 @@ def load_relation(path, name: str, registry: EntityRegistry,
                                      pairs)
 
 
-def load_ddi(path, registry: EntityRegistry, mode: str = "discover") -> list[tuple[int, int]]:
-    """Load labeled drug pairs; unordered, canonicalized to (min, max)."""
-    pairs = set()
+def pair_array(pairs) -> np.ndarray:
+    """Any iterable of (i, j) index pairs as an (m, 2) int64 array."""
+    if not isinstance(pairs, np.ndarray):
+        pairs = list(pairs)
+    return np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+
+
+def load_ddi(path, registry: EntityRegistry, mode: str = "discover") -> np.ndarray:
+    """Load labeled drug pairs as sorted unique (min, max) rows of an (m, 2)
+    int64 array."""
+    pairs = []
     for lineno, left, right in load_pairs(path):
         i = _resolve(registry, EntityKind.DRUG, left, mode)
         j = _resolve(registry, EntityKind.DRUG, right, mode)
         if i == j:
             raise RelationParseError(f"{path}:{lineno}: self-interaction {left!r}")
-        pairs.add((min(i, j), max(i, j)))
-    return sorted(pairs)
+        pairs.append((i, j))
+    return np.unique(np.sort(pair_array(pairs), axis=1), axis=0)
 
 
 def build_hin(registry: EntityRegistry, relations: dict[str, RelationMatrix],
-              ddi: list[tuple[int, int]] | None = None) -> Hin:
+              ddi=()) -> Hin:
     """Assemble a Hin from one matrix per `RELATIONS` name, refitting matrix
-    shapes to the final registry counts.
+    shapes to the final registry counts, and any iterable of DDI pairs,
+    sorted and deduplicated.
 
     Refitting is needed because discover-mode loading can keep growing the
     registry after an earlier matrix was built.
@@ -247,7 +259,7 @@ def build_hin(registry: EntityRegistry, relations: dict[str, RelationMatrix],
                           f"expected {sorted(RELATIONS)}")
     fitted = {name: relations[name].resized((registry.count(s), registry.count(t)))
               for name, (s, t, _) in RELATIONS.items()}
-    return Hin(registry, fitted, sorted(set(ddi or [])))
+    return Hin(registry, fitted, np.unique(pair_array(ddi), axis=0))
 
 
 @dataclass
@@ -294,9 +306,9 @@ def validate(hin: Hin) -> ValidationReport:
                 f"P: asymmetric pair ({reg.id_of(EntityKind.PROTEIN, i)}, "
                 f"{reg.id_of(EntityKind.PROTEIN, j)}) present without its reverse")
 
-    for i, j in hin.ddi:
-        if not (0 <= i < j < reg.count(EntityKind.DRUG)):
-            report.errors.append(f"DDI: pair ({i}, {j}) out of bounds or not canonical")
+    inside = ((0 <= hin.ddi) & (hin.ddi < reg.count(EntityKind.DRUG))).all(axis=1)
+    for i, j in hin.ddi[~(inside & (hin.ddi[:, 0] < hin.ddi[:, 1]))]:
+        report.errors.append(f"DDI: pair ({i}, {j}) out of bounds or not canonical")
 
     degree = {kind: np.zeros(reg.count(kind), dtype=np.int64) for kind in EntityKind}
     for name, (source, target, _) in RELATIONS.items():
@@ -304,9 +316,7 @@ def validate(hin: Hin) -> ValidationReport:
         if m.nnz:
             np.add.at(degree[source], m.coords[:, 0], 1)
             np.add.at(degree[target], m.coords[:, 1], 1)
-    for i, j in hin.ddi:
-        degree[EntityKind.DRUG][i] += 1
-        degree[EntityKind.DRUG][j] += 1
+    np.add.at(degree[EntityKind.DRUG], hin.ddi[inside].ravel(), 1)
     for kind in EntityKind:
         orphans = np.flatnonzero(degree[kind] == 0)
         if orphans.size:

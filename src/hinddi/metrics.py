@@ -47,17 +47,11 @@ def auroc(scores, labels) -> float:
     n_neg = n - n_pos
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError("AUROC needs both classes present")
-    order = np.argsort(scores, kind="stable")
-    ranks = np.empty(n, dtype=np.float64)
-    sorted_scores = scores[order]
-    i = 0
-    while i < n:
-        j = i
-        while j < n and sorted_scores[j] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j]] = 0.5 * ((i + 1) + j)  # average of ranks i+1 .. j
-        i = j
-    rank_sum = ranks[labels == 1].sum()
+    _, group, counts = np.unique(scores, return_inverse=True,
+                                 return_counts=True, equal_nan=False)
+    last = np.cumsum(counts)
+    ranks = 0.5 * ((last - counts + 1) + last)  # average of ranks first .. last
+    rank_sum = ranks[group][labels == 1].sum()
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 

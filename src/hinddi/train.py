@@ -94,12 +94,13 @@ def _mean_loss_and_scores(params, config, pairs, labels, graphs, features,
     return loss, scores.data.copy()
 
 
-def evaluate_pairs(params: ModelParams, config: ModelConfig, pairs_list,
+def evaluate_pairs(params: ModelParams, config: ModelConfig, labeled: np.ndarray,
                    graphs: dict[str, NeighborGraph], features: np.ndarray,
                    fixed_alpha=None, uniform_beta: bool = False,
                    threshold: float = 0.5) -> tuple[np.ndarray, Metrics]:
-    """Eval-mode scores and threshold metrics for a labeled pair list."""
-    pairs, labels = pairs_to_arrays(pairs_list)
+    """Eval-mode scores and threshold metrics for an (m, 3) `[i, j, label]`
+    pair array, such as a `SplitBundle` partition."""
+    pairs, labels = pairs_to_arrays(labeled)
     scores, _ = forward(params, features, graphs, pairs, config,
                         training=False, fixed_alpha=fixed_alpha,
                         uniform_beta=uniform_beta)
@@ -117,7 +118,7 @@ def train(params: ModelParams, model_config: ModelConfig,
     the epoch cap) and the parameters of the best validation epoch are
     restored. Identical seeds and inputs give identical histories.
     """
-    if not bundle.train:
+    if not len(bundle.train):
         raise TrainingError("empty training set")
     trainable = params.trainable()
     opt = Adam(trainable, lr=train_config.lr,

@@ -1,9 +1,13 @@
 """Shared fixture builders for toy and randomized networks, and reference
 oracles that tests compare the program against."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
+from hinddi.data import SplitBundle, SplitError, check_drug_fraction, check_ratios, purpose_rng
 from hinddi.espf import Vocabulary, _merge_sequence
 from hinddi.hin import EntityKind, EntityRegistry, RelationMatrix, SchemaError, build_hin
 
@@ -174,3 +178,107 @@ def reference_encode_drug(tokens, vocab):
 def setdiff_without(candidates, taken):
     """Oracle for `data._without`: the sorted unique candidates not taken."""
     return np.setdiff1d(candidates, taken)
+
+
+def _reference_canonical(pairs):
+    out = set()
+    for i, j in pairs:
+        if i == j:
+            raise SplitError(f"self-pair ({i}, {j}) is not a valid example")
+        out.add((min(int(i), int(j)), max(int(i), int(j))))
+    return out
+
+
+def _reference_pair_ids(pairs, n):
+    arr = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
+    return arr[:, 0] * n + arr[:, 1]
+
+
+def _reference_negatives(partitions, positives, n_drugs, rng, candidates_by_part):
+    """1:1 negatives per partition, each partition's excluded from the later
+    ones; rows are (i, j, label) tuples, positives first."""
+    taken = _reference_pair_ids(positives, n_drugs)
+    out = {}
+    for name, part in partitions.items():
+        candidates = setdiff_without(candidates_by_part[name], taken)
+        if len(part) > candidates.size:
+            raise SplitError(
+                f"cannot sample {len(part)} negatives from {candidates.size} available pairs")
+        neg_ids = (candidates[rng.choice(candidates.size, size=len(part), replace=False)]
+                   if part else np.empty(0, dtype=np.int64))
+        taken = np.concatenate([taken, neg_ids])
+        out[name] = ([(i, j, 1) for i, j in part]
+                     + [(int(v // n_drugs), int(v % n_drugs), 0) for v in neg_ids])
+    return out
+
+
+def _reference_all_pair_ids(n_drugs):
+    return np.array([i * n_drugs + j for i in range(n_drugs)
+                     for j in range(i + 1, n_drugs)], dtype=np.int64)
+
+
+def reference_split_edges(ddis, n_drugs, ratios=(0.8, 0.1, 0.1), seed=0):
+    """Oracle for `data.split_edges`: partitions as lists of (i, j, label)
+    tuples, built pair by pair from sorted canonical tuples."""
+    ratios = check_ratios(ratios)
+    positives = sorted(_reference_canonical(ddis))
+    split_rng = purpose_rng(seed, "split")
+    neg_rng = purpose_rng(seed, "negatives")
+    shuffled = [positives[k] for k in split_rng.permutation(len(positives))]
+    c1 = math.floor(len(shuffled) * ratios[0])
+    c2 = math.floor(len(shuffled) * (ratios[0] + ratios[1]))
+    parts = {"train": shuffled[:c1], "validation": shuffled[c1:c2], "test": shuffled[c2:]}
+    everywhere = _reference_all_pair_ids(n_drugs)
+    labeled = _reference_negatives(parts, positives, n_drugs, neg_rng,
+                                   {k: everywhere for k in parts})
+    return SplitBundle(labeled["train"], labeled["validation"], labeled["test"],
+                       protocol="edges", seed=seed)
+
+
+def reference_split_cold_start(ddis, n_drugs, drug_fraction=0.2, seed=0):
+    """Oracle for `data.split_cold_start`, in the style of
+    `reference_split_edges`."""
+    check_drug_fraction(drug_fraction)
+    positives = sorted(_reference_canonical(ddis))
+    split_rng = purpose_rng(seed, "split")
+    neg_rng = purpose_rng(seed, "negatives")
+    k = math.ceil(drug_fraction * n_drugs)
+    held = frozenset(int(d) for d in split_rng.choice(n_drugs, size=k, replace=False))
+    test_pos = [p for p in positives if p[0] in held or p[1] in held]
+    rest = [p for p in positives if p[0] not in held and p[1] not in held]
+    if positives and not rest:
+        raise SplitError("cold-start split hides every positive; lower the fraction")
+    if not test_pos:
+        warnings.warn("split_cold_start: no positive touches a held-out drug")
+    shuffled = [rest[k] for k in split_rng.permutation(len(rest))]
+    c1 = math.floor(len(shuffled) * 0.9)
+    parts = {"train": shuffled[:c1], "validation": shuffled[c1:], "test": test_pos}
+    all_ids = _reference_all_pair_ids(n_drugs)
+    touches = np.array([v // n_drugs in held or v % n_drugs in held for v in all_ids],
+                       dtype=bool)
+    candidates = {"train": all_ids[~touches], "validation": all_ids[~touches],
+                  "test": all_ids[touches]}
+    labeled = _reference_negatives(parts, positives, n_drugs, neg_rng, candidates)
+    return SplitBundle(labeled["train"], labeled["validation"], labeled["test"],
+                       protocol="coldstart", seed=seed, held_out=held)
+
+
+def reference_auroc(scores, labels):
+    """Oracle for `metrics.auroc`: average ranks assigned tie group by tie
+    group over the stably sorted scores."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    n = scores.size
+    n_pos = int((labels == 1).sum())
+    order = np.argsort(scores, kind="stable")
+    ranks = np.empty(n, dtype=np.float64)
+    sorted_scores = scores[order]
+    i = 0
+    while i < n:
+        j = i
+        while j < n and sorted_scores[j] == sorted_scores[i]:
+            j += 1
+        ranks[order[i:j]] = 0.5 * ((i + 1) + j)  # average of ranks i+1 .. j
+        i = j
+    rank_sum = ranks[labels == 1].sum()
+    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * (n - n_pos))

@@ -67,7 +67,18 @@ class TestLoadRelation:
         f = write(tmp_path / "ddi.tsv", "d2\td1\nd1\td2\nd3\td1\n")
         reg = EntityRegistry()
         ddi = load_ddi(f, reg)
-        assert ddi == [(0, 1), (1, 2)]
+        assert ddi.dtype == np.int64
+        assert ddi.tolist() == [[0, 1], [1, 2]]
+
+    def test_build_hin_takes_any_iterable_of_pairs(self):
+        reg = make_hin(3, 0, 0, 0).registry
+        empty = {name: RelationMatrix.from_pairs((0, 0), []) for name in RELATIONS}
+        for given in ([(1, 2), (0, 1), (1, 2)], {(1, 2), (0, 1)},
+                      iter([(1, 2), (0, 1)]), np.array([[1, 2], [0, 1], [1, 2]])):
+            ddi = build_hin(reg, empty, given).ddi
+            assert ddi.dtype == np.int64
+            assert ddi.tolist() == [[0, 1], [1, 2]]
+        assert build_hin(reg, empty).ddi.shape == (0, 2)
 
     def test_ddi_self_pair_rejected(self, tmp_path):
         f = write(tmp_path / "ddi.tsv", "d1\td1\n")
@@ -95,6 +106,14 @@ class TestValidate:
         diag = RelationMatrix.from_pairs((1, 1), [(0, 0)])
         report = validate(Hin(hin.registry, hin.relations | {"P": diag}, hin.ddi))
         assert any("diagonal" in e for e in report.errors)
+
+    def test_bad_ddi_pairs_are_errors_one_each(self):
+        hin = make_hin(3, 1, 0, 0, t_pairs=[(0, 0), (1, 0), (2, 0)])
+        hin.ddi = np.array([[0, 1], [2, 1], [1, 5], [1, 1], [-1, 2]])
+        report = validate(hin)
+        assert report.errors == [f"DDI: pair {p} out of bounds or not canonical"
+                                 for p in ("(2, 1)", "(1, 5)", "(1, 1)", "(-1, 2)")]
+        assert not report.warnings
 
     def test_orphan_is_warning_not_failure(self):
         hin = make_hin(2, 1, 0, 0, t_pairs=[(0, 0)])  # d1 has no relations
@@ -167,12 +186,12 @@ class TestRoundTrip:
         rng = np.random.default_rng(5)
         from tests.conftest import random_hin
         hin = random_hin(rng)
-        hin.ddi.extend([(0, 1)])
+        hin.ddi = np.array([[0, 1]])
         save_hin(hin, tmp_path / "graph")
         back = load_hin(tmp_path / "graph")
         for name in ("T", "C", "H", "P"):
             assert coord_set(back.matrix(name)) == coord_set(hin.matrix(name))
-        assert back.ddi == sorted(set(hin.ddi))
+        np.testing.assert_array_equal(back.ddi, hin.ddi)
         for kind in EntityKind:
             assert back.registry.ids(kind) == hin.registry.ids(kind)
 

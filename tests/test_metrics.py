@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hinddi.metrics import Metrics, UndefinedMetricError, auroc, evaluate
+from tests.conftest import reference_auroc
 
 
 def auroc_oracle(scores, labels):
@@ -41,6 +42,18 @@ class TestAuroc:
             if labels.min() == labels.max():
                 labels[0] = 1 - labels[0]
             assert auroc(scores, labels) == auroc_oracle(scores, labels)
+
+    @pytest.mark.parametrize("n", [2, 7, 2370])
+    def test_bit_identical_to_tie_loop_reference(self, n):
+        rng = np.random.default_rng(n)
+        for levels in (1, 2, 3, 17, 1000):
+            # few score levels force long tie groups; -0.0 ties with 0.0
+            scores = rng.integers(0, levels, size=n) / max(levels - 1, 1) - 0.5
+            scores[rng.random(n) < 0.1] = -0.0
+            scores[rng.random(n) < 0.1] = 0.0
+            labels = rng.integers(0, 2, size=n)
+            labels[:2] = (0, 1)
+            assert auroc(scores, labels) == reference_auroc(scores, labels)
 
     def test_matches_oracle_on_continuous_scores(self):
         rng = np.random.default_rng(1)

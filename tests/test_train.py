@@ -104,7 +104,7 @@ class TestLoopMechanics:
 
     def test_empty_train_set_rejected(self):
         config, graphs, feats, bundle = self.small_world(seed=4)
-        bundle.train.clear()
+        bundle.train = bundle.train[:0]
         with pytest.raises(TrainingError, match="empty"):
             train(fresh_params(config, graphs, 4), config, TrainConfig(seed=4),
                   bundle, graphs, feats)
