@@ -26,19 +26,24 @@ scores, a segment softmax per row, dropout drawn per edge and head, and
 row and column sums as products with the (n, E) edge incidence, so its
 time and memory grow with E. Otherwise it works on dense (n, n) arrays per
 head, whose cost does not depend on the density. Measured fwd+bwd time of
-one meta-path (8 heads of 8, dropout 0.6, float32, random symmetric masks;
-2-vCPU guest, BLAS on one thread), dense vs edges:
+one meta-path (8 heads of 8, float32, random symmetric masks; 2-vCPU
+guest, BLAS on one thread, median of 11-40 interleaved runs), dense vs
+edges, in training (dropout 0.6) and in eval mode (no dropout):
 
-    n       5%              10%             19%
-    128     3.7 vs 1.5 ms   3.7 vs 2.0 ms   3.5 vs 3.3 ms
-    513     62 vs 13 ms     63 vs 29 ms     60 vs 57 ms
-    1,026   267 vs 64 ms    270 vs 119 ms   286 vs 238 ms
+    n       5%             10%            14%            18%
+    train
+    128     4.0 vs 2.4 ms  2.5 vs 2.2 ms  2.4 vs 2.8 ms  2.6 vs 3.6 ms
+    513     40 vs 18 ms    39 vs 30 ms    38 vs 43 ms    42 vs 54 ms
+    1,026   231 vs 77 ms   245 vs 146 ms  235 vs 226 ms  227 vs 274 ms
+    eval
+    128     2.0 vs 1.5 ms  1.9 vs 1.9 ms  1.9 vs 2.3 ms  2.0 vs 3.2 ms
+    513     29 vs 14 ms    27 vs 29 ms    31 vs 41 ms    29 vs 46 ms
+    1,026   151 vs 68 ms   164 vs 120 ms  141 vs 194 ms  140 vs 226 ms
 
-In eval mode (no dropout) the edge branch loses from about 15% density
-(n = 513: 24 vs 22 ms at 14.5%, 24 vs 29 ms at 19%), and at n = 50 both
-take about 0.5 ms at any density. The 5% threshold keeps a margin below
-every crossover; paper-scale meta-path graphs are either about 1% or
-over 70% dense.
+The edge branch loses from about 12-15% density in training and 10-12%
+in eval mode; at n = 50 both take about 0.8 ms at any density. The 5%
+threshold keeps a margin below every crossover; paper-scale meta-path
+graphs are either about 1% or over 70% dense.
 
 Scope is deliberately narrow: 0-d/1-d/2-d tensors, no general broadcasting,
 no views, no higher-order gradients. Two precisions are supported (float32
@@ -318,12 +323,25 @@ def _attention_dense(hd, a, mask, fixed, heads, s, dropout, rng):
     """`graph_attention` on dense (n, n) arrays, one head at a time so each
     working set stays in cache; `a` is None iff `fixed` is given. Returns
     the output, the K alphas and the adjoint, which maps the output's
-    adjoint to [dh] or [dh, da]."""
+    adjoint to [dh] or [dh, da].
+
+    Each head makes few full passes over (n, n) arrays, in place where it
+    can, and shares one scratch array with the others. Masked ufunc loops
+    (`where=` on a scattered mask) and `np.where` cost 3-10 such passes,
+    so the leaky relu, the mask and the slope of the adjoint are written
+    as plain elementwise ops that give the same bits."""
     n, width = hd.shape
     f = width // heads
     dt = hd.dtype
-    neg_inf = dt.type(-np.inf)
     keep_scale = dt.type(1.0 / (1.0 - dropout))
+    scratch = np.empty((n, n), dtype=dt)
+    if fixed is None:
+        # leaky_relu(e) is max(e, s*e) for a slope s <= 1, min(e, s*e) above
+        leaky = np.maximum if s <= 1 else np.minimum
+        # +inf on the mask and -inf off it: fmin with it sets every score
+        # off the mask, NaN included, to -inf and keeps the others
+        cap = np.subtract(mask, dt.type(0.5), dtype=dt)
+        cap *= np.inf
 
     out = np.empty_like(hd)
     alphas, keeps, scores = [], [], []
@@ -332,11 +350,12 @@ def _attention_dense(hd, a, mask, fixed, heads, s, dropout, rng):
         hk = hd[:, cols]
         if fixed is None:
             src, dst = hk @ a[k, :f], hk @ a[k, f:]
-            e = src[:, None] + dst[None, :]
-            e = np.where(mask, np.where(e > 0, e, s * e), neg_inf)
-            e -= e.max(axis=1, keepdims=True)
-            np.exp(e, out=e)
-            alpha = e / e.sum(axis=1, keepdims=True)
+            alpha = np.add.outer(src, dst)
+            leaky(alpha, np.multiply(alpha, s, out=scratch), out=alpha)
+            np.fmin(alpha, cap, out=alpha)
+            alpha -= alpha.max(axis=1, keepdims=True)
+            np.exp(alpha, out=alpha)
+            alpha /= alpha.sum(axis=1, keepdims=True)
             scores.append((src, dst))
         else:
             alpha = fixed
@@ -344,26 +363,41 @@ def _attention_dense(hd, a, mask, fixed, heads, s, dropout, rng):
         if dropout:
             keep = rng.random((n, n)) >= dropout
             keeps.append(keep)
-            alpha = alpha * (keep * keep_scale)
-        out[:, cols] = alpha @ hk
+            dropped = np.multiply(alpha, np.multiply(keep, keep_scale, out=scratch),
+                                  out=scratch)
+            out[:, cols] = dropped @ hk
+        else:
+            out[:, cols] = alpha @ hk
 
     def bwd(g):
         dh = np.zeros_like(hd)
         da = None if fixed is not None else np.zeros_like(a)
+        scratch, factor = np.empty((n, n), dtype=dt), np.empty((n, n), dtype=dt)
+        # The slope of leaky_relu is 1 where src + dst > 0 and s elsewhere.
+        # A rounded sum keeps the sign of the exact one, so src + dst > 0
+        # exactly where src > -dst; the bits of the slope are then
+        # bits(s) ^ ([src > -dst] * (bits(1) ^ bits(s))).
+        bits = factor.view(np.uint32 if dt == np.float32 else np.uint64)
+        s_bits, one_bits = np.array([s, 1], dtype=dt).view(bits.dtype)
         for k in range(heads):
             cols = slice(k * f, (k + 1) * f)
             hk, gk, alpha = hd[:, cols], g[:, cols], alphas[k]
-            factor = keeps[k] * keep_scale if dropout else None
-            dropped = alpha if factor is None else alpha * factor
-            dh[:, cols] += dropped.T @ gk
+            if dropout:
+                np.multiply(keeps[k], keep_scale, out=factor)
+                dh[:, cols] += np.multiply(alpha, factor, out=scratch).T @ gk
+            else:
+                dh[:, cols] += alpha.T @ gk
             if da is None:
                 continue
-            d_alpha = gk @ hk.T
-            if factor is not None:
-                d_alpha *= factor
-            d_e = alpha * (d_alpha - (d_alpha * alpha).sum(axis=1, keepdims=True))
+            d_e = gk @ hk.T                                 # d_alpha, then d_e
+            if dropout:
+                d_e *= factor
+            d_e -= np.multiply(d_e, alpha, out=scratch).sum(axis=1, keepdims=True)
+            d_e *= alpha
             src, dst = scores[k]
-            d_e *= np.where(src[:, None] + dst[None, :] > 0, dt.type(1), s)
+            np.multiply(np.greater.outer(src, -dst), one_bits ^ s_bits, out=bits)
+            bits ^= s_bits
+            d_e *= factor
             d_src, d_dst = d_e.sum(axis=1), d_e.sum(axis=0)
             dh[:, cols] += np.outer(d_src, a[k, :f]) + np.outer(d_dst, a[k, f:])
             da[k, :f] = hk.T @ d_src
@@ -530,11 +564,13 @@ def pair_scores(z: Tensor, pairs: np.ndarray) -> Tensor:
     y = 1 / (1 + np.exp(-dots))
 
     def bwd(g):
+        # Row r of (n, m) incidence @ (m, F) rows is the sum of the rows of
+        # the pairs that hold drug r, added in pair order as np.add.at would.
         d_dots = (g * y * (1 - y))[:, None]
-        dz_i, dz_j = np.zeros_like(zd), np.zeros_like(zd)
-        np.add.at(dz_i, i, d_dots * zd[j])
-        np.add.at(dz_j, j, d_dots * zd[i])
-        return [dz_i + dz_j]
+        ones, order = np.ones(len(pairs), dtype=zd.dtype), np.arange(len(pairs))
+        by_i, by_j = (sp.csr_array((ones, (side, order)), shape=(len(zd), len(pairs)))
+                      for side in (i, j))
+        return [by_i @ (d_dots * zd[j]) + by_j @ (d_dots * zd[i])]
 
     return _node(y, op, (z,), bwd)
 

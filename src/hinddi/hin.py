@@ -20,6 +20,7 @@ import dataclasses
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -38,6 +39,7 @@ __all__ = [
     "load_pairs",
     "load_ddi",
     "pair_array",
+    "unique_rows",
     "build_hin",
     "validate",
     "stats",
@@ -88,20 +90,30 @@ class EntityRegistry:
 
     def add(self, kind: EntityKind, ident: str) -> int:
         """Register an id (idempotent) and return its dense index."""
-        table = self._index[kind]
-        existing = table.get(ident)
-        if existing is not None:
-            return existing
-        idx = len(self._ids[kind])
-        self._ids[kind].append(ident)
-        table[ident] = idx
-        return idx
+        return self.resolver(kind, "discover")(ident)
 
     def index_of(self, kind: EntityKind, ident: str) -> int:
-        try:
-            return self._index[kind][ident]
-        except KeyError:
-            raise SchemaError(f"unknown {kind.value} id {ident!r}") from None
+        return self.resolver(kind, "strict")(ident)
+
+    def resolver(self, kind: EntityKind, mode: str) -> Callable[[str], int]:
+        """`add` in "discover" mode, `index_of` in any other, for one kind:
+        a loader resolves each of its ids through it, so the kind's tables
+        are looked up once per file."""
+        ids, table = self._ids[kind], self._index[kind]
+        if mode == "discover":
+            def resolve(ident: str) -> int:
+                idx = table.get(ident)
+                if idx is None:
+                    idx = table[ident] = len(ids)
+                    ids.append(ident)
+                return idx
+        else:
+            def resolve(ident: str) -> int:
+                try:
+                    return table[ident]
+                except KeyError:
+                    raise SchemaError(f"unknown {kind.value} id {ident!r}") from None
+        return resolve
 
     def id_of(self, kind: EntityKind, idx: int) -> str:
         return self._ids[kind][idx]
@@ -127,10 +139,7 @@ class RelationMatrix:
 
     @classmethod
     def from_pairs(cls, shape: tuple[int, int], pairs) -> "RelationMatrix":
-        arr = np.asarray(sorted(set(map(tuple, pairs))), dtype=np.int64)
-        if arr.size == 0:
-            arr = np.empty((0, 2), dtype=np.int64)
-        return cls((int(shape[0]), int(shape[1])), arr)
+        return cls((int(shape[0]), int(shape[1])), unique_rows(pair_array(pairs)))
 
     def __post_init__(self):
         c = self.coords
@@ -196,12 +205,6 @@ def load_pairs(path) -> list[tuple[int, str, str]]:
     return out
 
 
-def _resolve(registry: EntityRegistry, kind: EntityKind, ident: str, mode: str) -> int:
-    if mode == "discover":
-        return registry.add(kind, ident)
-    return registry.index_of(kind, ident)
-
-
 def load_relation(path, name: str, registry: EntityRegistry,
                   mode: str = "discover") -> RelationMatrix:
     """Load relation `name` of `RELATIONS` from a two-column id TSV.
@@ -214,10 +217,10 @@ def load_relation(path, name: str, registry: EntityRegistry,
     if mode not in ("discover", "strict"):
         raise ValueError(f"unknown registry mode {mode!r}")
     source, target, _ = RELATIONS[name]
+    left_index, right_index = registry.resolver(source, mode), registry.resolver(target, mode)
     pairs = []
     for lineno, left, right in load_pairs(path):
-        i = _resolve(registry, source, left, mode)
-        j = _resolve(registry, target, right, mode)
+        i, j = left_index(left), right_index(right)
         pairs.append((i, j))
         if source == target:
             pairs.append((j, i))
@@ -232,24 +235,43 @@ def pair_array(pairs) -> np.ndarray:
     return np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
 
 
+def unique_rows(pairs: np.ndarray) -> np.ndarray:
+    """The unique rows of an (m, 2) int64 array in sorted order, as a new
+    array, from one sort of 1-D int64 keys; rows already in that order
+    are copied without a sort."""
+    if not len(pairs):
+        return pairs.copy()
+    low = int(pairs.min())
+    span = int(pairs.max()) - low + 1
+    if span > 2**31:  # the keys would overflow int64
+        return np.unique(pairs, axis=0)
+    keys = (pairs[:, 0] - low) * span + (pairs[:, 1] - low)
+    if np.all(keys[1:] > keys[:-1]):
+        return pairs.copy()
+    rows = np.stack(np.divmod(np.unique(keys), span), axis=1)
+    rows += low
+    return rows
+
+
 def load_ddi(path, registry: EntityRegistry, mode: str = "discover") -> np.ndarray:
     """Load labeled drug pairs as sorted unique (min, max) rows of an (m, 2)
     int64 array."""
+    drug_index = registry.resolver(EntityKind.DRUG, mode)
     pairs = []
     for lineno, left, right in load_pairs(path):
-        i = _resolve(registry, EntityKind.DRUG, left, mode)
-        j = _resolve(registry, EntityKind.DRUG, right, mode)
+        i, j = drug_index(left), drug_index(right)
         if i == j:
             raise RelationParseError(f"{path}:{lineno}: self-interaction {left!r}")
         pairs.append((i, j))
-    return np.unique(np.sort(pair_array(pairs), axis=1), axis=0)
+    return unique_rows(np.sort(pair_array(pairs), axis=1))
 
 
 def build_hin(registry: EntityRegistry, relations: dict[str, RelationMatrix],
               ddi=()) -> Hin:
     """Assemble a Hin from one matrix per `RELATIONS` name, refitting matrix
     shapes to the final registry counts, and any iterable of DDI pairs,
-    sorted and deduplicated.
+    sorted and deduplicated (`load_ddi` gives them so, and they are not
+    sorted again).
 
     Refitting is needed because discover-mode loading can keep growing the
     registry after an earlier matrix was built.
@@ -259,7 +281,7 @@ def build_hin(registry: EntityRegistry, relations: dict[str, RelationMatrix],
                           f"expected {sorted(RELATIONS)}")
     fitted = {name: relations[name].resized((registry.count(s), registry.count(t)))
               for name, (s, t, _) in RELATIONS.items()}
-    return Hin(registry, fitted, np.unique(pair_array(ddi), axis=0))
+    return Hin(registry, fitted, unique_rows(pair_array(ddi)))
 
 
 @dataclass

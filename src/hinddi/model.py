@@ -13,8 +13,9 @@ on dense (n, n) arrays otherwise. One `semantic_attention` node scores
 each meta-path embedding through a small tanh layer and fuses them with
 softmax weights beta. One `pair_scores` node gives pair probabilities, the
 sigmoid of the dot product of the fused embeddings, and one
-`binary_cross_entropy` node gives the training loss. Whatever the number of drugs, heads or pairs, a training step records
-dropout, the projection, two nodes per meta-path and these three.
+`binary_cross_entropy` node gives the training loss. Whatever the number
+of drugs, heads or pairs, a training step records dropout, the
+projection, two nodes per meta-path and these three.
 """
 
 from __future__ import annotations
@@ -71,6 +72,8 @@ class ModelConfig:
                 raise ParameterError(f"{f.metadata.get('key', f.name)} must be >= 1")
         if not (0 <= self.dropout < 1):
             raise ParameterError(f"dropout {self.dropout} outside [0, 1)")
+        if not math.isfinite(self.leaky_slope):
+            raise ParameterError(f"leaky_slope must be finite, got {self.leaky_slope}")
         if self.pool not in ("mean", "sum"):
             raise ParameterError(f"pool must be 'mean' or 'sum', got {self.pool!r}")
         if self.activation not in UNARY_KINDS:

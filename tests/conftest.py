@@ -282,3 +282,73 @@ def reference_auroc(scores, labels):
         i = j
     rank_sum = ranks[labels == 1].sum()
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * (n - n_pos))
+
+
+def reference_attention_dense(hd, a, mask, fixed, heads, s, dropout, rng):
+    """Oracle for `autodiff._attention_dense`, same signature and returns:
+    each head builds its scores with broadcasting and masks them with
+    `np.where`, and the adjoint applies the slope of the leaky relu as a
+    factor from `np.where`."""
+    n, width = hd.shape
+    f = width // heads
+    dt = hd.dtype
+    neg_inf = dt.type(-np.inf)
+    keep_scale = dt.type(1.0 / (1.0 - dropout))
+
+    out = np.empty_like(hd)
+    alphas, keeps, scores = [], [], []
+    for k in range(heads):
+        cols = slice(k * f, (k + 1) * f)
+        hk = hd[:, cols]
+        if fixed is None:
+            src, dst = hk @ a[k, :f], hk @ a[k, f:]
+            e = src[:, None] + dst[None, :]
+            e = np.where(mask, np.where(e > 0, e, s * e), neg_inf)
+            e -= e.max(axis=1, keepdims=True)
+            np.exp(e, out=e)
+            alpha = e / e.sum(axis=1, keepdims=True)
+            scores.append((src, dst))
+        else:
+            alpha = fixed
+        alphas.append(alpha)
+        if dropout:
+            keep = rng.random((n, n)) >= dropout
+            keeps.append(keep)
+            alpha = alpha * (keep * keep_scale)
+        out[:, cols] = alpha @ hk
+
+    def bwd(g):
+        dh = np.zeros_like(hd)
+        da = None if fixed is not None else np.zeros_like(a)
+        for k in range(heads):
+            cols = slice(k * f, (k + 1) * f)
+            hk, gk, alpha = hd[:, cols], g[:, cols], alphas[k]
+            factor = keeps[k] * keep_scale if dropout else None
+            dropped = alpha if factor is None else alpha * factor
+            dh[:, cols] += dropped.T @ gk
+            if da is None:
+                continue
+            d_alpha = gk @ hk.T
+            if factor is not None:
+                d_alpha *= factor
+            d_e = alpha * (d_alpha - (d_alpha * alpha).sum(axis=1, keepdims=True))
+            src, dst = scores[k]
+            d_e *= np.where(src[:, None] + dst[None, :] > 0, dt.type(1), s)
+            d_src, d_dst = d_e.sum(axis=1), d_e.sum(axis=0)
+            dh[:, cols] += np.outer(d_src, a[k, :f]) + np.outer(d_dst, a[k, f:])
+            da[k, :f] = hk.T @ d_src
+            da[k, f:] = hk.T @ d_dst
+        return [dh] if da is None else [dh, da]
+
+    return out, alphas, bwd
+
+
+def reference_pair_scores_adjoint(zd, pairs, y, g):
+    """Oracle for the adjoint of `autodiff.pair_scores` with probabilities
+    `y` and output adjoint `g`: each pair's two rows added with np.add.at."""
+    i, j = pairs[:, 0], pairs[:, 1]
+    d_dots = (g * y * (1 - y))[:, None]
+    dz_i, dz_j = np.zeros_like(zd), np.zeros_like(zd)
+    np.add.at(dz_i, i, d_dots * zd[j])
+    np.add.at(dz_j, j, d_dots * zd[i])
+    return dz_i + dz_j

@@ -12,7 +12,8 @@ from hinddi import autodiff as ad
 from hinddi.autodiff import Tensor, backward
 from hinddi.gradcheck import finite_diff_check
 from hinddi.optim import Adam
-from tests.conftest import ring_mask
+from tests.conftest import (reference_attention_dense, reference_pair_scores_adjoint,
+                            ring_mask)
 
 
 def total(x, weights=None):
@@ -390,6 +391,79 @@ class TestAdjoints:
         def f(z):
             return ad.binary_cross_entropy(ad.pair_scores(z, pairs), labels, 1e-7)
         _fd_check_op(f, 1)
+
+
+def _dense_attention_results(attend, h, a, mask, fixed, heads, slope, dropout, g):
+    """Output, alphas, adjoints and the next draw of the dropout generator."""
+    rng = np.random.default_rng(5)
+    out, alphas, bwd = attend(h, a, mask, fixed, heads, h.dtype.type(slope), dropout, rng)
+    return {"out": out, **{f"alpha{k}": x for k, x in enumerate(alphas)},
+            **{f"adjoint{k}": x for k, x in enumerate(bwd(g))},
+            "next draw": np.array(rng.random())}
+
+
+class TestDenseAttentionMatchesOracleBitForBit:
+    """`_attention_dense` against `reference_attention_dense`: every output
+    byte-identical, so training histories do not move."""
+
+    N, HEADS, F = 37, 3, 4
+
+    def inputs(self, dtype, mask_kind, integer_scores=False):
+        rng = np.random.default_rng(8)
+        shape_h, shape_a = (self.N, self.HEADS * self.F), (self.HEADS, 2 * self.F)
+        if integer_scores:  # many scores src + dst are exactly 0
+            h, a = rng.integers(-2, 3, shape_h), rng.integers(-1, 2, shape_a)
+        else:
+            h, a = rng.standard_normal(shape_h), rng.standard_normal(shape_a)
+        g = rng.standard_normal(shape_h)
+        mask = np.ones((self.N, self.N), dtype=bool)
+        if mask_kind == "holes":  # a few off-diagonal entries missing
+            mask[[0, 3, 3, 20, 36], [5, 1, 30, 19, 0]] = False
+        return h.astype(dtype), a.astype(dtype), mask, g.astype(dtype)
+
+    def assert_bytes_equal(self, *args):
+        got = _dense_attention_results(ad._attention_dense, *args)
+        want = _dense_attention_results(reference_attention_dense, *args)
+        assert got.keys() == want.keys()
+        for name in want:
+            assert got[name].dtype == want[name].dtype, name
+            assert got[name].tobytes() == want[name].tobytes(), name
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("dropout", [0.0, 0.6])
+    @pytest.mark.parametrize("slope", [0.2, 0.0, -0.1, 1.5])
+    @pytest.mark.parametrize("mask_kind", ["full", "holes"])
+    def test_learned_alpha(self, dtype, dropout, slope, mask_kind):
+        h, a, mask, g = self.inputs(dtype, mask_kind)
+        self.assert_bytes_equal(h, a, mask, None, self.HEADS, slope, dropout, g)
+
+    @pytest.mark.parametrize("slope", [0.2, 0.0, -0.1, 1.5])
+    def test_scores_exactly_zero_take_the_slope(self, slope):
+        h, a, mask, g = self.inputs(np.float64, "holes", integer_scores=True)
+        self.assert_bytes_equal(h, a, mask, None, self.HEADS, slope, 0.6, g)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("dropout", [0.0, 0.6])
+    def test_fixed_alpha(self, dtype, dropout):
+        h, _, mask, g = self.inputs(dtype, "full")
+        fixed = np.random.default_rng(3).random((self.N, self.N)).astype(dtype)
+        fixed /= fixed.sum(axis=1, keepdims=True)
+        self.assert_bytes_equal(h, None, mask, fixed, self.HEADS, 0.2, dropout, g)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_pair_scores_adjoint_matches_add_at_bit_for_bit(dtype):
+    # repeated, reversed and i == j pairs among random ones
+    rng = np.random.default_rng(6)
+    zd = rng.standard_normal((9, 16)).astype(dtype)
+    pairs = np.concatenate([rng.integers(0, 9, size=(40, 2)),
+                            [[2, 5], [2, 5], [5, 2], [4, 4], [0, 8], [8, 0]]])
+    g = rng.standard_normal(len(pairs)).astype(dtype)
+    node = ad.pair_scores(Tensor(zd, requires_grad=True), pairs)
+    (dz,) = node._backward(g)
+    want = reference_pair_scores_adjoint(zd, pairs, node.data, g)
+    assert dz.dtype == want.dtype
+    assert dz.tobytes() == want.tobytes()
 
 
 def test_fused_ops_reject_an_overflow_that_squashing_would_hide():

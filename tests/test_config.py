@@ -277,6 +277,12 @@ BAD_INPUTS = {
     "drug fraction above 1 at load": (
         "build-graph", append("[split]\ndrug_fraction = 1.5\n"),
         "[split] drug_fraction must be in (0, 1), got 1.5"),
+    "infinite leaky slope": (
+        "build-graph", append("[model]\nleaky_slope = inf\n"),
+        "[model] leaky_slope must be finite, got inf"),
+    "NaN leaky slope": (
+        "build-graph", append("[model]\nleaky_slope = nan\n"),
+        "[model] leaky_slope must be finite, got nan"),
     "zero hidden": (
         "build-graph", append("[model]\nhidden = 0\n"), "[model] hidden must be >= 1"),
     "two split ratios": (

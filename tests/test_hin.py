@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hinddi.hin import (
     RELATIONS,
@@ -17,6 +19,7 @@ from hinddi.hin import (
     load_relation,
     save_hin,
     stats,
+    unique_rows,
     validate,
 )
 from tests.conftest import coord_set, make_hin
@@ -79,6 +82,14 @@ class TestLoadRelation:
             assert ddi.dtype == np.int64
             assert ddi.tolist() == [[0, 1], [1, 2]]
         assert build_hin(reg, empty).ddi.shape == (0, 2)
+
+    def test_strict_ddi_names_the_unknown_id(self, tmp_path):
+        f = write(tmp_path / "ddi.tsv", "d1\td9\n")
+        reg = EntityRegistry()
+        reg.add(EntityKind.DRUG, "d1")
+        with pytest.raises(SchemaError, match="^unknown drug id 'd9'$"):
+            load_ddi(f, reg, mode="strict")
+        assert reg.ids(EntityKind.DRUG) == ["d1"]
 
     def test_ddi_self_pair_rejected(self, tmp_path):
         f = write(tmp_path / "ddi.tsv", "d1\td1\n")
@@ -221,3 +232,19 @@ class TestRelationMatrix:
             build_hin(EntityRegistry(), empty)
         with pytest.raises(SchemaError, match="expected"):
             build_hin(EntityRegistry(), empty | {"H": empty["T"], "X": empty["T"]})
+
+
+@settings(max_examples=80, deadline=None)
+@given(rows=st.lists(st.tuples(st.integers(-5, 40), st.integers(-5, 40)), max_size=30),
+       far=st.sampled_from([0, 2**40]), presort=st.booleans())
+def test_unique_rows_equal_np_unique_on_rows(rows, far, presort):
+    # `far` pushes one column past the range the int64 keys can hold
+    pairs = np.array(rows, dtype=np.int64).reshape(-1, 2)
+    pairs[:, 1] += far
+    if presort:
+        pairs = np.unique(pairs, axis=0)
+    got = unique_rows(pairs)
+    want = np.unique(pairs, axis=0)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert not np.shares_memory(got, pairs)
