@@ -19,16 +19,19 @@ Four are fused, each one tape node with a hand-written adjoint:
 Every op result is checked for NaN and Inf, and a fused op also checks the
 intermediates that a later squashing step (tanh, sigmoid) would hide.
 
-`graph_attention` has two branches for a learned alpha, chosen per call
-from the density of the neighbor mask (nonzeros / n^2). Below
-`SPARSE_DENSITY` (5%) it works on the mask's E edges in CSR order: (E, K)
-scores, a segment softmax per row, dropout drawn per edge and head, and
-row and column sums as products with the (n, E) edge incidence, so its
-time and memory grow with E. Otherwise it works on dense (n, n) arrays per
-head, whose cost does not depend on the density. Measured fwd+bwd time of
-one meta-path (8 heads of 8, float32, random symmetric masks; 2-vCPU
-guest, BLAS on one thread, median of 11-40 interleaved runs), dense vs
-edges, in training (dropout 0.6) and in eval mode (no dropout):
+`graph_attention` reads its neighbor mask as a canonical boolean CSR array,
+the one form `metapath.NeighborGraph` stores, and has two branches for a
+learned alpha, chosen per call from the mask's density (nnz / n^2). Below
+`SPARSE_DENSITY` (5%) it works on the mask's E edges in the order of its
+`indptr` and `indices`, taken as they are: (E, K) scores, a segment
+softmax per row, dropout drawn per edge and head, and row and column sums
+as products with the (n, E) edge incidence, so its time and memory grow
+with E. Otherwise it works per head on dense (n, n) arrays from the
+densified mask, whose cost does not depend on the density. Measured
+fwd+bwd time of one meta-path (8 heads of 8, float32, random symmetric
+masks; 2-vCPU guest, BLAS on one thread, median of 11-40 interleaved
+runs), dense vs edges, in training (dropout 0.6) and in eval mode (no
+dropout):
 
     n       5%             10%            14%            18%
     train
@@ -259,7 +262,7 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool) ->
 SPARSE_DENSITY = 0.05
 
 
-def graph_attention(h: Tensor, a: Tensor | None, mask: np.ndarray, *,
+def graph_attention(h: Tensor, a: Tensor | None, mask, *,
                     heads: int, slope: float, dropout: float = 0.0,
                     rng: np.random.Generator | None = None,
                     fixed: np.ndarray | None = None) -> tuple[Tensor, list[Tensor]]:
@@ -267,17 +270,22 @@ def graph_attention(h: Tensor, a: Tensor | None, mask: np.ndarray, *,
 
     Head k owns columns [k*F, (k+1)*F) of the (n, K*F) projection `h`. It
     scores pair (i, j) as leaky_relu(a[k, :F] . h_k[i] + a[k, F:] . h_k[j]),
-    softmax-normalizes each row over the (n, n) bool `mask` (self-loops
+    softmax-normalizes each row over the (n, n) `mask` (self-loops
     required) into alpha_k and writes alpha_k @ h_k, before any
     activation, into its own columns. A constant (n, n) `fixed` alpha
-    replaces the learned one for every head; `a` is then None.
+    replaces the learned one for every head; `a` and `mask` are then
+    unused, and `a` is None.
 
-    A learned alpha is computed on the mask's E edges when fewer than
-    `SPARSE_DENSITY` of the mask's entries are set, and on dense (n, n)
-    arrays otherwise; a fixed alpha is always dense. The two branches agree
-    to rounding. With `dropout` > 0 the dense branch drops out each alpha_k
-    with one (n, n) draw from `rng`, in head order; the edge branch drops
-    out all heads with one (E, K) draw, edges in row-major order.
+    `mask` is a bool `scipy.sparse.csr_array` in canonical format (sorted
+    indices, no duplicates, no stored False), as `NeighborGraph.mask` holds
+    it; any other sparse mask raises ContractError, and a dense bool array
+    is converted. A learned alpha is computed on the mask's E edges, laid
+    out as its `indptr` and `indices` give them, when its nnz is under
+    `SPARSE_DENSITY` of n^2, and on the densified mask otherwise; a fixed
+    alpha is always dense. The two branches agree to rounding. With
+    `dropout` > 0 the dense branch drops out each alpha_k with one (n, n)
+    draw from `rng`, in head order; the edge branch drops out all heads
+    with one (E, K) draw, edges in row-major order.
 
     Returns the node and the K alphas before dropout, uncopied: (n, n)
     arrays on the dense branch, `scipy.sparse.csr_array`s on the mask's
@@ -298,8 +306,14 @@ def graph_attention(h: Tensor, a: Tensor | None, mask: np.ndarray, *,
         _check_dtypes(op, h, a)
         _require_shape(op, a.shape == (heads, 2 * f),
                        f"attention matrix shape {a.shape}, expected ({heads}, {2 * f})")
-        mask = np.asarray(mask, dtype=bool)
-        _require_shape(op, mask.shape == (n, n), f"mask shape {mask.shape} for {n} nodes")
+        _require_shape(op, np.shape(mask) == (n, n),
+                       f"mask shape {np.shape(mask)} for {n} nodes")
+        if not sp.issparse(mask):
+            mask = sp.csr_array(np.asarray(mask, dtype=bool))
+        elif not (mask.format == "csr" and mask.dtype == bool
+                  and mask.has_canonical_format and mask.data.all()):
+            raise ContractError(f"{op}: a sparse neighbor mask must be a bool CSR array "
+                                f"with sorted indices, no duplicates and no stored False")
         missing = np.flatnonzero(~mask.diagonal())
         if missing.size:
             raise ContractError(f"{op}: neighbor mask must include self-loops "
@@ -310,11 +324,13 @@ def graph_attention(h: Tensor, a: Tensor | None, mask: np.ndarray, *,
         _require_shape(op, fixed.shape == (n, n), f"fixed alpha shape {fixed.shape} for {n} nodes")
         parents = (h,)
     s = dt.type(slope)
-    if fixed is None and np.count_nonzero(mask) < SPARSE_DENSITY * n * n:
+    if fixed is not None:
+        out, alphas, bwd = _attention_dense(hd, None, None, fixed, heads, s, dropout, rng)
+    elif mask.nnz < SPARSE_DENSITY * n * n:
         out, alphas, bwd = _attention_edges(hd, a.data, mask, heads, s, dropout, rng)
     else:
-        out, alphas, bwd = _attention_dense(hd, None if a is None else a.data, mask,
-                                            fixed, heads, s, dropout, rng)
+        out, alphas, bwd = _attention_dense(hd, a.data, mask.toarray(), None,
+                                            heads, s, dropout, rng)
     return (_node(out, op, parents, bwd),
             [_node(alpha, f"{op}.alpha", (), None) for alpha in alphas])
 
@@ -408,20 +424,24 @@ def _attention_dense(hd, a, mask, fixed, heads, s, dropout, rng):
 
 
 def _attention_edges(hd, a, mask, heads, s, dropout, rng):
-    """`graph_attention` with a learned alpha on the E edges of `mask`, all
-    K heads at once: scores, alphas and dropout are (E, K) arrays with
-    edges in row-major (CSR) order. Row maxima are `np.maximum.reduceat`
-    over the row pointer; row and column sums are products with the (n, E)
-    incidence of each node's row and column edges. Returns what
-    `_attention_dense` returns."""
+    """`graph_attention` with a learned alpha on the E edges of the canonical
+    CSR `mask`, all K heads at once: scores, alphas and dropout are (E, K)
+    arrays with edges in the mask's row-major order. Row maxima are
+    `np.maximum.reduceat` over the row pointer; row and column sums are
+    products with the (n, E) incidences of each node's row and column
+    edges, built from the mask's arrays without a sort, which add each
+    node's edges in edge order. Returns what `_attention_dense` returns."""
     n, width = hd.shape
     f = width // heads
     dt = hd.dtype
-    rows, cols = np.divmod(np.flatnonzero(mask), n)
-    edge, ones = np.arange(rows.size), np.ones(rows.size, dtype=dt)
-    row_sum = sp.csr_array((ones, (rows, edge)), shape=(n, rows.size))
-    col_sum = sp.csr_array((ones, (cols, edge)), shape=(n, rows.size))
-    starts = row_sum.indptr[:-1]  # every row holds its self-loop: none is empty
+    indptr, cols = mask.indptr, mask.indices
+    edges = cols.size
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    ones = np.ones(edges, dtype=dt)
+    row_sum = sp.csr_array((ones, np.arange(edges), indptr), shape=(n, edges))
+    # the transpose of the (E, n) CSR that holds edge e's column in row e
+    col_sum = sp.csr_array((ones, cols, np.arange(edges + 1)), shape=(edges, n)).T
+    starts = indptr[:-1]  # every row holds its self-loop: none is empty
 
     h3 = hd.reshape(n, heads, f)
     src = np.einsum("nkf,kf->nk", h3, a[:, :f])
@@ -453,7 +473,7 @@ def _attention_edges(hd, a, mask, heads, s, dropout, rng):
                              np.einsum("nk,nkf->kf", d_dst, h3)], axis=1)
         return [dh, da]
 
-    alphas = [sp.csr_array((alpha[:, k], cols, row_sum.indptr), shape=(n, n))
+    alphas = [sp.csr_array((alpha[:, k], cols, indptr), shape=(n, n))
               for k in range(heads)]
     return out, alphas, bwd
 

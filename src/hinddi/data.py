@@ -44,7 +44,8 @@ class SplitError(ValueError):
 def check_ratios(ratios) -> tuple[float, float, float]:
     """The edge split's train/validation/test ratios, as floats."""
     ratios = tuple(float(r) for r in ratios)
-    if len(ratios) != 3 or any(r < 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
+    # not r >= 0 also rejects NaN, which every comparison fails
+    if len(ratios) != 3 or not all(r >= 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
         raise SplitError(f"ratios must be three nonnegative values summing to 1, got {ratios}")
     return ratios
 

@@ -3,7 +3,8 @@
 A meta-path is a chain of typed relation steps starting and ending at
 drugs. Its commuting matrix is the integer product of the step matrices;
 entry (i, j) counts concrete path instances from drug i to drug j. The
-encoder consumes the binarized form with self-loops added.
+encoder consumes the binarized form with self-loops added, held as one
+canonical boolean CSR array that graph attention reads as it is.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .hin import RELATIONS, EntityKind, Hin, SchemaError
 
@@ -111,13 +113,23 @@ def commuting_matrix(hin: Hin, spec: MetaPathSpec) -> CommutingMatrix:
 
 @dataclass(frozen=True)
 class NeighborGraph:
-    """Boolean drug adjacency for one meta-path, self-loops included."""
+    """Boolean drug adjacency for one meta-path, self-loops included, held
+    only as an (n_drugs, n_drugs) bool `scipy.sparse.csr_array` in canonical
+    format (sorted indices, no duplicates, no stored False). Its `indptr`
+    and `indices` are the edge layout of `autodiff.graph_attention`."""
     name: str
-    adjacency: np.ndarray  # (n_drugs, n_drugs) bool
+    mask: sp.csr_array
+
+    @property
+    def adjacency(self) -> np.ndarray:
+        """The mask as a new read-only dense bool array."""
+        adj = self.mask.toarray()
+        adj.flags.writeable = False
+        return adj
 
     @property
     def n_nodes(self) -> int:
-        return self.adjacency.shape[0]
+        return self.mask.shape[0]
 
 
 def neighbor_graph(m: CommutingMatrix, threshold: int = 1) -> NeighborGraph:
@@ -126,4 +138,10 @@ def neighbor_graph(m: CommutingMatrix, threshold: int = 1) -> NeighborGraph:
         raise ValueError(f"binarization threshold must be >= 1, got {threshold}")
     adj = m.counts >= threshold
     np.fill_diagonal(adj, True)
-    return NeighborGraph(m.name, adj)
+    n = adj.shape[0]
+    idx = sp.get_index_dtype(maxval=adj.size)  # int32 unless n^2 overflows it
+    # flat indices run row by row, so each row's columns come out sorted
+    cols = (np.flatnonzero(adj) % n).astype(idx)
+    indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(adj, axis=1))]).astype(idx)
+    return NeighborGraph(m.name, sp.csr_array((np.ones(cols.size, dtype=bool), cols, indptr),
+                                              shape=(n, n)))

@@ -6,11 +6,10 @@ fused `graph_attention` node scores each head's neighbors (leaky-relu of
 that head's row of a (K, 2F) attention matrix applied to the concatenated
 pair projection), normalizes the scores by a masked softmax over the
 neighbor mask and aggregates; one activation node follows. The attention
-node works on the graph's edges when the graph is under 5% dense (on
-paper-scale data DID-1 and DID-2, about 1%), so a sparse graph costs time
-and memory in proportion to its edges and its alphas are CSR arrays, and
-on dense (n, n) arrays otherwise. One `semantic_attention` node scores
-each meta-path embedding through a small tanh layer and fuses them with
+node reads each graph's CSR mask as `NeighborGraph` stores it; the
+`autodiff` module docstring says when it works on the graph's edges and
+when on dense (n, n) arrays. One `semantic_attention` node scores each
+meta-path embedding through a small tanh layer and fuses them with
 softmax weights beta. One `pair_scores` node gives pair probabilities, the
 sigmoid of the dot product of the fused embeddings, and one
 `binary_cross_entropy` node gives the training loss. Whatever the number
@@ -211,7 +210,7 @@ def encode(params: ModelParams, features: np.ndarray,
     for mp in params.metapaths:
         fixed = None if fixed_alpha is None else fixed_alpha.get(mp)
         z, alphas_out[mp] = ad.graph_attention(
-            h, params.attn[mp] if fixed is None else None, graphs[mp].adjacency,
+            h, params.attn[mp] if fixed is None else None, graphs[mp].mask,
             heads=config.heads, slope=config.leaky_slope, dropout=rate, rng=rng,
             fixed=fixed)
         z_mp[mp] = ad.apply_unary(config.activation, z, act_slope)

@@ -19,8 +19,8 @@ import numpy as np
 
 from .espf import FINGERPRINT_BITS
 from .hin import RELATIONS, EntityKind, EntityRegistry, RelationMatrix, build_hin
-from .metapath import NeighborGraph, builtin_specs, commuting_matrix, neighbor_graph
-from .pipeline import INPUT_FILES
+from .metapath import builtin_spec_names
+from .pipeline import INPUT_FILES, make_graphs
 
 __all__ = ["PlantedDataset", "generate_planted", "write_planted", "desk_instance"]
 
@@ -170,9 +170,7 @@ def desk_instance(seed: int = 0, n_drugs: int = 12, n_proteins: int = 8,
         relations[name] = RelationMatrix.from_pairs((rows, cols), pairs)
     hin = build_hin(reg, relations)
 
-    graphs: dict[str, NeighborGraph] = {}
-    for spec in builtin_specs():
-        graphs[spec.name] = neighbor_graph(commuting_matrix(hin, spec))
+    graphs = make_graphs(hin, builtin_spec_names())
     features = rng.random((n_drugs, d0))
     pair_list = [(i, j) for i in range(n_drugs) for j in range(i + 1, n_drugs)]
     order = rng.permutation(len(pair_list))[:3 * n_drugs]

@@ -3,6 +3,7 @@ evaluation helpers, and the two attention-ablation variants."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,10 +56,11 @@ class TrainConfig:
             raise ParameterError(f"epochs must be >= 1, got {self.epochs}")
         if self.patience < 0:
             raise ParameterError(f"patience must be >= 0, got {self.patience}")
-        if not self.lr > 0:
-            raise ParameterError(f"lr must be > 0, got {self.lr}")
-        if self.weight_decay < 0:
-            raise ParameterError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not 0 < self.lr < math.inf:
+            raise ParameterError(f"lr must be > 0 and finite, got {self.lr}")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ParameterError(f"weight_decay must be >= 0 and finite, "
+                                 f"got {self.weight_decay}")
 
 
 @dataclass

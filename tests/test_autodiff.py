@@ -184,6 +184,85 @@ class TestAttentionOnEdges:
         assert rng.random() == after
 
 
+def csr_parts(mask):
+    """Copies of a sparse mask's data, indices and indptr."""
+    return [np.array(x) for x in (mask.data, mask.indices, mask.indptr)]
+
+
+def same_bits(x, y):
+    """Equal dtype, shape and bytes; a CSR array compares all three parts."""
+    if sp.issparse(x):
+        return sp.issparse(y) and all(same_bits(u, v)
+                                      for u, v in zip(csr_parts(x), csr_parts(y)))
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+class TestCsrMask:
+    """`graph_attention` reads a canonical bool CSR mask as it is; a dense
+    mask is converted to one."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("dropout", [0.0, 0.6])
+    @pytest.mark.parametrize("branch", ["edges", "dense"])
+    def test_csr_and_dense_masks_give_the_same_bits(self, branch, dropout, dtype):
+        rng = np.random.default_rng(21)
+        n, heads, f = 64, 2, 3
+        if branch == "edges":
+            mask = ring_mask(n, chords=[(1, 33), (7, 50)], isolated=[12])
+        else:
+            mask = rng.random((n, n)) < 0.3
+            mask |= mask.T | np.eye(n, dtype=bool)
+        assert (np.count_nonzero(mask) < ad.SPARSE_DENSITY * n * n) == (branch == "edges")
+        h = rng.standard_normal((n, heads * f)).astype(dtype)
+        a = rng.standard_normal((heads, 2 * f)).astype(dtype)
+        g = rng.standard_normal((n, heads * f)).astype(dtype)
+        runs = []
+        for given in (sp.csr_array(mask), mask):
+            draws = np.random.default_rng(3)
+            node, alphas = ad.graph_attention(
+                Tensor(h, requires_grad=True), Tensor(a, requires_grad=True), given,
+                heads=heads, slope=0.2, dropout=dropout, rng=draws)
+            runs.append((node.data, [alpha.data for alpha in alphas],
+                         node._backward(g), draws.random()))
+        (out, alphas, adjoints, after), (out_d, alphas_d, adjoints_d, after_d) = runs
+        assert same_bits(out, out_d)
+        assert all(same_bits(x, y) for x, y in zip(alphas, alphas_d, strict=True))
+        assert all(same_bits(x, y) for x, y in zip(adjoints, adjoints_d, strict=True))
+        assert after == after_d
+        assert sp.issparse(alphas[0]) == (branch == "edges")
+
+    @pytest.mark.parametrize("fault", ["duplicate", "unsorted", "stored False",
+                                       "int dtype", "COO format"])
+    def test_non_canonical_mask_rejected_and_left_as_given(self, fault):
+        n = 4
+        indptr = np.array([0, 2, 4, 5, 7])
+        indices = np.array([0, 1, 0, 1, 2, 2, 3])
+        data = np.ones(7, dtype=bool)
+        if fault == "duplicate":
+            indices[1] = 0
+        elif fault == "unsorted":
+            indices[[5, 6]] = indices[[6, 5]]
+        elif fault == "stored False":
+            data[1] = False
+        elif fault == "int dtype":
+            data = data.astype(np.int64)
+        mask = sp.csr_array((data, indices, indptr), shape=(n, n))
+        if fault == "COO format":
+            mask = mask.tocoo()
+        before = csr_parts(mask) if mask.format == "csr" else None
+        h, a = Tensor(np.ones((n, 2))), Tensor(np.zeros((1, 4)))
+        with pytest.raises(ad.ContractError, match="bool CSR"):
+            ad.graph_attention(h, a, mask, heads=1, slope=0.2)
+        if before is not None:
+            assert all(same_bits(x, y) for x, y in zip(csr_parts(mask), before))
+
+    def test_wrong_shape_rejected(self):
+        h, a = Tensor(np.ones((4, 2))), Tensor(np.zeros((1, 4)))
+        with pytest.raises(ad.ShapeError, match="mask shape"):
+            ad.graph_attention(h, a, sp.csr_array(np.eye(5, dtype=bool)),
+                               heads=1, slope=0.2)
+
+
 class TestDropout:
     def test_rate_zero_is_identity(self):
         x = Tensor(np.arange(6, dtype=np.float32))

@@ -1,6 +1,7 @@
 """Command-line surface: pipeline wiring, error paths, manifests."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -350,11 +351,14 @@ class TestGradcheck:
 
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
+        # the child imports hinddi from where this process did, whether or
+        # not PYTHONPATH names it
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
         result = subprocess.run(
             [sys.executable, "-m", "hinddi", "synth", "--out",
              str(tmp_path / "d"), "--drugs", "10", "--proteins", "20",
              "--group-size", "5"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert result.returncode == 0, result.stderr
         assert (tmp_path / "d" / "ddi.tsv").exists()
 

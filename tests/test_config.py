@@ -266,6 +266,18 @@ BAD_INPUTS = {
     "negative weight decay": (
         "build-graph", append("[training]\nweight_decay = -0.1\n"),
         "[training] weight_decay must be >= 0"),
+    "infinite lr": (
+        "build-graph", append("[training]\nlr = inf\n"),
+        "[training] lr must be > 0 and finite, got inf"),
+    "infinite weight decay": (
+        "build-graph", append("[training]\nweight_decay = inf\n"),
+        "[training] weight_decay must be >= 0 and finite, got inf"),
+    "NaN weight decay": (
+        "build-graph", append("[training]\nweight_decay = nan\n"),
+        "[training] weight_decay must be >= 0 and finite, got nan"),
+    "NaN split ratio": (
+        "build-graph", append("[split]\nratios = nan, 0.5, 0.5\n"),
+        "[split] ratios must be three nonnegative values summing to 1, got (nan, 0.5, 0.5)"),
     "unknown protocol": (
         "build-graph", append("[split]\nprotocol = random\n"),
         "[split] protocol must be one of edges, coldstart"),

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from hinddi.hin import EntityKind, SchemaError
 from hinddi.metapath import (
@@ -129,6 +130,30 @@ class TestNeighborGraph:
             for spec in builtin_specs():
                 g = neighbor_graph(commuting_matrix(hin, spec))
                 assert g.adjacency.any(axis=1).all()
+
+    @pytest.mark.parametrize("threshold", [1, 2, 3])
+    def test_canonical_csr_matches_dense_oracle(self, threshold):
+        rng = np.random.default_rng(40 + threshold)
+        for _ in range(10):
+            hin = random_hin(rng)
+            for spec in builtin_specs():
+                counts = commuting_matrix(hin, spec).counts
+                g = neighbor_graph(CommutingMatrix(spec.name, counts), threshold)
+                mask = g.mask
+                assert isinstance(mask, sp.csr_array) and mask.dtype == bool
+                assert mask.data.all()
+                # sorted and unique within each row: row-major keys strictly rise
+                rows = np.repeat(np.arange(hin.n_drugs), np.diff(mask.indptr))
+                assert np.all(np.diff(rows * hin.n_drugs + mask.indices) > 0)
+                expect = (counts >= threshold) | np.eye(hin.n_drugs, dtype=bool)
+                np.testing.assert_array_equal(mask.toarray(), expect)
+                np.testing.assert_array_equal(g.adjacency, expect)
+                assert g.n_nodes == hin.n_drugs
+
+    def test_adjacency_is_read_only(self):
+        g = neighbor_graph(CommutingMatrix("DID-1", np.zeros((3, 3), dtype=np.int64)))
+        with pytest.raises(ValueError, match="read-only"):
+            g.adjacency[0, 1] = True
 
     def test_bad_threshold_rejected(self):
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from hinddi import autodiff as ad
 from hinddi.autodiff import ContractError, ShapeError, Tensor, backward
@@ -52,14 +53,15 @@ def random_graphs(rng, n, names=None, density=0.3, dtype=bool):
         adj = rng.random((n, n)) < density
         adj |= adj.T
         np.fill_diagonal(adj, True)
-        graphs[name] = NeighborGraph(name, adj)
+        graphs[name] = NeighborGraph(name, sp.csr_array(adj))
     return graphs
 
 
 def ring_graphs(rng, n=64, names=None):
     """Graphs under `autodiff.SPARSE_DENSITY`: a ring with two random
     chords per meta-path."""
-    return {name: NeighborGraph(name, ring_mask(n, chords=rng.integers(0, n, (2, 2))))
+    return {name: NeighborGraph(name, sp.csr_array(
+                ring_mask(n, chords=rng.integers(0, n, (2, 2)))))
             for name in names or builtin_spec_names()}
 
 
@@ -349,7 +351,7 @@ class TestForward:
 
         perm = rng.permutation(7)
         inv = np.argsort(perm)
-        graphs_p = {mp: NeighborGraph(mp, g.adjacency[perm][:, perm])
+        graphs_p = {mp: NeighborGraph(mp, sp.csr_array(g.adjacency[perm][:, perm]))
                     for mp, g in graphs.items()}
         pairs_p = inv[pairs]
         scores_p, out_p = forward(params, features[perm], graphs_p, pairs_p, config)
