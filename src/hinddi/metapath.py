@@ -100,11 +100,14 @@ def _step_csr(hin: Hin, step: MetaPathStep):
 
 
 def commuting_matrix(hin: Hin, spec: MetaPathSpec) -> CommutingMatrix:
-    """Left-to-right sparse integer product of the spec's step matrices."""
-    product = _step_csr(hin, spec.steps[0])
-    for step in spec.steps[1:]:
-        product = product @ _step_csr(hin, step)
-    counts = np.asarray(product.todense(), dtype=np.int64)
+    """Left-to-right integer product of the spec's step matrices: sparse up
+    to the last step, then sparse by dense. A near-complete count matrix
+    costs a sparse product far more in index bookkeeping than a dense one."""
+    *head, last = (_step_csr(hin, step) for step in spec.steps)
+    product = head[0]
+    for step in head[1:]:
+        product = product @ step
+    counts = product @ last.toarray()
     n = hin.n_drugs
     if counts.shape != (n, n):
         raise SchemaError(f"{spec.name}: product shape {counts.shape}, expected {(n, n)}")

@@ -1,5 +1,6 @@
 """Tensor core: forward semantics, adjoints vs finite differences, Adam."""
 
+import sys
 import tracemalloc
 
 import numpy as np
@@ -472,18 +473,26 @@ class TestAdjoints:
         _fd_check_op(f, 1)
 
 
-def _dense_attention_results(attend, h, a, mask, fixed, heads, slope, dropout, g):
-    """Output, alphas, adjoints and the next draw of the dropout generator."""
-    rng = np.random.default_rng(5)
+def _dense_attention_results(attend, h, a, mask, fixed, heads, slope, dropout, g, rng):
+    """Output, alphas, adjoints and the next draws of the dropout generator."""
     out, alphas, bwd = attend(h, a, mask, fixed, heads, h.dtype.type(slope), dropout, rng)
     return {"out": out, **{f"alpha{k}": x for k, x in enumerate(alphas)},
             **{f"adjoint{k}": x for k, x in enumerate(bwd(g))},
+            "next float32 draw": np.array(rng.random(dtype=np.float32)),
             "next draw": np.array(rng.random())}
+
+
+def _split_heads(monkeypatch, workers):
+    """Run dense attention at any n in `workers` head groups (1: serially)."""
+    if workers > 1:
+        monkeypatch.setattr(ad, "PARALLEL_MIN_NODES", 0)
+        monkeypatch.setattr(ad, "_usable_cores", lambda: workers)
 
 
 class TestDenseAttentionMatchesOracleBitForBit:
     """`_attention_dense` against `reference_attention_dense`: every output
-    byte-identical, so training histories do not move."""
+    byte-identical, so training histories do not move, whether the heads
+    run serially, in 2 uneven groups or in 3 groups of one."""
 
     N, HEADS, F = 37, 3, 4
 
@@ -500,13 +509,16 @@ class TestDenseAttentionMatchesOracleBitForBit:
             mask[[0, 3, 3, 20, 36], [5, 1, 30, 19, 0]] = False
         return h.astype(dtype), a.astype(dtype), mask, g.astype(dtype)
 
-    def assert_bytes_equal(self, *args):
-        got = _dense_attention_results(ad._attention_dense, *args)
-        want = _dense_attention_results(reference_attention_dense, *args)
-        assert got.keys() == want.keys()
-        for name in want:
-            assert got[name].dtype == want[name].dtype, name
-            assert got[name].tobytes() == want[name].tobytes(), name
+    def assert_bytes_equal(self, *args, make_rng=lambda: np.random.default_rng(5)):
+        want = _dense_attention_results(reference_attention_dense, *args, make_rng())
+        for workers in (1, 2, 3):
+            with pytest.MonkeyPatch.context() as monkeypatch:
+                _split_heads(monkeypatch, workers)
+                got = _dense_attention_results(ad._attention_dense, *args, make_rng())
+            assert got.keys() == want.keys()
+            for name in want:
+                assert got[name].dtype == want[name].dtype, (workers, name)
+                assert got[name].tobytes() == want[name].tobytes(), (workers, name)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("dropout", [0.0, 0.6])
@@ -528,6 +540,88 @@ class TestDenseAttentionMatchesOracleBitForBit:
         fixed = np.random.default_rng(3).random((self.N, self.N)).astype(dtype)
         fixed /= fixed.sum(axis=1, keepdims=True)
         self.assert_bytes_equal(h, None, mask, fixed, self.HEADS, 0.2, dropout, g)
+
+    def test_generator_with_a_buffered_uint32(self):
+        # a float32 draw leaves half of a 64-bit output buffered; the next
+        # float32 draw after attention must still take it
+        def make_rng():
+            rng = np.random.default_rng(5)
+            rng.random(dtype=np.float32)
+            return rng
+        h, a, mask, g = self.inputs(np.float32, "holes")
+        self.assert_bytes_equal(h, a, mask, None, self.HEADS, 0.2, 0.6, g, make_rng=make_rng)
+
+    @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox])
+    def test_generator_that_cannot_skip_draws(self, bit_generator):
+        h, a, mask, g = self.inputs(np.float32, "holes")
+        self.assert_bytes_equal(h, a, mask, None, self.HEADS, 0.2, 0.6, g,
+                                make_rng=lambda: np.random.Generator(bit_generator(5)))
+
+
+class TestHeadGroups:
+    N, HEADS = 37, 3
+
+    @pytest.mark.parametrize("workers, heads", [(1, [[0, 1, 2]]), (2, [[0], [1, 2]]),
+                                                (3, [[0], [1], [2]])])
+    def test_contiguous_groups_and_their_draws(self, monkeypatch, workers, heads):
+        _split_heads(monkeypatch, workers)
+        rng = np.random.default_rng(5)
+        groups, gens = ad._head_groups(self.HEADS, self.N, rng)
+        assert [list(group) for group in groups] == heads and gens[0] is rng
+        serial = np.random.default_rng(5).random((self.HEADS, self.N, self.N))
+        for group, gen in zip(groups, gens):
+            assert gen.random((self.N, self.N)).tobytes() == serial[group.start].tobytes()
+
+    def test_one_group_below_the_threshold_or_on_one_core(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        monkeypatch.setattr(ad, "_usable_cores", lambda: 2)
+        n = ad.PARALLEL_MIN_NODES
+        assert ad._head_groups(8, n - 1, rng) == ([range(8)], [rng])
+        assert len(ad._head_groups(8, n, rng)[0]) == 2
+        monkeypatch.setattr(ad, "_usable_cores", lambda: 1)
+        assert ad._head_groups(8, n, rng) == ([range(8)], [rng])
+
+    def test_no_generator_in_eval_mode(self, monkeypatch):
+        _split_heads(monkeypatch, 2)
+        assert ad._head_groups(4, self.N, None) == ([range(2), range(2, 4)], [None, None])
+
+    def test_more_groups_than_cores_under_fast_thread_switches(self, monkeypatch):
+        # 8 groups on a fresh pool of 7 threads, switching threads as often
+        # as the interpreter allows: a lost or misplaced write changes a byte
+        _split_heads(monkeypatch, 8)
+        monkeypatch.setattr(ad, "_pool", None)
+        rng = np.random.default_rng(2)
+        n, heads, f = 64, 8, 4
+        h, g = (rng.standard_normal((n, heads * f)) for _ in range(2))
+        a = rng.standard_normal((heads, 2 * f))
+        mask = rng.random((n, n)) < 0.5
+        np.fill_diagonal(mask, True)
+        args = (h, a, mask, None, heads, 0.2, 0.6, g)
+        want = _dense_attention_results(reference_attention_dense, *args,
+                                        np.random.default_rng(5))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                got = _dense_attention_results(ad._attention_dense, *args,
+                                               np.random.default_rng(5))
+                assert all(got[k].tobytes() == want[k].tobytes() for k in want)
+        finally:
+            sys.setswitchinterval(interval)
+            ad._pool.shutdown(wait=True)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_overflowing_scores_raise_under_errstate(self, monkeypatch, workers):
+        # only the last head's scores overflow; with two groups a pool
+        # thread computes it, and the caller's np.errstate must hold there
+        _split_heads(monkeypatch, workers)
+        n, f = 6, 2
+        h = Tensor(np.ones((n, self.HEADS * f), dtype=np.float32))
+        a = np.zeros((self.HEADS, 2 * f), dtype=np.float32)
+        a[2] = 1e38                                     # src + dst = 4e38
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            ad.graph_attention(h, Tensor(a), np.ones((n, n), dtype=bool),
+                               heads=self.HEADS, slope=0.2)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -362,6 +362,26 @@ class TestEntryPoint:
         assert result.returncode == 0, result.stderr
         assert (tmp_path / "d" / "ddi.tsv").exists()
 
+    def test_planted_run_starts_no_thread(self, tmp_path):
+        # 50 drugs are below autodiff.PARALLEL_MIN_NODES, so graph attention
+        # runs every head on the calling thread and no pool is created
+        cfg = quick_synth(tmp_path, drugs=50, epochs=10)
+        script = ("import sys, threading\n"
+                  "before = threading.active_count()\n"
+                  "from hinddi.cli import main\n"
+                  "cfg = sys.argv[1]\n"
+                  "for cmd in ('build-graph', 'featurize', 'train'):\n"
+                  "    assert main([cmd, '--config', cfg]) == 0, cmd\n"
+                  "assert main(['evaluate', '--config', cfg, '--checkpoint',\n"
+                  "             sys.argv[2]]) == 0\n"
+                  "print(before, threading.active_count())\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        result = subprocess.run(
+            [sys.executable, "-c", script, str(cfg), str(tmp_path / "out" / "checkpoint.bin")],
+            capture_output=True, text=True, env=env)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1].split() == ["1", "1"]
+
     def test_unknown_metapath_rejected(self, tmp_path, capsys):
         cfg = quick_synth(tmp_path, seed=7)
         assert run_cli("build-graph", "--config", cfg,

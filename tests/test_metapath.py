@@ -84,6 +84,7 @@ class TestCommutingMatrix:
             for spec in builtin_specs():
                 counts = commuting_matrix(hin, spec).counts
                 oracle = brute_force_path_counts(hin, spec)
+                assert counts.dtype == np.int64
                 for i in range(hin.n_drugs):
                     for j in range(hin.n_drugs):
                         assert counts[i, j] == oracle[i, j]
