@@ -347,7 +347,7 @@ def cmd_predict(args, cfg: RunConfig) -> int:
 
     registry = hin.registry
     requested = []
-    for lineno, a, b in load_pairs(args.pairs):
+    for lineno, a, b in zip(*load_pairs(args.pairs)):
         i = registry.index_of(EntityKind.DRUG, a)
         j = registry.index_of(EntityKind.DRUG, b)
         if i == j:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hin import pair_array
+from .hin import pair_array, sorted_unique
 
 __all__ = [
     "SplitBundle",
@@ -68,7 +68,7 @@ def _positive_ids(ddis, n_drugs: int) -> np.ndarray:
     if self_pairs.size:
         i, j = pairs[self_pairs[0]]
         raise SplitError(f"self-pair ({i}, {j}) is not a valid example")
-    return np.unique(pairs.min(axis=1) * n_drugs + pairs.max(axis=1))
+    return sorted_unique(pairs.min(axis=1) * n_drugs + pairs.max(axis=1))
 
 
 def _sample_pair_ids(candidates: np.ndarray, count: int,

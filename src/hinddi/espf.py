@@ -8,14 +8,30 @@ merge only for the sequences that held the merged pair, as in incremental
 BPE. Drugs are then encoded as bags of final units. Precomputed
 167-bit structural fingerprints can be ingested instead, both as the
 drug-substructure relation matrix and (optionally) as initial features.
+
+Encoding replays the merges once over the whole corpus rather than once
+per drug. Each distinct unit (token, merge part or merge product) becomes
+one character of its own, chr(1) upwards, each drug the string of its
+units' characters, and the corpus those strings joined by chr(0). A merge
+(left, right) is then one `str.replace` of a two-character string by the
+product's character. That equals `_merge_sequence` on every drug: a match
+covers exactly two adjacent units equal to left and right, since every
+character is a whole unit; `str.replace` takes matches left to right
+without overlap, as `_merge_sequence` does; and no match spans two drugs,
+since chr(0) is no unit's character. Units equal as strings share a
+character, as they compare equal in `_merge_sequence`. Because the
+characters are assigned, not taken from the SMILES text, any text is safe,
+control characters and the separator's own code point included.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from .hin import EntityKind, EntityRegistry, RelationMatrix, RelationParseError, load_pairs
 
@@ -52,7 +68,10 @@ def tokenize_smiles(s: str) -> list[str]:
 
     Bracket atoms `[...]` and the two-letter elements Cl/Br are single
     tokens; every other character is its own token. Joining the tokens
-    reproduces the input exactly.
+    reproduces the input exactly. Any character is accepted, inside a
+    bracket atom or not: encoding gives each unit a character of its own
+    (see the module docstring), so no text collides with the replay, and
+    every row equals a replay of the merges drug by drug.
     """
     if not s:
         raise SmilesError("empty SMILES string")
@@ -192,22 +211,34 @@ def build_vocab(corpus: list[list[str]], threshold: int = 5,
     return Vocabulary(tuple(units), n_base, tuple(merges), threshold, max_size)
 
 
-def _encode(tokens: list[str], vocab: Vocabulary, index: dict[str, int]) -> np.ndarray:
-    seq = list(tokens)
-    for left, right in vocab.merges:
-        if left in seq:
-            seq = _merge_sequence(seq, (left, right))
-    row = np.zeros(vocab.size, dtype=np.uint8)
-    for unit in seq:
-        k = index.get(unit)
-        if k is not None:
-            row[k] = 1
-            continue
-        for ch in unit:
-            k = index.get(ch)
-            if k is not None:
-                row[k] = 1
-    return row
+def _encode_corpus(corpus: list[list[str]], vocab: Vocabulary) -> np.ndarray:
+    """(len(corpus), vocab.size) uint8 presence rows, one per token
+    sequence; `encode_drug` gives the rules. The merges are replayed once
+    over the whole corpus, as one string in which each distinct unit is one
+    character of its own."""
+    products = [left + right for left, right in vocab.merges]
+    units = dict.fromkeys(chain(chain.from_iterable(corpus),
+                                chain.from_iterable(vocab.merges), products))
+    char = {unit: chr(k) for k, unit in enumerate(units, start=1)}  # chr(0) separates drugs
+    text = "\0".join("".join(map(char.__getitem__, tokens)) for tokens in corpus)
+    for (left, right), product in zip(vocab.merges, products):
+        text = text.replace(char[left] + char[right], char[product])
+
+    index = vocab.index()
+    bits = [[index[unit]] if unit in index else [index[c] for c in unit if c in index]
+            for unit in units]
+    indptr = np.cumsum([0, 0] + [len(b) for b in bits])
+    unit_bits = sp.csr_array((np.ones(indptr[-1], dtype=np.int64),
+                              np.fromiter(chain.from_iterable(bits), dtype=np.int64,
+                                          count=indptr[-1]),
+                              indptr), shape=(len(units) + 1, vocab.size))
+    codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+    drug = np.cumsum(codes == 0)
+    held = codes != 0
+    drug_units = sp.csr_array((np.ones(int(held.sum()), dtype=np.int64),
+                               (drug[held], codes[held])),
+                              shape=(len(corpus), len(units) + 1))
+    return ((drug_units @ unit_bits).toarray() > 0).astype(np.uint8)
 
 
 def encode_drug(tokens: list[str], vocab: Vocabulary) -> np.ndarray:
@@ -216,9 +247,9 @@ def encode_drug(tokens: list[str], vocab: Vocabulary) -> np.ndarray:
     Replays the merges in merge order, then sets the bit of every final
     unit. A residual unit not in the vocabulary falls back to the base-unit
     bits of its characters; characters never seen in the corpus contribute
-    nothing. A merge whose left unit is absent cannot apply and is skipped.
+    nothing. A merge whose left unit is absent cannot apply.
     """
-    return _encode(tokens, vocab, vocab.index())
+    return _encode_corpus([tokens], vocab)[0]
 
 
 @dataclass(frozen=True)
@@ -234,9 +265,43 @@ class FeatureMatrix:
         return self.values.shape[1]
 
 
+def _repeated_drug(path, lines: np.ndarray, drugs: list[str]):
+    """The position of the first line whose drug an earlier line gave, and
+    its RelationParseError, unraised; (len(drugs), None) when no drug
+    repeats."""
+    if len(dict.fromkeys(drugs)) == len(drugs):
+        return len(drugs), None
+    first: dict[str, int] = {}
+    for k, drug in enumerate(drugs):
+        if drug in first:
+            return k, RelationParseError(
+                f"{path}:{lines[k]}: drug {drug!r} repeats line {lines[first[drug]]}")
+        first[drug] = k
+
+
+def _bit_block(bits: list[str], width: int) -> tuple[np.ndarray | None, int]:
+    """The 0/1 strings `bits` as one (n, width) uint8 block, and the position
+    of the first string that is not `width` characters 0 or 1: n when all
+    are, and the block None when one is not."""
+    lengths = np.fromiter(map(len, bits), dtype=np.int64, count=len(bits))
+    values = np.frombuffer("".join(bits).encode("latin-1", "replace"),
+                           dtype=np.uint8) - np.uint8(ord("0"))
+    bad = lengths != width
+    other = np.flatnonzero(values > 1)
+    if other.size:
+        bad[np.searchsorted(np.cumsum(lengths), other[0], side="right")] = True
+    if bad.any():
+        return None, int(np.argmax(bad))
+    return values.reshape(len(bits), width), len(bits)
+
+
 def load_smiles(path) -> dict[str, str]:
-    """Read a drug_id -> SMILES TSV."""
-    return {drug: smiles for _, drug, smiles in load_pairs(path)}
+    """Read a drug_id -> SMILES TSV; a drug given twice is an error."""
+    lines, drugs, smiles = load_pairs(path)
+    _, repeated = _repeated_drug(path, lines, drugs)
+    if repeated:
+        raise repeated
+    return dict(zip(drugs, smiles))
 
 
 def smiles_in_registry_order(smiles_by_drug: dict[str, str],
@@ -254,11 +319,9 @@ def smiles_in_registry_order(smiles_by_drug: dict[str, str],
 def build_feature_matrix(smiles_by_drug: dict[str, str], vocab: Vocabulary,
                          registry: EntityRegistry) -> FeatureMatrix:
     """Encode every registered drug; missing SMILES is an error."""
-    index = vocab.index()
-    rows = [_encode(tokenize_smiles(s), vocab, index)
-            for s in smiles_in_registry_order(smiles_by_drug, registry)]
-    values = np.stack(rows) if rows else np.zeros((0, vocab.size), dtype=np.uint8)
-    return FeatureMatrix(tuple(registry.ids(EntityKind.DRUG)), values, "espf")
+    corpus = [tokenize_smiles(s) for s in smiles_in_registry_order(smiles_by_drug, registry)]
+    return FeatureMatrix(tuple(registry.ids(EntityKind.DRUG)),
+                         _encode_corpus(corpus, vocab), "espf")
 
 
 def save_vocab(vocab: Vocabulary, path) -> None:
@@ -325,33 +388,30 @@ def load_fingerprints(path, registry: EntityRegistry,
 
     Creates one substructure entity per bit position and the drug-
     substructure relation matrix from the set bits; the same bits double as
-    an optional initial feature matrix.
+    an optional initial feature matrix. The bitstrings are read as one
+    block. A drug given twice is an error, as is a bitstring of another
+    length or with a character other than 0/1; the drugs of the lines before
+    the first bad line are resolved first, as line by line.
     """
-    bit_index = [registry.add(EntityKind.SUBSTRUCTURE, _fingerprint_bit_id(bit))
-                 for bit in range(FINGERPRINT_BITS)]
-    rows: dict[str, np.ndarray] = {}
-    pairs = []
-    for lineno, drug, bits in load_pairs(path):
-        if len(bits) != FINGERPRINT_BITS or set(bits) - {"0", "1"}:
-            raise RelationParseError(
-                f"{path}:{lineno}: drug {drug!r} needs a {FINGERPRINT_BITS}-character "
-                f"0/1 bitstring, got {len(bits)} characters")
-        if mode == "discover":
-            d = registry.add(EntityKind.DRUG, drug)
-        else:
-            d = registry.index_of(EntityKind.DRUG, drug)
-        row = np.frombuffer(bits.encode("ascii"), dtype=np.uint8) - ord("0")
-        rows[drug] = row
-        pairs.extend((d, bit_index[bit]) for bit in np.flatnonzero(row))
+    bit_index = np.array([registry.add(EntityKind.SUBSTRUCTURE, _fingerprint_bit_id(bit))
+                          for bit in range(FINGERPRINT_BITS)], dtype=np.int64)
+    lines, drugs, bits = load_pairs(path)
+    block, bad = _bit_block(bits, FINGERPRINT_BITS)
+    again, repeated = _repeated_drug(path, lines, drugs)
+    rows = registry.indices(EntityKind.DRUG, drugs[:min(bad, again)], mode)
+    if bad <= again and bad < len(drugs):
+        raise RelationParseError(
+            f"{path}:{lines[bad]}: drug {drugs[bad]!r} needs a {FINGERPRINT_BITS}-character "
+            f"0/1 bitstring, got {len(bits[bad])} characters")
+    if repeated:
+        raise repeated
+    drug, bit = np.nonzero(block)
     shape = (registry.count(EntityKind.DRUG), registry.count(EntityKind.SUBSTRUCTURE))
-    h = RelationMatrix.from_pairs(shape, pairs)
+    h = RelationMatrix.from_pairs(shape, np.stack((rows[drug], bit_index[bit]), axis=1))
 
-    drug_ids = registry.ids(EntityKind.DRUG)
-    values = np.zeros((len(drug_ids), FINGERPRINT_BITS), dtype=np.uint8)
-    for k, drug in enumerate(drug_ids):
-        if drug in rows:
-            values[k] = rows[drug]
-    return h, FeatureMatrix(tuple(drug_ids), values, "fingerprint")
+    values = np.zeros((shape[0], FINGERPRINT_BITS), dtype=np.uint8)
+    values[rows] = block
+    return h, FeatureMatrix(tuple(registry.ids(EntityKind.DRUG)), values, "fingerprint")
 
 
 def save_features(features: FeatureMatrix, path) -> None:
@@ -363,9 +423,10 @@ def save_features(features: FeatureMatrix, path) -> None:
 
 def load_features(path, registry: EntityRegistry) -> FeatureMatrix:
     """Reload a feature matrix written by save_features, re-aligned to the
-    registry's drug order."""
+    registry's drug order. The rows are read as one block of the declared
+    width d0, or of the first row's width when none is declared; a drug
+    given twice is an error."""
     mode = "espf"
-    rows: dict[str, np.ndarray] = {}
     d0 = None
     with open(path, encoding="utf-8") as handle:
         header = handle.readline()
@@ -376,17 +437,23 @@ def load_features(path, registry: EntityRegistry) -> FeatureMatrix:
                 mode = value
             elif key == "d0":
                 d0 = int(value)
-    for lineno, drug, bits in load_pairs(path):
-        if d0 is not None and len(bits) != d0:
+    lines, drugs, bits = load_pairs(path)
+    width = d0 if d0 is not None else len(bits[0]) if bits else 0
+    block, bad = _bit_block(bits, width)
+    again, repeated = _repeated_drug(path, lines, drugs)
+    if bad <= again and bad < len(drugs):
+        if len(bits[bad]) != width:
+            declared = "declared d0" if d0 is not None else "first row width"
             raise RelationParseError(
-                f"{path}:{lineno}: row width {len(bits)} != declared d0 {d0}")
-        if set(bits) - {"0", "1"}:
-            raise RelationParseError(
-                f"{path}:{lineno}: drug {drug!r} has a feature other than 0/1")
-        rows[drug] = np.frombuffer(bits.encode("ascii"), dtype=np.uint8) - ord("0")
+                f"{path}:{lines[bad]}: row width {len(bits[bad])} != {declared} {width}")
+        raise RelationParseError(
+            f"{path}:{lines[bad]}: drug {drugs[bad]!r} has a feature other than 0/1")
+    if repeated:
+        raise repeated
+    row_of = dict(zip(drugs, range(len(drugs))))
     drug_ids = registry.ids(EntityKind.DRUG)
-    missing = [d for d in drug_ids if d not in rows]
+    missing = [d for d in drug_ids if d not in row_of]
     if missing:
         raise RelationParseError(f"{path}: no feature rows for drugs {missing[:5]}")
-    values = np.stack([rows[d] for d in drug_ids])
-    return FeatureMatrix(tuple(drug_ids), values, mode)
+    rows = np.fromiter(map(row_of.__getitem__, drug_ids), dtype=np.int64, count=len(drug_ids))
+    return FeatureMatrix(tuple(drug_ids), block[rows], mode)

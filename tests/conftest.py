@@ -3,13 +3,25 @@ oracles that tests compare the program against."""
 
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hinddi.data import SplitBundle, SplitError, check_drug_fraction, check_ratios, purpose_rng
-from hinddi.espf import Vocabulary, _merge_sequence
-from hinddi.hin import EntityKind, EntityRegistry, RelationMatrix, SchemaError, build_hin
+from hinddi.espf import FINGERPRINT_BITS, FeatureMatrix, Vocabulary, _merge_sequence
+from hinddi.hin import (
+    RELATIONS,
+    EntityKind,
+    EntityRegistry,
+    HinError,
+    RelationMatrix,
+    RelationParseError,
+    SchemaError,
+    build_hin,
+    pair_array,
+    unique_rows,
+)
 
 BRUTE_FORCE_LIMIT = 50
 
@@ -352,3 +364,138 @@ def reference_pair_scores_adjoint(zd, pairs, y, g):
     np.add.at(dz_i, i, d_dots * zd[j])
     np.add.at(dz_j, j, d_dots * zd[i])
     return dz_i + dz_j
+
+
+# Oracles for the TSV loaders of `hin` and `espf`: each reads its file line
+# by line and resolves ids one at a time, left before right.
+
+def load_outcome(load, *args):
+    """(result, None), or (None, (error type, error text)) for a loader's
+    HinError or ValueError."""
+    try:
+        return load(*args), None
+    except (HinError, ValueError) as err:
+        return None, (type(err), str(err))
+
+
+def reference_load_pairs(path):
+    """Oracle for `hin.load_pairs`, as (line_number, left, right) triples."""
+    out = []
+    text = Path(path).read_text(encoding="utf-8")
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2 or not parts[0] or not parts[1]:
+            raise RelationParseError(
+                f"{path}:{lineno}: expected two tab-separated identifiers, got {raw!r}")
+        out.append((lineno, parts[0], parts[1]))
+    return out
+
+
+def reference_load_relation(path, name, registry, mode="discover"):
+    """Oracle for `hin.load_relation`."""
+    if mode not in ("discover", "strict"):
+        raise ValueError(f"unknown registry mode {mode!r}")
+    source, target, _ = RELATIONS[name]
+    pairs = []
+    for lineno, left, right in reference_load_pairs(path):
+        i = registry.add(source, left) if mode == "discover" else registry.index_of(source, left)
+        j = registry.add(target, right) if mode == "discover" else registry.index_of(target, right)
+        pairs.append((i, j))
+        if source == target:
+            pairs.append((j, i))
+    return RelationMatrix.from_pairs((registry.count(source), registry.count(target)), pairs)
+
+
+def reference_load_ddi(path, registry, mode="discover"):
+    """Oracle for `hin.load_ddi`."""
+    resolve = registry.add if mode == "discover" else registry.index_of
+    pairs = []
+    for lineno, left, right in reference_load_pairs(path):
+        i, j = resolve(EntityKind.DRUG, left), resolve(EntityKind.DRUG, right)
+        if i == j:
+            raise RelationParseError(f"{path}:{lineno}: self-interaction {left!r}")
+        pairs.append((i, j))
+    return unique_rows(np.sort(pair_array(pairs), axis=1))
+
+
+def reference_load_registry(path):
+    """Oracle for `hin.load_registry`."""
+    registry = EntityRegistry()
+    kinds = {k.value: k for k in EntityKind}
+    text = Path(path).read_text(encoding="utf-8")
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise RelationParseError(f"{path}:{lineno}: expected kind/index/id, got {raw!r}")
+        kind_name, idx_str, ident = parts
+        if kind_name not in kinds:
+            raise RelationParseError(f"{path}:{lineno}: unknown entity kind {kind_name!r}")
+        idx = registry.add(kinds[kind_name], ident)
+        if idx != int(idx_str):
+            raise SchemaError(
+                f"{path}:{lineno}: index {idx_str} for {ident!r} is not dense (expected {idx})")
+    return registry
+
+
+def reference_load_fingerprints(path, registry, mode="discover"):
+    """Oracle for `espf.load_fingerprints` on files that give each drug
+    once: bitstrings parsed and relation pairs gathered line by line."""
+    bit_index = [registry.add(EntityKind.SUBSTRUCTURE, f"fp_{bit:03d}")
+                 for bit in range(FINGERPRINT_BITS)]
+    rows = {}
+    pairs = []
+    for lineno, drug, bits in reference_load_pairs(path):
+        if len(bits) != FINGERPRINT_BITS or set(bits) - {"0", "1"}:
+            raise RelationParseError(
+                f"{path}:{lineno}: drug {drug!r} needs a {FINGERPRINT_BITS}-character "
+                f"0/1 bitstring, got {len(bits)} characters")
+        d = (registry.add(EntityKind.DRUG, drug) if mode == "discover"
+             else registry.index_of(EntityKind.DRUG, drug))
+        row = np.frombuffer(bits.encode("ascii"), dtype=np.uint8) - ord("0")
+        rows[drug] = row
+        pairs.extend((d, bit_index[bit]) for bit in np.flatnonzero(row))
+    shape = (registry.count(EntityKind.DRUG), registry.count(EntityKind.SUBSTRUCTURE))
+    h = RelationMatrix.from_pairs(shape, pairs)
+    drug_ids = registry.ids(EntityKind.DRUG)
+    values = np.zeros((len(drug_ids), FINGERPRINT_BITS), dtype=np.uint8)
+    for k, drug in enumerate(drug_ids):
+        if drug in rows:
+            values[k] = rows[drug]
+    return h, FeatureMatrix(tuple(drug_ids), values, "fingerprint")
+
+
+def reference_load_features(path, registry):
+    """Oracle for `espf.load_features` on files that give each drug once
+    and declare d0, for a registry of at least one drug."""
+    mode = "espf"
+    rows = {}
+    d0 = None
+    with open(path, encoding="utf-8") as handle:
+        header = handle.readline()
+    if header.startswith("#"):
+        for part in header[1:].rstrip("\n").split("\t"):
+            key, _, value = part.partition("=")
+            if key == "mode":
+                mode = value
+            elif key == "d0":
+                d0 = int(value)
+    for lineno, drug, bits in reference_load_pairs(path):
+        if d0 is not None and len(bits) != d0:
+            raise RelationParseError(
+                f"{path}:{lineno}: row width {len(bits)} != declared d0 {d0}")
+        if set(bits) - {"0", "1"}:
+            raise RelationParseError(
+                f"{path}:{lineno}: drug {drug!r} has a feature other than 0/1")
+        rows[drug] = np.frombuffer(bits.encode("ascii"), dtype=np.uint8) - ord("0")
+    drug_ids = registry.ids(EntityKind.DRUG)
+    missing = [d for d in drug_ids if d not in rows]
+    if missing:
+        raise RelationParseError(f"{path}: no feature rows for drugs {missing[:5]}")
+    values = np.stack([rows[d] for d in drug_ids])
+    return FeatureMatrix(tuple(drug_ids), values, mode)

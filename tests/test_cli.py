@@ -74,6 +74,17 @@ class TestBuildGraph:
         assert run_cli("build-graph", "--config", cfg) == 1
         assert "ddi.tsv" in capsys.readouterr().err
 
+    def test_repeated_fingerprint_drug_gives_one_error_line(self, tmp_path, capsys):
+        cfg = quick_synth(tmp_path, seed=5)
+        fingerprints = tmp_path / "fingerprints.tsv"
+        lines = fingerprints.read_text(encoding="utf-8").splitlines()
+        drug = lines[0].split("\t")[0]
+        fingerprints.write_text("\n".join(lines + [lines[0]]) + "\n", encoding="utf-8")
+        assert run_cli("build-graph", "--config", cfg) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: {fingerprints}:{len(lines) + 1}: drug {drug!r} "
+                       f"repeats line 1\n")
+
     def test_write_metapaths_emits_count_tsv(self, tmp_path):
         cfg = quick_synth(tmp_path, seed=3)
         assert run_cli("build-graph", "--config", cfg, "--write-metapaths") == 0
@@ -101,6 +112,19 @@ class TestFeaturize:
         assert manifest["d0"] == 167
         header = (tmp_path / "out" / "features.tsv").read_text().splitlines()[0]
         assert "mode=fingerprint" in header and "d0=167" in header
+
+
+    def test_repeated_smiles_drug_gives_one_error_line(self, tmp_path, capsys):
+        cfg = quick_synth(tmp_path, seed=6)
+        assert run_cli("build-graph", "--config", cfg) == 0
+        smiles = tmp_path / "smiles.tsv"
+        lines = smiles.read_text(encoding="utf-8").splitlines()
+        drug = lines[1].split("\t")[0]
+        smiles.write_text("\n".join(lines + [f"{drug}\tCC"]) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run_cli("featurize", "--config", cfg) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {smiles}:{len(lines) + 1}: drug {drug!r} repeats line 2\n"
 
 
 class TestTrain:

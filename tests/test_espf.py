@@ -10,21 +10,32 @@ from hypothesis import strategies as st
 
 from hinddi.espf import (
     FINGERPRINT_BITS,
+    FeatureMatrix,
     RelationParseError,
     SmilesError,
     Vocabulary,
     build_feature_matrix,
     build_vocab,
     encode_drug,
+    load_features,
     load_fingerprints,
     load_smiles,
     load_vocab,
+    save_features,
     save_vocab,
     tokenize_smiles,
 )
 from hinddi.hin import EntityKind, EntityRegistry
 from hinddi.metapath import builtin_specs, commuting_matrix
-from tests.conftest import coord_set, make_registry, reference_build_vocab, reference_encode_drug
+from tests.conftest import (
+    coord_set,
+    load_outcome,
+    make_registry,
+    reference_build_vocab,
+    reference_encode_drug,
+    reference_load_features,
+    reference_load_fingerprints,
+)
 
 # SMILES-like strings from a small alphabet in runs of up to five, so pair
 # frequencies tie often and runs such as "CCCC" exercise non-overlap.
@@ -33,6 +44,16 @@ _smiles = st.lists(st.tuples(st.sampled_from(["C", "N", "O", "=", "Cl"]),
                    min_size=1, max_size=8).map(
     lambda runs: "".join(tok * k for tok, k in runs))
 _corpora = st.lists(_smiles, min_size=1, max_size=8)
+
+# SMILES with bracket atoms and single tokens of any character: control
+# characters, a lone surrogate, the last code point, and the low code points
+# the corpus replay gives its units.
+_odd = (st.sampled_from(["\0", "\x01", "\x02", "\x03", "\ud800", "\U0010ffff"])
+        | st.characters(exclude_characters="["))
+_any_smiles = st.lists(
+    st.sampled_from(["C", "N", "O", "Cl"]) | _odd
+    | st.lists(_odd.filter(lambda c: c != "]"), max_size=3).map(lambda cs: f"[{''.join(cs)}]"),
+    min_size=1, max_size=10).map("".join)
 
 
 class TestTokenize:
@@ -163,6 +184,19 @@ class TestEncode:
                                   make_registry(len(smiles)))
         np.testing.assert_array_equal(fm.values, np.stack(expected))
 
+    @settings(max_examples=150, deadline=None)
+    @given(corpus=st.lists(_any_smiles, min_size=1, max_size=6),
+           threshold=st.integers(1, 3), max_size=st.integers(1, 24))
+    def test_any_characters_match_replay_of_every_merge(self, corpus, threshold, max_size):
+        sequences = [tokenize_smiles(s) for s in corpus]
+        vocab = build_vocab(sequences + sequences, threshold, max_size)
+        expected = [reference_encode_drug(tokens, vocab) for tokens in sequences]
+        for tokens, row in zip(sequences, expected):
+            np.testing.assert_array_equal(encode_drug(tokens, vocab), row)
+        fm = build_feature_matrix({f"d{k}": s for k, s in enumerate(corpus)}, vocab,
+                                  make_registry(len(corpus)))
+        np.testing.assert_array_equal(fm.values, np.stack(expected))
+
     def test_registry_alignment_and_missing_smiles(self):
         reg = make_registry(2)
         vocab = build_vocab([tokenize_smiles("CC")], threshold=5, max_size=8)
@@ -184,6 +218,13 @@ class TestLoadSmiles:
         f = tmp_path / "smiles.tsv"
         f.write_text(f"d0\tCCO\n{line}\n", encoding="utf-8")
         with pytest.raises(RelationParseError, match=f"^{re.escape(str(f))}:2: "):
+            load_smiles(f)
+
+    def test_repeated_drug_names_both_lines(self, tmp_path):
+        f = tmp_path / "smiles.tsv"
+        f.write_text("d0\tCCO\n# note\nd1\tC\nd0\tCCN\n", encoding="utf-8")
+        with pytest.raises(RelationParseError,
+                           match=f"^{re.escape(str(f))}:4: drug 'd0' repeats line 1$"):
             load_smiles(f)
 
 
@@ -267,3 +308,101 @@ class TestFingerprints:
         f.write_text("dX\t0101\n", encoding="utf-8")
         with pytest.raises(RelationParseError, match="dX"):
             load_fingerprints(f, EntityRegistry())
+
+    def test_repeated_drug_names_both_lines(self, tmp_path):
+        # The same drug twice used to give relation H the union of both
+        # bitstrings but the feature row only the second.
+        f = tmp_path / "fp.tsv"
+        f.write_text(f"d0\t{self.bitstring([0])}\nd1\t{self.bitstring([])}\n"
+                     f"d0\t{self.bitstring([1])}\n", encoding="utf-8")
+        reg = EntityRegistry()
+        with pytest.raises(RelationParseError,
+                           match=f"^{re.escape(str(f))}:3: drug 'd0' repeats line 1$"):
+            load_fingerprints(f, reg)
+        assert reg.ids(EntityKind.DRUG) == ["d0", "d1"]
+
+    def test_bad_bitstring_before_repeat_is_reported(self, tmp_path):
+        f = tmp_path / "fp.tsv"
+        f.write_text(f"d0\t{self.bitstring([0])}\nd1\t01\nd0\t{self.bitstring([])}\n",
+                     encoding="utf-8")
+        with pytest.raises(RelationParseError, match=":2: drug 'd1' needs a 167-character"):
+            load_fingerprints(f, EntityRegistry())
+
+
+# Bitstring files of distinct drugs: mostly valid rows, now and then one of
+# another length or with a character other than 0/1.
+_BITS = st.tuples(st.integers(0, 2**FINGERPRINT_BITS - 1),
+                  st.sampled_from([None] * 10 + ["short", "long", "2", " ", "é", "\0", "\x85"]))
+
+
+def _bitstring(value, fault, width=FINGERPRINT_BITS):
+    bits = format(value, f"0{FINGERPRINT_BITS}b")[:width]
+    if fault in ("short", "long"):
+        return bits[:-1] if fault == "short" else bits + "1"
+    return bits if fault is None else bits[:3] + fault + bits[4:]
+
+
+class TestBitstringLoadersMatchPerLineOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(rows=st.dictionaries(st.sampled_from(["a", "b", "c", "d", "e"]), _BITS, max_size=5),
+           known=st.lists(st.sampled_from(["a", "b", "c", "z"]), unique=True, max_size=4),
+           mode=st.sampled_from(["discover", "strict"]))
+    def test_fingerprints(self, tmp_path_factory, rows, known, mode):
+        path = tmp_path_factory.mktemp("fp") / "fingerprints.tsv"
+        path.write_bytes("".join(f"{drug}\t{_bitstring(*bits)}\r\n"
+                                 for drug, bits in rows.items()).encode("utf-8"))
+        got_reg, want_reg = make_registry(0), make_registry(0)
+        for reg in (got_reg, want_reg):
+            for drug in known:
+                reg.add(EntityKind.DRUG, drug)
+        got, got_error = load_outcome(load_fingerprints, path, got_reg, mode)
+        want, want_error = load_outcome(reference_load_fingerprints, path, want_reg, mode)
+        assert got_error == want_error
+        if want:
+            assert got[0].shape == want[0].shape
+            assert got[0].coords.tobytes() == want[0].coords.tobytes()
+            assert got[1].drug_ids == want[1].drug_ids and got[1].mode == want[1].mode
+            assert got[1].values.dtype == want[1].values.dtype
+            assert got[1].values.tobytes() == want[1].values.tobytes()
+        for kind in EntityKind:
+            assert got_reg.ids(kind) == want_reg.ids(kind)
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=st.dictionaries(st.sampled_from(["d0", "d1", "d2", "d3"]), _BITS, max_size=4),
+           width=st.integers(1, 12), n_drugs=st.integers(1, 4))
+    def test_features(self, tmp_path_factory, rows, width, n_drugs):
+        path = tmp_path_factory.mktemp("features") / "features.tsv"
+        path.write_bytes("".join([f"#mode=fingerprint\td0={width}\n"]
+                                 + [f"{drug}\t{_bitstring(*bits, width)}\n"
+                                    for drug, bits in rows.items()]).encode("utf-8"))
+        reg = make_registry(n_drugs)
+        got, got_error = load_outcome(load_features, path, reg)
+        want, want_error = load_outcome(reference_load_features, path, reg)
+        assert got_error == want_error
+        if want:
+            assert got.drug_ids == want.drug_ids and got.mode == want.mode
+            assert got.values.dtype == want.values.dtype
+            assert got.values.tobytes() == want.values.tobytes()
+
+
+class TestLoadFeatures:
+    def test_round_trip(self, tmp_path):
+        reg = make_registry(3)
+        values = np.array([[1, 0, 1], [0, 0, 0], [1, 1, 1]], dtype=np.uint8)
+        save_features(FeatureMatrix(("d0", "d1", "d2"), values, "espf"), tmp_path / "f.tsv")
+        back = load_features(tmp_path / "f.tsv", reg)
+        assert back.mode == "espf" and back.drug_ids == ("d0", "d1", "d2")
+        assert back.values.dtype == np.uint8 and back.values.tolist() == values.tolist()
+
+    def test_repeated_drug_names_both_lines(self, tmp_path):
+        f = tmp_path / "features.tsv"
+        f.write_text("#mode=espf\td0=2\nd0\t01\nd1\t11\nd1\t10\n", encoding="utf-8")
+        with pytest.raises(RelationParseError,
+                           match=f"^{re.escape(str(f))}:4: drug 'd1' repeats line 3$"):
+            load_features(f, make_registry(2))
+
+    def test_undeclared_width_is_the_first_rows(self, tmp_path):
+        f = tmp_path / "features.tsv"
+        f.write_text("d0\t011\nd1\t10\n", encoding="utf-8")
+        with pytest.raises(RelationParseError, match=":2: row width 2 != first row width 3"):
+            load_features(f, make_registry(2))

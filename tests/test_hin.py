@@ -16,13 +16,24 @@ from hinddi.hin import (
     build_hin,
     load_ddi,
     load_hin,
+    load_pairs,
+    load_registry,
     load_relation,
     save_hin,
     stats,
+    sorted_unique,
     unique_rows,
     validate,
 )
-from tests.conftest import coord_set, make_hin
+from tests.conftest import (
+    coord_set,
+    load_outcome,
+    make_hin,
+    reference_load_ddi,
+    reference_load_pairs,
+    reference_load_registry,
+    reference_load_relation,
+)
 
 
 def write(path, text):
@@ -95,6 +106,127 @@ class TestLoadRelation:
         f = write(tmp_path / "ddi.tsv", "d1\td1\n")
         with pytest.raises(RelationParseError, match="self-interaction"):
             load_ddi(f, EntityRegistry())
+
+
+    def test_strict_reports_the_unknown_id_of_the_earlier_line(self, tmp_path):
+        # the right column's unknown id comes on an earlier line than the left's
+        f = write(tmp_path / "t.tsv", "d1\tp1\nd1\tpX\ndX\tp1\n")
+        reg = EntityRegistry()
+        reg.add(EntityKind.DRUG, "d1")
+        reg.add(EntityKind.PROTEIN, "p1")
+        with pytest.raises(SchemaError, match="^unknown protein id 'pX'$"):
+            load_relation(f, "T", reg, mode="strict")
+        f = write(tmp_path / "t.tsv", "d1\tp1\ndX\tpX\n")
+        with pytest.raises(SchemaError, match="^unknown drug id 'dX'$"):
+            load_relation(f, "T", reg, mode="strict")
+
+    def test_discovery_order_interleaves_same_kind_columns(self, tmp_path):
+        f = write(tmp_path / "p.tsv", "p2\tp1\np3\tp2\np1\tp4\n")
+        reg = EntityRegistry()
+        load_relation(f, "P", reg)
+        assert reg.ids(EntityKind.PROTEIN) == ["p2", "p1", "p3", "p4"]
+        f = write(tmp_path / "t.tsv", "d2\tp9\nd1\tp1\nd2\tp8\n")
+        load_relation(f, "T", reg)
+        assert reg.ids(EntityKind.DRUG) == ["d2", "d1"]
+        assert reg.ids(EntityKind.PROTEIN) == ["p2", "p1", "p3", "p4", "p9", "p8"]
+
+    def test_ddi_self_pair_after_unknown_id_reports_the_id(self, tmp_path):
+        f = write(tmp_path / "ddi.tsv", "d1\tdX\nd1\td1\n")
+        reg = EntityRegistry()
+        reg.add(EntityKind.DRUG, "d1")
+        with pytest.raises(SchemaError, match="dX"):
+            load_ddi(f, reg, mode="strict")
+        with pytest.raises(RelationParseError, match=":2: self-interaction 'd1'"):
+            load_ddi(f, reg)
+        assert reg.ids(EntityKind.DRUG) == ["d1", "dX"]
+
+    def test_load_pairs_gives_columns_and_line_numbers(self, tmp_path):
+        f = write(tmp_path / "x.tsv", "# c\r\n a\tb \r\n\n\tc\td\t\nc\tc\n")
+        lines, left, right = load_pairs(f)
+        assert lines.dtype == np.int64
+        assert lines.tolist() == [2, 4, 5]
+        assert left == ["a", "c", "c"] and right == ["b", "d", "c"]
+
+
+# Generated TSV files for the loaders: ids from a small pool shared by all
+# kinds, so duplicates, self-pairs and ids first seen in the right column
+# are common; surrounding spaces and tabs, comments, blank lines, CRLF
+# endings, and now and then a malformed line.
+_ID = st.sampled_from(["a", "b", "c", "d", "e f", "é"])
+_PAD = st.sampled_from(["", " ", "\t", " \t "])
+_EOL = st.sampled_from(["\n", "\r\n"])
+_PAIR_LINE = st.builds(lambda a, b, left, right: f"{left}{a}\t{b}{right}", _ID, _ID, _PAD, _PAD)
+_LINE = st.one_of(_PAIR_LINE, _PAIR_LINE, _PAIR_LINE,
+                  st.sampled_from(["# comment\ta\tb", "#", "", "  "]),
+                  st.sampled_from(["a", "a\tb\tc", "a \t", "a\t\tb"]))
+_TEXT = st.lists(st.tuples(_LINE, _EOL), max_size=10).map(
+    lambda lines: "".join(line + eol for line, eol in lines))
+
+
+def _registry(known):
+    reg = EntityRegistry()
+    for kind, ids in zip(EntityKind, known):
+        for ident in ids:
+            reg.add(kind, ident)
+    return reg
+
+
+def _same(got, want):
+    if isinstance(want, RelationMatrix):
+        return got.shape == want.shape and got.coords.tobytes() == want.coords.tobytes()
+    return got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+class TestLoadersMatchPerLineOracle:
+    """The column loaders against the per-line loaders they replaced: same
+    registry order, arrays, and error type and text, in both modes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_TEXT, what=st.sampled_from(["T", "P", "ddi"]),
+           mode=st.sampled_from(["discover", "strict"]),
+           known=st.lists(st.lists(_ID, unique=True, max_size=5), min_size=4, max_size=4))
+    def test_relations_and_ddi(self, tmp_path_factory, text, what, mode, known):
+        path = tmp_path_factory.mktemp("tsv") / "x.tsv"
+        path.write_bytes(text.encode("utf-8"))
+        got_reg, want_reg = _registry(known), _registry(known)
+        if what == "ddi":
+            got, got_error = load_outcome(load_ddi, path, got_reg, mode)
+            want, want_error = load_outcome(reference_load_ddi, path, want_reg, mode)
+        else:
+            got, got_error = load_outcome(load_relation, path, what, got_reg, mode)
+            want, want_error = load_outcome(reference_load_relation, path, what, want_reg, mode)
+        assert got_error == want_error
+        assert want_error or _same(got, want)
+        for kind in EntityKind:
+            assert got_reg.ids(kind) == want_reg.ids(kind)
+        pairs = load_outcome(lambda p: list(zip(*load_pairs(p))), path)
+        assert pairs == load_outcome(reference_load_pairs, path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(entries=st.lists(st.tuples(
+               st.sampled_from(list(EntityKind)), _ID, _PAD, _EOL,
+               st.sampled_from([None] * 12 + ["index", "+", " ", "x", "", "kind",
+                                              "columns", "comment", "blank"])),
+               max_size=12))
+    def test_registry(self, tmp_path_factory, entries):
+        path = tmp_path_factory.mktemp("tsv") / "registry.tsv"
+        seen = {kind: {} for kind in EntityKind}
+        text = []
+        for kind, ident, pad, eol, fault in entries:
+            index = str(seen[kind].setdefault(ident, len(seen[kind])))
+            line = {"index": f"{kind.value}\t{int(index) + 1}\t{ident}",
+                    "kind": f"bogus\t{index}\t{ident}",
+                    "columns": f"{kind.value}\t{index}",
+                    "comment": f"# {kind.value}\t{index}\t{ident}",
+                    "blank": ""}.get(fault, f"{kind.value}\t{fault or ''}{index}\t{ident}")
+            text.append(pad + line + pad + eol)
+        path.write_bytes("".join(text).encode("utf-8"))
+        got, got_error = load_outcome(load_registry, path)
+        want, want_error = load_outcome(reference_load_registry, path)
+        assert got_error == want_error
+        if want:
+            for kind in EntityKind:
+                assert got.ids(kind) == want.ids(kind)
 
 
 class TestValidate:
@@ -248,3 +380,11 @@ def test_unique_rows_equal_np_unique_on_rows(rows, far, presort):
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
     assert not np.shares_memory(got, pairs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(values=st.lists(st.integers(-3, 3), max_size=12))
+def test_sorted_unique_equals_np_unique(values):
+    values = np.array(values, dtype=np.int64)
+    got, want = sorted_unique(values), np.unique(values)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
