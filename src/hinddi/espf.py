@@ -3,29 +3,31 @@
 A frequency-threshold pair-merging vocabulary is built over tokenized
 SMILES strings: the most frequent adjacent token pair is repeatedly merged
 into a new unit until no pair reaches the threshold or the vocabulary hits
-its size cap. Pair counts are kept per sequence and updated after each
-merge only for the sequences that held the merged pair, as in incremental
-BPE. Drugs are then encoded as bags of final units. Precomputed
-167-bit structural fingerprints can be ingested instead, both as the
-drug-substructure relation matrix and (optionally) as initial features.
+its size cap. The corpus is held as one integer array of unit ids, and
+every merge recounts it in a few array passes (see `build_vocab`). Drugs
+are then encoded as bags of final units. Precomputed 167-bit structural
+fingerprints can be ingested instead, both as the drug-substructure
+relation matrix and (optionally) as initial features.
 
-Encoding replays the merges once over the whole corpus rather than once
-per drug. Each distinct unit (token, merge part or merge product) becomes
-one character of its own, chr(1) upwards, each drug the string of its
-units' characters, and the corpus those strings joined by chr(0). A merge
-(left, right) is then one `str.replace` of a two-character string by the
-product's character. That equals `_merge_sequence` on every drug: a match
-covers exactly two adjacent units equal to left and right, since every
-character is a whole unit; `str.replace` takes matches left to right
-without overlap, as `_merge_sequence` does; and no match spans two drugs,
-since chr(0) is no unit's character. Units equal as strings share a
-character, as they compare equal in `_merge_sequence`. Because the
-characters are assigned, not taken from the SMILES text, any text is safe,
-control characters and the separator's own code point included.
+A merge (left, right) applied to one drug replaces its occurrences of the
+pair taken left to right without overlap. Encoding replays the merges once
+over the whole corpus rather than once per drug. Each distinct unit (token,
+merge part or merge product) becomes one character of its own, chr(1)
+upwards, each drug the string of its units' characters, and the corpus
+those strings joined by chr(0). A merge is then one `str.replace` of a
+two-character string by the product's character. That equals the merge on
+every drug: a match covers exactly two adjacent units equal to left and
+right, since every character is a whole unit; `str.replace` takes matches
+left to right without overlap; and no match spans two drugs, since chr(0)
+is no unit's character. Units equal as strings share a character, as they
+are one unit to the merge. Because the characters are assigned, not taken
+from the SMILES text, any text is safe, control characters and the
+separator's own code point included.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -55,8 +57,9 @@ __all__ = [
 
 FINGERPRINT_BITS = 167
 
-# Two-letter elements written without brackets in SMILES.
-_TWO_LETTER = ("Cl", "Br")
+# A bracket atom, a two-letter element written without brackets, or any
+# one character; a "[" with no "]" after it is a token of its own.
+_TOKEN = re.compile(r"\[[^\]]*\]|Cl|Br|.", re.S)
 
 
 class SmilesError(ValueError):
@@ -68,30 +71,18 @@ def tokenize_smiles(s: str) -> list[str]:
 
     Bracket atoms `[...]` and the two-letter elements Cl/Br are single
     tokens; every other character is its own token. Joining the tokens
-    reproduces the input exactly. Any character is accepted, inside a
+    reproduces the input exactly. An empty string, or a `[` with no `]`
+    after it, is a SmilesError. Any other character is accepted, inside a
     bracket atom or not: encoding gives each unit a character of its own
     (see the module docstring), so no text collides with the replay, and
     every row equals a replay of the merges drug by drug.
     """
     if not s:
         raise SmilesError("empty SMILES string")
-    tokens = []
-    i = 0
-    n = len(s)
-    while i < n:
-        ch = s[i]
-        if ch == "[":
-            end = s.find("]", i)
-            if end < 0:
-                raise SmilesError(f"unbalanced '[' at position {i} in {s!r}")
-            tokens.append(s[i:end + 1])
-            i = end + 1
-        elif s[i:i + 2] in _TWO_LETTER:
-            tokens.append(s[i:i + 2])
-            i += 2
-        else:
-            tokens.append(ch)
-            i += 1
+    tokens = _TOKEN.findall(s)
+    if "[" in tokens:
+        i = len("".join(tokens[:tokens.index("[")]))
+        raise SmilesError(f"unbalanced '[' at position {i} in {s!r}")
     return tokens
 
 
@@ -119,36 +110,6 @@ class Vocabulary:
         return len(self.units)
 
 
-def _pair_counts(seq: list[str]) -> dict[tuple[str, str], int]:
-    """Adjacent-pair frequencies in one sequence, non-overlapping left to
-    right, so each count is what merging that pair would remove."""
-    counts: dict[tuple[str, str], int] = {}
-    last_end: dict[tuple[str, str], int] = {}
-    for i in range(len(seq) - 1):
-        pair = (seq[i], seq[i + 1])
-        if last_end.get(pair, -1) >= i:
-            continue
-        last_end[pair] = i + 1
-        counts[pair] = counts.get(pair, 0) + 1
-    return counts
-
-
-def _merge_sequence(seq: list[str], pair: tuple[str, str]) -> list[str]:
-    """Replace non-overlapping left-to-right occurrences of `pair`."""
-    left, right = pair
-    merged = left + right
-    out = []
-    i = 0
-    while i < len(seq):
-        if i + 1 < len(seq) and seq[i] == left and seq[i + 1] == right:
-            out.append(merged)
-            i += 2
-        else:
-            out.append(seq[i])
-            i += 1
-    return out
-
-
 def build_vocab(corpus: list[list[str]], threshold: int = 5,
                 max_size: int = 512) -> Vocabulary:
     """Build the merge vocabulary over a tokenized corpus.
@@ -157,57 +118,62 @@ def build_vocab(corpus: list[list[str]], threshold: int = 5,
     `threshold`; stops when none does or when the vocabulary reaches
     `max_size` entries. Frequency ties break on the lexicographically
     smallest concatenation (then smallest pair) so construction is
-    deterministic.
+    deterministic. A pair's count is its non-overlapping occurrences, taken
+    left to right within each sequence, so each count is what merging that
+    pair removes; a merge replaces those same occurrences.
 
-    Counts are kept incrementally: each sequence's non-overlapping pair
-    counts, their corpus totals, and for every pair the sequences holding
-    it. A merge rewrites and recounts only the sequences that held the
-    merged pair, so the result equals recounting the whole corpus after
-    every merge.
+    The corpus is one int64 array of unit ids with -1 between sequences;
+    id k is `units[k]`, so units equal as strings share an id. Each merge
+    recounts the whole array with `bincount`. Over the n current units, the
+    pair at position p has key `(a[p] + 1) * (n + 1) + a[p + 1] + 1`, so a
+    pair beside a separator falls in row or column 0 of the (n + 1, n + 1)
+    count grid, which is cleared. Only a pair (x, x) can overlap itself,
+    and only in a run of equal units; its left-to-right non-overlapping
+    occurrences are the even offsets of the run's pair positions, so the
+    odd offsets get key 0. Only the few keys tied at the top count go back
+    to strings for the tie-break. The merge writes the product's id at the
+    positions that keep the chosen key and drops the unit after each.
     """
     if threshold < 1:
         raise ValueError(f"threshold must be >= 1, got {threshold}")
     if not corpus:
         raise ValueError("empty corpus")
-    sequences = [list(seq) for seq in corpus]
-    seq_counts = [_pair_counts(seq) for seq in sequences]
-    totals: dict[tuple[str, str], int] = {}
-    holders: dict[tuple[str, str], set[int]] = {}
-    for s, counts in enumerate(seq_counts):
-        for pair, c in counts.items():
-            totals[pair] = totals.get(pair, 0) + c
-            holders.setdefault(pair, set()).add(s)
-    units = sorted({tok for seq in sequences for tok in seq})
+    units = sorted(set(chain.from_iterable(corpus)))
     n_base = len(units)
-    known = set(units)
+    index = {unit: k for k, unit in enumerate(units)}
+    lengths = np.fromiter(map(len, corpus), dtype=np.int64, count=len(corpus))
+    ids = np.fromiter(map(index.__getitem__, chain.from_iterable(corpus)),
+                      dtype=np.int64, count=int(lengths.sum()))
+    a = np.insert(ids, np.cumsum(lengths[:-1]), -1)
     merges: list[tuple[str, str]] = []
-    while len(units) < max_size and totals:
-        best = max(totals.values())
+    while len(units) < max_size:
+        radix = len(units) + 1
+        keys = a[:-1] * radix
+        keys += a[1:]
+        keys += radix + 1
+        same = np.flatnonzero(a[:-1] == a[1:])
+        run = same - np.arange(same.size)  # one value per run of consecutive positions
+        start = same[np.searchsorted(run, run)]
+        keys[same[(same - start) % 2 == 1]] = 0
+        counts = np.bincount(keys, minlength=radix * radix)
+        counts[:radix] = 0
+        counts[::radix] = 0
+        best = counts.max()
         if best < threshold:
             break
-        pair = min((p for p, c in totals.items() if c == best),
-                   key=lambda p: (p[0] + p[1], p))
-        for s in holders.pop(pair):
-            old = seq_counts[s]
-            sequences[s] = _merge_sequence(sequences[s], pair)
-            new = seq_counts[s] = _pair_counts(sequences[s])
-            for p, c in old.items():
-                total = totals[p] - c
-                if total:
-                    totals[p] = total
-                else:
-                    del totals[p]
-                if p not in new and p != pair:  # pair's holders were popped
-                    holders[p].discard(s)
-            for p, c in new.items():
-                totals[p] = totals.get(p, 0) + c
-                if p not in old:
-                    holders.setdefault(p, set()).add(s)
-        merges.append(pair)
-        unit = pair[0] + pair[1]
-        if unit not in known:
+        tied = [(units[k // radix - 1], units[k % radix - 1], k)
+                for k in np.flatnonzero(counts == best)]
+        left, right, key = min(tied, key=lambda t: (t[0] + t[1], t[:2]))
+        merges.append((left, right))
+        unit = left + right
+        if unit not in index:
+            index[unit] = len(units)
             units.append(unit)
-            known.add(unit)
+        at = np.flatnonzero(keys == key)
+        a[at] = index[unit]
+        keep = np.ones(a.size, dtype=bool)
+        keep[at + 1] = False
+        a = a[keep]
     return Vocabulary(tuple(units), n_base, tuple(merges), threshold, max_size)
 
 

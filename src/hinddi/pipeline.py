@@ -14,14 +14,14 @@ import numpy as np
 from .espf import (
     FeatureMatrix,
     Vocabulary,
-    build_feature_matrix,
+    _encode_corpus,
     build_vocab,
     load_fingerprints,
     load_smiles,
     smiles_in_registry_order,
     tokenize_smiles,
 )
-from .hin import RELATIONS, EntityRegistry, Hin, build_hin, load_ddi, load_relation
+from .hin import RELATIONS, EntityKind, EntityRegistry, Hin, build_hin, load_ddi, load_relation
 from .metapath import NeighborGraph, commuting_matrix, neighbor_graph, spec_by_name
 
 __all__ = ["INPUT_FILES", "InputPaths", "load_hin_inputs", "make_graphs",
@@ -79,7 +79,9 @@ def make_espf_features(smiles_path, hin: Hin, threshold: int = 5,
     smiles = load_smiles(smiles_path)
     corpus = [tokenize_smiles(s) for s in smiles_in_registry_order(smiles, hin.registry)]
     vocab = build_vocab(corpus, threshold=threshold, max_size=max_size)
-    return build_feature_matrix(smiles, vocab, hin.registry), vocab
+    features = FeatureMatrix(tuple(hin.registry.ids(EntityKind.DRUG)),
+                             _encode_corpus(corpus, vocab), "espf")
+    return features, vocab
 
 
 def make_fingerprint_features(fingerprints_path, hin: Hin) -> FeatureMatrix:

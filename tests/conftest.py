@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from hinddi.data import SplitBundle, SplitError, check_drug_fraction, check_ratios, purpose_rng
-from hinddi.espf import FINGERPRINT_BITS, FeatureMatrix, Vocabulary, _merge_sequence
+from hinddi.espf import FINGERPRINT_BITS, FeatureMatrix, SmilesError, Vocabulary
 from hinddi.hin import (
     RELATIONS,
     EntityKind,
@@ -135,19 +135,66 @@ def brute_force_path_counts(hin, spec):
     return np.array(rows, dtype=np.int64).reshape(n, n)
 
 
+def reference_tokenize_smiles(s):
+    """Oracle for `espf.tokenize_smiles`: a character-by-character scan."""
+    if not s:
+        raise SmilesError("empty SMILES string")
+    tokens = []
+    i = 0
+    while i < len(s):
+        if s[i] == "[":
+            end = s.find("]", i)
+            if end < 0:
+                raise SmilesError(f"unbalanced '[' at position {i} in {s!r}")
+            tokens.append(s[i:end + 1])
+            i = end + 1
+        elif s[i:i + 2] in ("Cl", "Br"):
+            tokens.append(s[i:i + 2])
+            i += 2
+        else:
+            tokens.append(s[i])
+            i += 1
+    return tokens
+
+
+def pair_counts(seq):
+    """Adjacent-pair frequencies in one sequence, non-overlapping left to
+    right, so each count is what merging that pair would remove."""
+    counts = {}
+    last_end = {}
+    for i in range(len(seq) - 1):
+        pair = (seq[i], seq[i + 1])
+        if last_end.get(pair, -1) >= i:
+            continue
+        last_end[pair] = i + 1
+        counts[pair] = counts.get(pair, 0) + 1
+    return counts
+
+
 def count_pairs(sequences):
-    """Adjacent-pair frequencies over a corpus, non-overlapping left to
-    right per sequence."""
+    """`pair_counts` summed over a corpus."""
     counts = {}
     for seq in sequences:
-        last_end = {}
-        for i in range(len(seq) - 1):
-            pair = (seq[i], seq[i + 1])
-            if last_end.get(pair, -1) >= i:
-                continue
-            last_end[pair] = i + 1
-            counts[pair] = counts.get(pair, 0) + 1
+        for pair, c in pair_counts(seq).items():
+            counts[pair] = counts.get(pair, 0) + c
     return counts
+
+
+def merge_sequence(seq, pair):
+    """Replace non-overlapping left-to-right occurrences of `pair` in one
+    sequence by the concatenated unit."""
+    left, right = pair
+    merged = left + right
+    out = []
+    i = 0
+    while i < len(seq):
+        if i + 1 < len(seq) and seq[i] == left and seq[i + 1] == right:
+            out.append(merged)
+            i += 2
+        else:
+            out.append(seq[i])
+            i += 1
+    return out
 
 
 def reference_build_vocab(corpus, threshold, max_size):
@@ -166,7 +213,7 @@ def reference_build_vocab(corpus, threshold, max_size):
             break
         pair = min((p for p, c in counts.items() if c == best),
                    key=lambda p: (p[0] + p[1], p))
-        sequences = [_merge_sequence(seq, pair) for seq in sequences]
+        sequences = [merge_sequence(seq, pair) for seq in sequences]
         merges.append(pair)
         if pair[0] + pair[1] not in units:
             units.append(pair[0] + pair[1])
@@ -178,7 +225,7 @@ def reference_encode_drug(tokens, vocab):
     each final unit, or of its characters when the unit is unknown."""
     seq = list(tokens)
     for pair in vocab.merges:
-        seq = _merge_sequence(seq, pair)
+        seq = merge_sequence(seq, pair)
     row = np.zeros(vocab.size, dtype=np.uint8)
     for unit in seq:
         for part in ([unit] if unit in vocab.units else unit):

@@ -27,14 +27,18 @@ from hinddi.espf import (
 )
 from hinddi.hin import EntityKind, EntityRegistry
 from hinddi.metapath import builtin_specs, commuting_matrix
+from perfbench.workloads import PAPER_SPEC, generate_clustered
 from tests.conftest import (
     coord_set,
     load_outcome,
     make_registry,
+    merge_sequence,
+    pair_counts,
     reference_build_vocab,
     reference_encode_drug,
     reference_load_features,
     reference_load_fingerprints,
+    reference_tokenize_smiles,
 )
 
 # SMILES-like strings from a small alphabet in runs of up to five, so pair
@@ -44,6 +48,15 @@ _smiles = st.lists(st.tuples(st.sampled_from(["C", "N", "O", "=", "Cl"]),
                    min_size=1, max_size=8).map(
     lambda runs: "".join(tok * k for tok, k in runs))
 _corpora = st.lists(_smiles, min_size=1, max_size=8)
+
+# Token lists, not SMILES: runs of up to twelve equal tokens, so merges
+# split runs of odd and even length; the multi-character token "CC", so
+# "C"+"CC" and "CC"+"C" form equal units; and empty lists.
+_token_corpora = st.lists(
+    st.lists(st.tuples(st.sampled_from(["C", "N", "O", "=", "Cl", "CC"]),
+                       st.integers(1, 12)),
+             max_size=6).map(lambda runs: [tok for tok, k in runs for _ in range(k)]),
+    min_size=1, max_size=8)
 
 # SMILES with bracket atoms and single tokens of any character: control
 # characters, a lone surrogate, the last code point, and the low code points
@@ -78,6 +91,11 @@ class TestTokenize:
     def test_empty_rejected(self):
         with pytest.raises(SmilesError):
             tokenize_smiles("")
+
+    @settings(max_examples=300, deadline=None)
+    @given(s=st.text(st.sampled_from("[]ClBrN(=)\n\0") | st.characters(), max_size=12))
+    def test_matches_character_scan(self, s):
+        assert load_outcome(tokenize_smiles, s) == load_outcome(reference_tokenize_smiles, s)
 
 
 class TestBuildVocab:
@@ -115,17 +133,16 @@ class TestBuildVocab:
 
     def test_merges_shrink_corpus_by_pair_frequency(self):
         corpus = [tokenize_smiles(s) for s in ("CCOCC", "CCNCC", "CCCC")]
-        from hinddi.espf import _merge_sequence, _pair_counts
         sequences = [list(s) for s in corpus]
         for _ in range(4):
             counts = Counter()
             for s in sequences:
-                counts.update(_pair_counts(s))
+                counts.update(pair_counts(s))
             if not counts:
                 break
             pair = max(counts, key=lambda p: (counts[p],))
             before = sum(len(s) for s in sequences)
-            sequences = [_merge_sequence(s, pair) for s in sequences]
+            sequences = [merge_sequence(s, pair) for s in sequences]
             after = sum(len(s) for s in sequences)
             assert before - after == counts[pair]
 
@@ -133,12 +150,32 @@ class TestBuildVocab:
         with pytest.raises(ValueError):
             build_vocab([["C"]], threshold=0)
 
-    @settings(max_examples=300, deadline=None)
-    @given(corpus=_corpora, threshold=st.integers(1, 4), max_size=st.integers(1, 24))
-    def test_incremental_counts_match_full_recount(self, corpus, threshold, max_size):
-        corpus = [tokenize_smiles(s) for s in corpus]
+    def test_equal_products_share_a_unit(self):
+        # (C, CC) and (CC, C) tie at 2 on the same concatenation, so the
+        # smaller pair merges first; the second merge adds no unit.
+        corpus = [["C", "CC"], ["C", "CC"], ["CC", "C"], ["CC", "C"]]
+        vocab = build_vocab(corpus, threshold=2, max_size=10)
+        assert vocab.units == ("C", "CC", "CCC")
+        assert vocab.merges == (("C", "CC"), ("CC", "C"))
+
+    def test_empty_sequences_hold_no_pairs(self):
+        vocab = build_vocab([[], ["C", "C"], [], [], ["C", "C"], []], threshold=2)
+        assert vocab.units == ("C", "CC") and vocab.merges == (("C", "C"),)
+        assert build_vocab([[]], threshold=1).units == ()
+
+    @settings(max_examples=500, deadline=None)
+    @given(corpus=_corpora.map(lambda c: [tokenize_smiles(s) for s in c]) | _token_corpora,
+           threshold=st.integers(1, 4), max_size=st.integers(1, 64))
+    def test_array_merges_match_full_recount(self, corpus, threshold, max_size):
         assert (build_vocab(corpus, threshold, max_size)
                 == reference_build_vocab(corpus, threshold, max_size))
+
+    def test_paper_scale_corpus_matches_full_recount(self):
+        smiles = generate_clustered(PAPER_SPEC, 0)["smiles.tsv"]
+        corpus = [tokenize_smiles(line.split("\t")[1]) for line in smiles]
+        vocab = build_vocab(corpus, threshold=5)
+        assert vocab == reference_build_vocab(corpus, threshold=5, max_size=512)
+        assert (len(vocab.merges), vocab.size) == (169, 189)
 
 
 class TestEncode:

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from hinddi import metapath
 from hinddi.hin import EntityKind, SchemaError
 from hinddi.metapath import (
+    DENSE_PRODUCT_SHARE,
+    PRODUCT_ROWS,
     CommutingMatrix,
     MetaPathSpec,
     MetaPathStep,
@@ -76,11 +79,13 @@ class TestCommutingMatrix:
             np.testing.assert_array_equal(
                 np.diag(commuting_matrix(hin, specs["DID-3"]).counts), h_deg)
 
-    def test_matches_oracle_on_random_instances(self):
-        # Exhaustive drug-pair comparison on small random networks.
+    @pytest.mark.parametrize("density", [0.25, 0.04])
+    def test_matches_oracle_on_random_instances(self, density):
+        # Exhaustive drug-pair comparison on small random networks; at 4%
+        # most left factors stay sparse, at 25% most are densified.
         rng = np.random.default_rng(99)
         for _ in range(25):
-            hin = random_hin(rng, max_per_kind=8)
+            hin = random_hin(rng, max_per_kind=8, density=density)
             for spec in builtin_specs():
                 counts = commuting_matrix(hin, spec).counts
                 oracle = brute_force_path_counts(hin, spec)
@@ -88,6 +93,54 @@ class TestCommutingMatrix:
                 for i in range(hin.n_drugs):
                     for j in range(hin.n_drugs):
                         assert counts[i, j] == oracle[i, j]
+
+    @pytest.mark.parametrize("n_drugs", [3, 30])
+    def test_large_counts_match_oracle(self, n_drugs):
+        # d0 and d1 share all 50 proteins, side effects and substructures,
+        # and the proteins form one complete PPI block, so DID-2 counts
+        # 50 * 49 paths between them; every other drug has no relations.
+        # Their left factors are 2 / n_drugs nonzero: 3 drugs densify the
+        # last step, 30 keep it sparse.
+        full = [(d, k) for d in (0, 1) for k in range(50)]
+        hin = make_hin(n_drugs, 50, 50, 50, t_pairs=full, c_pairs=full, h_pairs=full,
+                       p_pairs=[(p, q) for p in range(50) for q in range(p + 1, 50)])
+        assert (2 / n_drugs >= DENSE_PRODUCT_SHARE) == (n_drugs == 3)
+        for spec in builtin_specs():
+            counts = commuting_matrix(hin, spec).counts
+            assert counts.dtype == np.int64
+            np.testing.assert_array_equal(counts, brute_force_path_counts(hin, spec))
+            assert counts[0, 1] == (50 * 49 if spec.name == "DID-2" else 50)
+            assert not counts[2:].any() and not counts[:, 2:].any()
+
+    def test_row_blocks_match_sparse_product(self):
+        # More drugs than one block holds, past the oracle's size limit, so
+        # the integer product of the CSR steps is the reference.
+        n = 2 * PRODUCT_ROWS + 3
+        rng = np.random.default_rng(3)
+
+        def pairs(rows, cols):
+            return list(zip(*np.nonzero(rng.random((rows, cols)) < 0.3)))
+
+        hin = make_hin(n, 12, 15, 20, t_pairs=pairs(n, 12), c_pairs=pairs(n, 15),
+                       h_pairs=pairs(n, 20),
+                       p_pairs=[(p, q) for p, q in pairs(12, 12) if p < q])
+        for spec in builtin_specs():
+            steps = [hin.matrix(s.matrix).to_csr() for s in spec.steps]
+            steps = [m.T if s.transposed else m for m, s in zip(steps, spec.steps)]
+            expected = steps[0]
+            for m in steps[1:]:
+                expected = expected @ m
+            counts = commuting_matrix(hin, spec).counts
+            assert counts.dtype == np.int64
+            np.testing.assert_array_equal(counts, expected.toarray())
+
+    def test_counts_beyond_exact_float64_rejected(self, monkeypatch):
+        hin = make_hin(2, 1, 0, 0, t_pairs=[(0, 0), (1, 0)])
+        huge = sp.csr_matrix(np.array([[2 ** 52], [2]], dtype=np.int64))
+        monkeypatch.setattr(metapath, "_step_csr",
+                            lambda hin, step: huge.T.tocsr() if step.transposed else huge)
+        with pytest.raises(SchemaError, match="2\\*\\*53"):
+            commuting_matrix(hin, builtin_specs()[0])
 
     def test_hierarchical_spec_against_oracle(self):
         rng = np.random.default_rng(5)
