@@ -76,6 +76,26 @@ that size. On a guest with steal time, a call can run slower split than
 serial in a busy period, when the thread that holds a group waits for a
 core.
 
+`pair_scores` uses the same pool for its forward. From `PARALLEL_MIN_PAIRS`
+(8,192) pairs on, it cuts its blocks of `PAIR_BLOCK` pairs into W = min(
+blocks, usable cores) contiguous groups; each group gathers into its own
+buffers and writes its own slice of the dot products, whose ops do not
+depend on the split. Measured time of one forward (F = 64, float32, 513
+rows; random pairs, and all 131,328 unordered pairs in row-major order;
+2-vCPU guest, median of 15 interleaved rounds of 5-48 calls), serial vs
+2 groups:
+
+    pairs     serial vs split
+    4,096     0.50 vs 0.47 ms (1.07, won 7 of 15 rounds)
+    6,144     0.72 vs 0.73 ms (0.97, won 7 of 15)
+    8,192     0.96 vs 0.80 ms (1.20, won 15 of 15)
+    12,288    1.37 vs 1.06 ms (1.30, won 14 of 15)
+    18,952    2.12 vs 1.55 ms (1.37, won 14 of 15)
+    32,768    3.66 vs 2.52 ms (1.45, won 15 of 15)
+    131,328   13.7 vs 8.9 ms (1.54, won 15 of 15)
+
+The planted 50-drug set scores at most 1,225 pairs and starts no thread.
+
 Scope is deliberately narrow: 0-d/1-d/2-d tensors, no general broadcasting,
 no views, no higher-order gradients. Two precisions are supported (float32
 for training, float64 for gradient checking); mixing them in one operation
@@ -327,8 +347,14 @@ def _executor() -> ThreadPoolExecutor:
     with _pool_lock:
         if _pool is None:
             _pool = ThreadPoolExecutor(max(1, _usable_cores() - 1),
-                                       thread_name_prefix="hinddi-heads")
+                                       thread_name_prefix="hinddi-autodiff")
         return _pool
+
+
+def _ranges(items: range, workers: int) -> list[range]:
+    """`items` cut into `workers` contiguous ranges of near-equal length."""
+    bounds = [len(items) * g // workers for g in range(workers + 1)]
+    return [items[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _head_groups(heads, n, rng):
@@ -340,8 +366,7 @@ def _head_groups(heads, n, rng):
     workers = min(heads, _usable_cores()) if n >= PARALLEL_MIN_NODES else 1
     if rng is not None and not isinstance(rng.bit_generator, _ADVANCE_PER_DRAW):
         workers = 1
-    bounds = [heads * g // workers for g in range(workers + 1)]
-    groups = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    groups = _ranges(range(heads), workers)
     gens = [rng]
     for group in groups[1:]:
         gens.append(copy.deepcopy(rng))
@@ -690,16 +715,28 @@ def semantic_attention(zs: Sequence[Tensor], w: Tensor | None, b: Tensor | None,
     return _node(out, op, parents, bwd), _node(beta, f"{op}.beta", (), None)
 
 
-# Pairs per block of the forward dot products in `pair_scores`. Gathering
-# all m rows at once makes two (m, F) temporaries, 34 MB each when all
-# 131k pairs of 513 drugs are screened; blocks keep them near 4 MB.
-PAIR_BLOCK = 16384
+# Pairs per block of the forward dot products in `pair_scores`. Each thread
+# gathers a block's two (PAIR_BLOCK, F) row sets into two buffers that it
+# allocates once per call and reuses for every block. At F = 64 in float32
+# they hold 512 kB each, so they stay in a core's L2 cache (2 MB on the
+# guest measured) from the gather through the product to the row sums,
+# where fresh temporaries per block are new memory each time. Of 512 to
+# 8,192 pairs, 2,048 was fastest on all 131,328 pairs of 513 drugs in 2
+# groups (8.4 ms against 8.7-18.5 ms) and near the fastest serially (12.9
+# ms, 1,024 12.4 ms, 8,192 19.0 ms).
+PAIR_BLOCK = 2048
+
+# A `pair_scores` call on at least this many pairs runs its blocks in
+# contiguous groups, one per usable core; see the pair table in the module
+# docstring.
+PARALLEL_MIN_PAIRS = 8192
 
 
 def pair_scores(z: Tensor, pairs: np.ndarray) -> Tensor:
     """sigmoid(z[i] . z[j]) for each row (i, j) of an (m, 2) index array,
     as one node; an index outside z's rows raises IndexError. Each dot
-    product sums its own row, so blocking the pairs leaves it unchanged."""
+    product sums its own row with the ops of `(z[i] * z[j]).sum(axis=1)`,
+    so neither the blocks nor the threads that run them change a bit."""
     op = "pair_scores"
     _require_shape(op, z.data.ndim == 2, f"expects 2-d embeddings, got {z.shape}")
     pairs = np.asarray(pairs, dtype=np.int64)
@@ -709,21 +746,36 @@ def pair_scores(z: Tensor, pairs: np.ndarray) -> Tensor:
         raise IndexError(f"{op}: index out of range for {z.shape[0]} rows")
     i, j = pairs[:, 0], pairs[:, 1]
     zd = z.data
-    dots = np.empty(len(pairs), dtype=zd.dtype)
-    for start in range(0, len(pairs), PAIR_BLOCK):
-        block = slice(start, start + PAIR_BLOCK)
-        dots[block] = (zd[i[block]] * zd[j[block]]).sum(axis=1)
+    m = len(pairs)
+    dots = np.empty(m, dtype=zd.dtype)
+    starts = range(0, m, PAIR_BLOCK)
+    workers = max(1, min(len(starts), _usable_cores())) if m >= PARALLEL_MIN_PAIRS else 1
+
+    def forward(group, _):
+        rows_i = np.empty((min(m, PAIR_BLOCK), zd.shape[1]), dtype=zd.dtype)
+        rows_j = np.empty_like(rows_i)
+        for start in group:
+            block = slice(start, min(start + PAIR_BLOCK, m))
+            a, b = rows_i[:block.stop - start], rows_j[:block.stop - start]
+            # the range is checked above; mode="raise" would buffer `out`
+            np.take(zd, i[block], axis=0, out=a, mode="clip")
+            np.take(zd, j[block], axis=0, out=b, mode="clip")
+            np.add.reduce(np.multiply(a, b, out=a), axis=1, out=dots[block])
+
+    _run_groups(forward, _ranges(starts, workers), [None] * workers)
     _check_finite(dots, op)  # the sigmoid would hide an overflow
     y = 1 / (1 + np.exp(-dots))
 
     def bwd(g):
-        # Row r of (n, m) incidence @ (m, F) rows is the sum of the rows of
-        # the pairs that hold drug r, added in pair order as np.add.at would.
-        d_dots = (g * y * (1 - y))[:, None]
-        ones, order = np.ones(len(pairs), dtype=zd.dtype), np.arange(len(pairs))
-        by_i, by_j = (sp.csr_array((ones, (side, order)), shape=(len(zd), len(pairs)))
+        # Row r of the (n, m) incidence weighted by d_dots, times the (m, F)
+        # rows of the other drugs, is the sum of d_dots * row over the pairs
+        # that hold drug r, in pair order. scipy's csr_matvecs adds each
+        # term as y += a * x without a fused multiply-add, so every rounding
+        # is that of np.add.at; the oracle test pins this.
+        d_dots, order = g * y * (1 - y), np.arange(m)
+        by_i, by_j = (sp.csr_array((d_dots, (side, order)), shape=(len(zd), m))
                       for side in (i, j))
-        return [by_i @ (d_dots * zd[j]) + by_j @ (d_dots * zd[i])]
+        return [by_i @ zd.take(j, axis=0) + by_j @ zd.take(i, axis=0)]
 
     return _node(y, op, (z,), bwd)
 

@@ -355,7 +355,8 @@ def cmd_predict(args, cfg: RunConfig) -> int:
         requested.append((a, b, i, j))
 
     out = encode(params, values, graphs, model_config)
-    pair_idx = np.array([[i, j] for _, _, i, j in requested], dtype=np.int64)
+    pair_idx = np.array([(i, j) for _, _, i, j in requested],
+                        dtype=np.int64).reshape(len(requested), 2)
     scores = decode_pairs(out.fused, pair_idx).data
     order = np.argsort(-scores, kind="stable")
     lines = [f"{requested[k][0]}\t{requested[k][1]}\t{format(scores[k], '.10g')}"

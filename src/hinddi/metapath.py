@@ -175,8 +175,8 @@ def neighbor_graph(m: CommutingMatrix, threshold: int = 1) -> NeighborGraph:
     np.fill_diagonal(adj, True)
     n = adj.shape[0]
     idx = sp.get_index_dtype(maxval=adj.size)  # int32 unless n^2 overflows it
-    # flat indices run row by row, so each row's columns come out sorted
-    cols = (np.flatnonzero(adj) % n).astype(idx)
+    # boolean indexing runs row by row, so each row's columns come out sorted
+    cols = np.broadcast_to(np.arange(n, dtype=idx), (n, n))[adj]
     indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(adj, axis=1))]).astype(idx)
     return NeighborGraph(m.name, sp.csr_array((np.ones(cols.size, dtype=bool), cols, indptr),
                                               shape=(n, n)))

@@ -231,9 +231,10 @@ def encode(params: ModelParams, features: np.ndarray,
 
 
 def decode_pairs(fused: Tensor, pairs: np.ndarray) -> Tensor:
-    """Sigmoid of the row dot products fused[i] . fused[j] per pair;
-    symmetric in (i, j)."""
-    return ad.pair_scores(fused, np.asarray(pairs, dtype=np.int64).reshape(-1, 2))
+    """Sigmoid of the row dot products fused[i] . fused[j] per row (i, j) of
+    an (m, 2) pair array; symmetric in (i, j). Any other shape, such as an
+    (m, 3) labelled partition, raises ShapeError."""
+    return ad.pair_scores(fused, pairs)
 
 
 def bce_loss(scores: Tensor, labels: np.ndarray) -> Tensor:

@@ -1,6 +1,7 @@
 """Tensor core: forward semantics, adjoints vs finite differences, Adam."""
 
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -624,14 +625,29 @@ class TestHeadGroups:
                                heads=self.HEADS, slope=0.2)
 
 
+def _split_pairs(monkeypatch, workers, block=None):
+    """Score pairs in blocks of `block` (default: PAIR_BLOCK), in `workers`
+    groups of blocks at any pair count (1: serially)."""
+    if block is not None:
+        monkeypatch.setattr(ad, "PAIR_BLOCK", block)
+    if workers > 1:
+        monkeypatch.setattr(ad, "PARALLEL_MIN_PAIRS", 0)
+    monkeypatch.setattr(ad, "_usable_cores", lambda: workers)
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_pair_scores_adjoint_matches_add_at_bit_for_bit(dtype):
-    # repeated, reversed and i == j pairs among random ones
+@pytest.mark.parametrize("size", ["small", "above the thread threshold"])
+def test_pair_scores_adjoint_matches_add_at_bit_for_bit(monkeypatch, dtype, size):
+    # repeated, reversed and i == j pairs among random ones, and exact-zero
+    # adjoints of both signs, as the clamped binary cross-entropy gives
     rng = np.random.default_rng(6)
-    zd = rng.standard_normal((9, 16)).astype(dtype)
-    pairs = np.concatenate([rng.integers(0, 9, size=(40, 2)),
+    n, m = (9, 40) if size == "small" else (60, ad.PARALLEL_MIN_PAIRS + 3000)
+    monkeypatch.setattr(ad, "_usable_cores", lambda: 2)
+    zd = rng.standard_normal((n, 16)).astype(dtype)
+    pairs = np.concatenate([rng.integers(0, n, size=(m, 2)),
                             [[2, 5], [2, 5], [5, 2], [4, 4], [0, 8], [8, 0]]])
     g = rng.standard_normal(len(pairs)).astype(dtype)
+    g[::7], g[3::11] = 0.0, -0.0
     node = ad.pair_scores(Tensor(zd, requires_grad=True), pairs)
     (dz,) = node._backward(g)
     want = reference_pair_scores_adjoint(zd, pairs, node.data, g)
@@ -652,23 +668,57 @@ def test_fused_ops_reject_an_overflow_that_squashing_would_hide():
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_pair_scores_in_blocks_equal_one_gather(monkeypatch, dtype):
-    # 40 pairs in blocks of 7, the last one short: every score is
-    # bit-identical to the sigmoid of dot products gathered all at once.
-    monkeypatch.setattr(ad, "PAIR_BLOCK", 7)
-    rng = np.random.default_rng(0)
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_pair_scores_in_blocks_equal_one_gather(monkeypatch, dtype, workers):
+    # 40 pairs in blocks of 7, the last one short, in 1-3 groups of blocks:
+    # every score is bit-identical to the sigmoid of dot products gathered
+    # all at once. Each case draws its own data, so that a block left
+    # unwritten cannot hold the right bits from an earlier case's buffer.
+    _split_pairs(monkeypatch, workers, block=7)
+    groups, run_groups = [], ad._run_groups
+
+    def count_groups(work, parts, gens):
+        groups.append(len(parts))
+        run_groups(work, parts, gens)
+
+    monkeypatch.setattr(ad, "_run_groups", count_groups)
+    rng = np.random.default_rng(workers)
     zd = rng.standard_normal((9, 64)).astype(dtype)
     pairs = rng.integers(0, 9, size=(40, 2))
     dots = (zd[pairs[:, 0]] * zd[pairs[:, 1]]).sum(axis=1)
     got = ad.pair_scores(Tensor(zd), pairs).data
+    assert groups == [workers]
     assert got.dtype == dtype
     assert got.tobytes() == (1 / (1 + np.exp(-dots))).tobytes()
 
 
-def test_pair_scores_temporaries_do_not_grow_with_the_pairs(monkeypatch):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_pair_scores_of_no_pairs(monkeypatch, workers):
+    _split_pairs(monkeypatch, workers)
+    z = Tensor(np.ones((3, 4), dtype=np.float32), requires_grad=True)
+    node = ad.pair_scores(z, np.zeros((0, 2), dtype=np.int64))
+    assert node.data.shape == (0,) and node.data.dtype == np.float32
+    (dz,) = node._backward(np.zeros(0, dtype=np.float32))
+    assert dz.dtype == np.float32 and dz.shape == (3, 4) and not dz.any()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_pair_scores_overflow_raises_under_errstate(monkeypatch, workers):
+    # only the second block's products overflow; with two groups a pool
+    # thread computes it, and the caller's np.errstate must hold there
+    _split_pairs(monkeypatch, workers, block=7)
+    zd = np.ones((3, 4), dtype=np.float32)
+    zd[2] = 1e38
+    pairs = np.array([[0, 1]] * 7 + [[2, 2]] * 7)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        ad.pair_scores(Tensor(zd), pairs)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_pair_scores_temporaries_do_not_grow_with_the_pairs(monkeypatch, workers):
     # One gather of all 4,950 pairs would hold two 1.3 MB (m, 64) arrays;
-    # blocks of 256 pairs hold two of 64 kB.
-    monkeypatch.setattr(ad, "PAIR_BLOCK", 256)
+    # blocks of 256 pairs hold two buffers of 64 kB per group.
+    _split_pairs(monkeypatch, workers, block=256)
     z = Tensor(np.ones((100, 64), dtype=np.float32))
     pairs = np.stack(np.triu_indices(100, 1), axis=1)
     tracemalloc.start()
@@ -678,6 +728,25 @@ def test_pair_scores_temporaries_do_not_grow_with_the_pairs(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+def test_repeated_screens_reuse_the_pool(monkeypatch):
+    # a fresh pool for 3 usable cores holds at most 2 threads beside the
+    # caller's, however many screens above the threshold run
+    monkeypatch.setattr(ad, "_usable_cores", lambda: 3)
+    monkeypatch.setattr(ad, "_pool", None)
+    z = Tensor(np.random.default_rng(4).standard_normal((200, 8)))
+    pairs = np.stack(np.triu_indices(200, 1), axis=1)
+    assert len(pairs) >= ad.PARALLEL_MIN_PAIRS
+    before = threading.active_count()
+    try:
+        for _ in range(20):
+            ad.pair_scores(z, pairs)
+            assert threading.active_count() <= before + 2
+        assert ad._pool is not None
+    finally:
+        if ad._pool is not None:
+            ad._pool.shutdown(wait=True)
 
 
 @settings(max_examples=60, deadline=None)

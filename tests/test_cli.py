@@ -314,6 +314,16 @@ class TestPredict:
         by_pair = {(r[0], r[1]): r[2] for r in rows}
         assert by_pair[("D000", "D001")] == by_pair[("D001", "D000")]
 
+    def test_no_pairs_give_an_empty_file(self, pipeline, tmp_path):
+        root, cfg = pipeline
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("# no pairs\n", encoding="utf-8")
+        out_file = tmp_path / "scores.tsv"
+        assert run_cli("predict", "--config", cfg, "--checkpoint",
+                       root / "out" / "checkpoint.bin", "--pairs", pairs,
+                       "--scores-out", out_file) == 0
+        assert out_file.read_text() == ""
+
     def test_self_pair_rejected(self, pipeline, tmp_path, capsys):
         root, cfg = pipeline
         pairs = tmp_path / "self.tsv"

@@ -204,6 +204,24 @@ class TestNeighborGraph:
                 np.testing.assert_array_equal(g.adjacency, expect)
                 assert g.n_nodes == hin.n_drugs
 
+    @pytest.mark.parametrize("kind", ["random", "empty off the diagonal", "complete"])
+    def test_columns_equal_the_flat_index_formula(self, kind):
+        # the CSR arrays are byte-identical to those built from the column
+        # indices of np.flatnonzero over the flattened mask
+        n = 37
+        counts = {"random": np.random.default_rng(5).integers(0, 2, (n, n)),
+                  "empty off the diagonal": np.zeros((n, n), dtype=np.int64),
+                  "complete": np.ones((n, n), dtype=np.int64)}[kind]
+        adj = counts >= 1
+        np.fill_diagonal(adj, True)
+        idx = sp.get_index_dtype(maxval=adj.size)
+        cols = (np.flatnonzero(adj) % n).astype(idx)
+        mask = neighbor_graph(CommutingMatrix("DID-1", counts)).mask
+        assert mask.indices.dtype == cols.dtype
+        assert mask.indices.tobytes() == cols.tobytes()
+        assert mask.indptr.tobytes() == np.concatenate(
+            [[0], np.cumsum(adj.sum(axis=1))]).astype(idx).tobytes()
+
     def test_adjacency_is_read_only(self):
         g = neighbor_graph(CommutingMatrix("DID-1", np.zeros((3, 3), dtype=np.int64)))
         with pytest.raises(ValueError, match="read-only"):

@@ -278,6 +278,12 @@ class TestDecoder:
         with pytest.raises(IndexError):
             decode_pair(np.zeros((2, 2)), 0, 5)
 
+    def test_labelled_partition_rejected(self):
+        # four (i, j, label) rows are not six pairs
+        labelled = np.array([[0, 1, 1], [1, 2, 0], [2, 3, 1], [0, 3, 0]])
+        with pytest.raises(ShapeError, match=r"\(m, 2\) pairs"):
+            decode_pairs(Tensor(np.eye(4)), labelled)
+
 
 class TestBceLoss:
     def test_half_confidence_is_ln2(self):
