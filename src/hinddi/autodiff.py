@@ -26,27 +26,52 @@ learned alpha, chosen per call from the mask's density (nnz / n^2). Below
 `indptr` and `indices`, taken as they are: (E, K) scores, a segment
 softmax per row, dropout drawn per edge and head, and row and column sums
 as products with the (n, E) edge incidence, so its time and memory grow
-with E. Otherwise it works per head on dense (n, n) arrays from the
-densified mask, whose cost does not depend on the density. Measured
-fwd+bwd time of one meta-path (8 heads of 8, float32, random symmetric
-masks; 2-vCPU guest, BLAS on one thread, median of 11-40 interleaved
-runs), dense vs edges, in training (dropout 0.6) and in eval mode (no
-dropout):
+with E. Otherwise it works on dense (n, n) arrays from the densified
+mask, a block of heads at a time, whose cost does not depend on the
+density. Measured fwd+bwd time of one meta-path (8 heads of 8, float32,
+random symmetric masks; 2-vCPU guest, BLAS on one thread, median of 11-40
+interleaved runs), dense vs edges, in training (dropout 0.6) and in eval
+mode (no dropout):
 
     n       5%             10%            14%            18%
     train
-    128     4.0 vs 2.4 ms  2.5 vs 2.2 ms  2.4 vs 2.8 ms  2.6 vs 3.6 ms
+    50      0.86 vs 0.98   0.86 vs 1.11   0.83 vs 1.20   0.51 vs 0.75 ms
+    128     2.3 vs 1.1 ms  2.3 vs 2.0 ms  2.2 vs 2.6 ms  2.2 vs 3.0 ms
     513     40 vs 18 ms    39 vs 30 ms    38 vs 43 ms    42 vs 54 ms
     1,026   231 vs 77 ms   245 vs 146 ms  235 vs 226 ms  227 vs 274 ms
     eval
-    128     2.0 vs 1.5 ms  1.9 vs 1.9 ms  1.9 vs 2.3 ms  2.0 vs 3.2 ms
+    50      0.20 vs 0.37   0.20 vs 0.40   0.20 vs 0.42   0.19 vs 0.44 ms
+    128     0.76 vs 0.60   0.96 vs 1.17   0.95 vs 1.41   0.72 vs 1.67 ms
     513     29 vs 14 ms    27 vs 29 ms    31 vs 41 ms    29 vs 46 ms
     1,026   151 vs 68 ms   164 vs 120 ms  141 vs 194 ms  140 vs 226 ms
 
-The edge branch loses from about 12-15% density in training and 10-12%
-in eval mode; at n = 50 both take about 0.8 ms at any density. The 5%
-threshold keeps a margin below every crossover; paper-scale meta-path
-graphs are either about 1% or over 70% dense.
+The n = 50 and n = 128 rows were measured with head blocks, the others
+before them (one head at a time); at n = 50 the masks are 2 points
+denser than the column says (self-loops), and the host slowed down
+between the last two training columns. The edge branch loses from about
+12-15% density in training and 10% in eval mode at n = 128, and at every
+density at n = 50. The 5% threshold keeps a margin below every
+crossover; paper-scale meta-path graphs are either about 1% or over 70%
+dense.
+
+The dense branch takes the heads of a group in blocks of up to
+`HEAD_BLOCK_ENTRIES` (32,768) // n^2 contiguous heads, held as (m, n, n)
+arrays, so that each step is one NumPy call per block instead of one per
+head; no step crosses heads, so the bits do not depend on the block.
+Small graphs are bound by the cost of each call, large blocks outgrow the
+cache. Measured fwd+bwd time of one training call (8 heads of 8, float32,
+about 28% mask, dropout 0.6; 2-vCPU guest, BLAS on one thread, median of
+11 interleaved rounds of 10-40 calls), by heads per block:
+
+    n       1 head    2 heads   4 heads   8 heads
+    50      0.93      0.67      0.55      0.50 ms
+    96      2.65      2.21      2.20      2.90 ms
+    128     2.59      2.52      3.03      3.48 ms
+    256     8.1       10.5      12.2      14.6 ms
+
+The budget gives one block of all 8 heads at n = 50, blocks of 3 at
+n = 96 and of 2 at n = 128, and one head per block from n = 182 on, so
+paper-scale graphs keep per-head arrays.
 
 From `PARALLEL_MIN_NODES` (320) nodes on, the dense branch runs its K heads
 in W = min(K, usable cores) contiguous groups, forward and adjoint alike:
@@ -62,17 +87,19 @@ on one thread, median of 35-854 calls in 7 interleaved blocks), serial vs
 2 groups, fwd+bwd in training (dropout 0.6) and fwd in eval mode:
 
     n       train                 eval
-    128     5.4 vs 7.6 ms (0.71)  2.1 vs 2.9 ms (0.72)
+    50      0.91 vs 2.3 ms (0.39) 0.22 vs 0.66 ms (0.33)
+    128     2.3 vs 3.7 ms (0.62)  0.93 vs 1.39 ms (0.67)
     256     16 vs 14 ms (1.18)    6.7 vs 5.9 ms (1.14)
     320     24 vs 18 ms (1.27)    9.9 vs 8.1 ms (1.23)
     384     35 vs 23 ms (1.52)    15 vs 12 ms (1.24)
     513     54 vs 37 ms (1.47)    25 vs 19 ms (1.29)
     1,026   295 vs 179 ms (1.65)  116 vs 85 ms (1.36)
 
-(speed-up in brackets). An earlier run of the same table, with 3x the
-steal time (CPU time the host gave to other guests), had n = 256 at 1.07
-in training and 0.90 in eval mode, so the threshold sits one step above
-that size. On a guest with steal time, a call can run slower split than
+(speed-up in brackets; n = 50 and 128 measured with head blocks, median
+of 11 interleaved rounds of 15-40 calls, mask about 75% dense). An
+earlier run of the same table, with 3x the steal time (CPU time the host
+gave to other guests), had n = 256 at 1.07 in training and 0.90 in eval
+mode, so the threshold sits one step above that size. On a guest with steal time, a call can run slower split than
 serial in a busy period, when the thread that holds a group waits for a
 core.
 
@@ -217,6 +244,12 @@ def _node(arr: np.ndarray, op: str, parents: Sequence[Tensor],
           backward_fn: Callable[[np.ndarray], list]) -> Tensor:
     """Build an operation-result tensor, pruning the tape for constants."""
     _check_finite(arr, op)
+    return _result(arr, op, parents, backward_fn)
+
+
+def _result(arr: np.ndarray, op: str, parents: Sequence[Tensor],
+            backward_fn: Callable[[np.ndarray], list]) -> Tensor:
+    """`_node` without the check, for an array whose finiteness is known."""
     t = Tensor.__new__(Tensor)
     t.data = arr
     t.grad = None
@@ -320,6 +353,11 @@ SPARSE_DENSITY = 0.05
 # see the split table in the module docstring.
 PARALLEL_MIN_NODES = 320
 
+# Entries of the (m, n, n) arrays that a block of m dense heads works on
+# at once: all 8 heads at n = 50, one head per block from n = 182 on. See
+# the block table in the module docstring.
+HEAD_BLOCK_ENTRIES = 32768
+
 # Float64 entries per block of a dense head's dropout draw. Drawing the
 # (n, n) uniforms a block of rows at a time takes the generator's stream in
 # the same order as one whole draw, with a buffer of this size.
@@ -421,8 +459,10 @@ def graph_attention(h: Tensor, a: Tensor | None, mask, *,
     one (E, K) draw, edges in row-major order.
 
     Returns the node and the K alphas before dropout, uncopied: (n, n)
-    arrays on the dense branch, `scipy.sparse.csr_array`s on the mask's
-    edges on the edge branch.
+    arrays on the dense branch (views of their head block's array, or the
+    fixed alpha itself), `scipy.sparse.csr_array`s on the mask's edges on
+    the edge branch. The output is checked for NaN and Inf first, then the
+    alphas: a learned one through its softmax row sums, the fixed one once.
     """
     op = "graph_attention"
     if (a is None) == (fixed is None):
@@ -458,27 +498,37 @@ def graph_attention(h: Tensor, a: Tensor | None, mask, *,
         parents = (h,)
     s = dt.type(slope)
     if fixed is not None:
-        out, alphas, bwd = _attention_dense(hd, None, None, fixed, heads, s, dropout, rng)
+        out, alphas, check, bwd = _attention_dense(hd, None, None, fixed, heads, s, dropout, rng)
     elif mask.nnz < SPARSE_DENSITY * n * n:
-        out, alphas, bwd = _attention_edges(hd, a.data, mask, heads, s, dropout, rng)
+        out, alphas, check, bwd = _attention_edges(hd, a.data, mask, heads, s, dropout, rng)
     else:
-        out, alphas, bwd = _attention_dense(hd, a.data, mask.toarray(), None,
-                                            heads, s, dropout, rng)
-    return (_node(out, op, parents, bwd),
-            [_node(alpha, f"{op}.alpha", (), None) for alpha in alphas])
+        out, alphas, check, bwd = _attention_dense(hd, a.data, mask.toarray(), None,
+                                                   heads, s, dropout, rng)
+    node = _node(out, op, parents, bwd)
+    _check_finite(check, f"{op}.alpha")
+    return node, [_result(alpha, f"{op}.alpha", (), None) for alpha in alphas]
 
 
 def _attention_dense(hd, a, mask, fixed, heads, s, dropout, rng):
-    """`graph_attention` on dense (n, n) arrays, one head at a time so each
-    working set stays in cache; `a` is None iff `fixed` is given. Returns
-    the output, the K alphas and the adjoint, which maps the output's
-    adjoint to [dh] or [dh, da].
+    """`graph_attention` on dense (n, n) arrays, a block of heads at a time;
+    `a` is None iff `fixed` is given. Returns the output, the K alphas, an
+    array that is finite exactly when every alpha is, and the adjoint, which
+    maps the output's adjoint to [dh] or [dh, da].
 
-    Each head makes few full passes over (n, n) arrays, in place where it
-    can, and shares one scratch array with the other heads of its group.
+    A block is up to `HEAD_BLOCK_ENTRIES` // n^2 contiguous heads of one
+    group, held as (m, n, n) arrays that each step passes over once, in
+    place where it can; every elementwise step, row reduction and product
+    of a head is the one it would be alone, so the bits do not depend on
+    the block. The scores and `da` stay one mat-vec (BLAS gemv) per head,
+    issued by one stacked `np.matmul` per block.
     Masked ufunc loops (`where=` on a scattered mask) and `np.where` cost
-    3-10 such passes, so the leaky relu, the mask and the slope of the
-    adjoint are written as plain elementwise ops that give the same bits.
+    3-10 passes, so the leaky relu, the mask and the slope of the adjoint
+    are written as plain elementwise ops that give the same bits.
+
+    The finiteness check is on the row sums of exp(x - row max): each entry
+    lies in [0, 1] or is NaN and the row maximum gives exactly 1, so a sum
+    is in [1, n] or NaN, and alpha = exp / sum is finite exactly when every
+    sum is. A fixed alpha is its own check.
 
     The heads run in the groups of `_head_groups`, forward and adjoint
     alike. No head reads another's results: groups write disjoint columns
@@ -495,40 +545,48 @@ def _attention_dense(hd, a, mask, fixed, heads, s, dropout, rng):
         # off the mask, NaN included, to -inf and keeps the others
         cap = np.subtract(mask, dt.type(0.5), dtype=dt)
         cap *= np.inf
+        src, dst, sums = (np.empty((heads, n), dtype=dt) for _ in range(3))
 
+    per = max(1, HEAD_BLOCK_ENTRIES // (n * n))
+    h3 = hd.reshape(n, heads, f).transpose(1, 0, 2)          # (K, n, F) views
     out = np.empty_like(hd)
-    alphas, keeps, scores = [None] * heads, [None] * heads, [None] * heads
+    o3 = out.reshape(n, heads, f).transpose(1, 0, 2)
+    # the alpha and keep mask of the block that starts at head k, at k
+    alpha_at, keep_at = [None] * heads, [None] * heads
     groups, gens = _head_groups(heads, n, rng if dropout else None)
 
+    def blocks(group):
+        return [slice(lo, min(lo + per, group.stop))
+                for lo in range(group.start, group.stop, per)]
+
     def forward(group, gen):
-        scratch = np.empty((n, n), dtype=dt)
+        scratch = np.empty((min(per, len(group)), n, n), dtype=dt)
         if dropout:
-            draws = np.empty((min(n, max(1, DRAW_BLOCK // n)), n))
-        for k in group:
-            cols = slice(k * f, (k + 1) * f)
-            hk = hd[:, cols]
+            draws = np.empty((min(len(scratch) * n, max(1, DRAW_BLOCK // n)), n))
+        for b in blocks(group):
+            tmp = scratch[:b.stop - b.start]
             if fixed is None:
-                src, dst = hk @ a[k, :f], hk @ a[k, f:]
-                alpha = np.add.outer(src, dst)
-                leaky(alpha, np.multiply(alpha, s, out=scratch), out=alpha)
+                np.matmul(h3[b], a[b, :f, None], out=src[b, :, None])
+                np.matmul(h3[b], a[b, f:, None], out=dst[b, :, None])
+                alpha = np.add(src[b, :, None], dst[b, None, :])
+                leaky(alpha, np.multiply(alpha, s, out=tmp), out=alpha)
                 np.fmin(alpha, cap, out=alpha)
-                alpha -= alpha.max(axis=1, keepdims=True)
+                alpha -= alpha.max(axis=2, keepdims=True)
                 np.exp(alpha, out=alpha)
-                alpha /= alpha.sum(axis=1, keepdims=True)
-                scores[k] = src, dst
+                np.sum(alpha, axis=2, out=sums[b])
+                alpha /= sums[b, :, None]
+                alpha_at[b.start] = alpha
             else:
                 alpha = fixed
-            alphas[k] = alpha
             if dropout:
-                keep = keeps[k] = np.empty((n, n), dtype=bool)
-                for lo in range(0, n, len(draws)):
-                    block = gen.random(out=draws[:n - lo])
-                    np.greater_equal(block, dropout, out=keep[lo:lo + len(block)])
-                dropped = np.multiply(alpha, np.multiply(keep, keep_scale, out=scratch),
-                                      out=scratch)
-                out[:, cols] = dropped @ hk
-            else:
-                out[:, cols] = alpha @ hk
+                # the heads' (n, n) draws in head order, DRAW_BLOCK at a time
+                keep = keep_at[b.start] = np.empty(tmp.shape, dtype=bool)
+                rows = keep.reshape(-1, n)
+                for lo in range(0, len(rows), len(draws)):
+                    block = gen.random(out=draws[:len(rows) - lo])
+                    np.greater_equal(block, dropout, out=rows[lo:lo + len(block)])
+                alpha = np.multiply(alpha, np.multiply(keep, keep_scale, out=tmp), out=tmp)
+            np.matmul(alpha, h3[b], out=o3[b])
 
     _run_groups(forward, groups, gens)
     if len(gens) > 1 and dropout:
@@ -540,6 +598,8 @@ def _attention_dense(hd, a, mask, fixed, heads, s, dropout, rng):
 
     def bwd(g):
         dh = np.zeros_like(hd)
+        d3 = dh.reshape(n, heads, f).transpose(1, 0, 2)
+        g3 = g.reshape(n, heads, f).transpose(1, 0, 2)
         da = None if fixed is not None else np.zeros_like(a)
         # The slope of leaky_relu is 1 where src + dst > 0 and s elsewhere.
         # A rounded sum keeps the sign of the exact one, so src + dst > 0
@@ -549,36 +609,43 @@ def _attention_dense(hd, a, mask, fixed, heads, s, dropout, rng):
         s_bits, one_bits = np.array([s, 1], dtype=dt).view(uint)
 
         def backward(group, _):
-            scratch, factor = np.empty((n, n), dtype=dt), np.empty((n, n), dtype=dt)
-            bits = factor.view(uint)
-            for k in group:
-                cols = slice(k * f, (k + 1) * f)
-                hk, gk, alpha = hd[:, cols], g[:, cols], alphas[k]
+            # two scratch arrays: `work` holds the dropped alpha, then d_e;
+            # `fac` the dropout factor, then d_e * alpha, then the slope
+            shape = (min(per, len(group)), n, n)
+            works, factor = np.empty(shape, dtype=dt), np.empty(shape, dtype=dt)
+            for b in blocks(group):
+                m = b.stop - b.start
+                work, fac = works[:m], factor[:m]
+                alpha = fixed if da is None else alpha_at[b.start]
+                dropped = alpha
                 if dropout:
-                    np.multiply(keeps[k], keep_scale, out=factor)
-                    dh[:, cols] += np.multiply(alpha, factor, out=scratch).T @ gk
-                else:
-                    dh[:, cols] += alpha.T @ gk
+                    np.multiply(keep_at[b.start], keep_scale, out=fac)
+                    dropped = np.multiply(alpha, fac, out=work)
+                d3[b] += np.matmul(dropped.swapaxes(-1, -2), g3[b])
                 if da is None:
                     continue
-                d_e = gk @ hk.T                                 # d_alpha, then d_e
+                d_e = np.matmul(g3[b], h3[b].swapaxes(1, 2), out=work)  # d_alpha, then d_e
                 if dropout:
-                    d_e *= factor
-                d_e -= np.multiply(d_e, alpha, out=scratch).sum(axis=1, keepdims=True)
+                    d_e *= fac
+                d_e -= np.multiply(d_e, alpha, out=fac).sum(axis=2, keepdims=True)
                 d_e *= alpha
-                src, dst = scores[k]
-                np.multiply(np.greater.outer(src, -dst), one_bits ^ s_bits, out=bits)
+                bits = fac.view(uint)
+                np.multiply(np.greater(src[b, :, None], -dst[b, None, :]), one_bits ^ s_bits,
+                            out=bits)
                 bits ^= s_bits
-                d_e *= factor
-                d_src, d_dst = d_e.sum(axis=1), d_e.sum(axis=0)
-                dh[:, cols] += np.outer(d_src, a[k, :f]) + np.outer(d_dst, a[k, f:])
-                da[k, :f] = hk.T @ d_src
-                da[k, f:] = hk.T @ d_dst
+                d_e *= fac
+                d_src, d_dst = d_e.sum(axis=2), d_e.sum(axis=1)
+                d3[b] += (d_src[:, :, None] * a[b, None, :f]
+                          + d_dst[:, :, None] * a[b, None, f:])
+                np.matmul(h3[b].swapaxes(1, 2), d_src[:, :, None], out=da[b, :f, None])
+                np.matmul(h3[b].swapaxes(1, 2), d_dst[:, :, None], out=da[b, f:, None])
 
         _run_groups(backward, groups, [None] * len(groups))
         return [dh] if da is None else [dh, da]
 
-    return out, alphas, bwd
+    if fixed is not None:
+        return out, [fixed] * heads, fixed, bwd
+    return out, [x for block in alpha_at if block is not None for x in block], sums, bwd
 
 
 def _attention_edges(hd, a, mask, heads, s, dropout, rng):
@@ -608,7 +675,8 @@ def _attention_edges(hd, a, mask, heads, s, dropout, rng):
     e = np.where(raw > 0, raw, s * raw)
     e -= np.maximum.reduceat(e, starts)[rows]
     np.exp(e, out=e)
-    alpha = e / (row_sum @ e)[rows]
+    sums = row_sum @ e                  # finite exactly when alpha is; see _attention_dense
+    alpha = e / sums[rows]
     weight = alpha
     if dropout:
         factor = (rng.random(alpha.shape) >= dropout) * dt.type(1.0 / (1.0 - dropout))
@@ -633,7 +701,7 @@ def _attention_edges(hd, a, mask, heads, s, dropout, rng):
 
     alphas = [sp.csr_array((alpha[:, k], cols, indptr), shape=(n, n))
               for k in range(heads)]
-    return out, alphas, bwd
+    return out, alphas, sums, bwd
 
 
 def semantic_attention(zs: Sequence[Tensor], w: Tensor | None, b: Tensor | None,

@@ -43,7 +43,6 @@ __all__ = [
     "FeatureMatrix",
     "tokenize_smiles",
     "build_vocab",
-    "encode_drug",
     "build_feature_matrix",
     "smiles_in_registry_order",
     "save_vocab",
@@ -179,9 +178,14 @@ def build_vocab(corpus: list[list[str]], threshold: int = 5,
 
 def _encode_corpus(corpus: list[list[str]], vocab: Vocabulary) -> np.ndarray:
     """(len(corpus), vocab.size) uint8 presence rows, one per token
-    sequence; `encode_drug` gives the rules. The merges are replayed once
-    over the whole corpus, as one string in which each distinct unit is one
-    character of its own."""
+    sequence.
+
+    Each sequence replays the merges in merge order, then sets the bit of
+    every final unit. A residual unit not in the vocabulary falls back to
+    the base-unit bits of its characters; characters never seen in the
+    corpus contribute nothing. A merge whose left unit is absent cannot
+    apply. The merges are replayed once over the whole corpus, as one
+    string in which each distinct unit is one character of its own."""
     products = [left + right for left, right in vocab.merges]
     units = dict.fromkeys(chain(chain.from_iterable(corpus),
                                 chain.from_iterable(vocab.merges), products))
@@ -205,17 +209,6 @@ def _encode_corpus(corpus: list[list[str]], vocab: Vocabulary) -> np.ndarray:
                                (drug[held], codes[held])),
                               shape=(len(corpus), len(units) + 1))
     return ((drug_units @ unit_bits).toarray() > 0).astype(np.uint8)
-
-
-def encode_drug(tokens: list[str], vocab: Vocabulary) -> np.ndarray:
-    """Presence row over the vocabulary for one drug.
-
-    Replays the merges in merge order, then sets the bit of every final
-    unit. A residual unit not in the vocabulary falls back to the base-unit
-    bits of its characters; characters never seen in the corpus contribute
-    nothing. A merge whose left unit is absent cannot apply.
-    """
-    return _encode_corpus([tokens], vocab)[0]
 
 
 @dataclass(frozen=True)

@@ -100,25 +100,27 @@ def _step_csr(hin: Hin, step: MetaPathStep):
 
 
 # The last step runs as a dense BLAS product when at least this share of its
-# left factor is nonzero, PRODUCT_ROWS rows per call. On paper-513 (2-vCPU
-# guest, BLAS on one thread) DID-3 (23% nonzero) then takes about 3 ms
-# instead of 9-12 ms. A dense product costs the same at any share: DID-1
-# and DID-2 (under 1%) take 8-9 ms dense against 0.5-1 ms sparse, and DID-4
-# (5%) is no faster dense. Row blocks keep the float64 result in a small
-# buffer; a whole (n, n) one beside the int64 counts cost about 1,600 page
-# faults (5 ms) per product.
+# left factor is nonzero, PRODUCT_ROWS rows per call, and as a sparse
+# product densified once otherwise. On paper-513 (2-vCPU guest, BLAS on one
+# thread) DID-3 (23% nonzero) takes about 3 ms dense instead of 9-12 ms
+# sparse. A dense product costs the same at any share: DID-1 and DID-2
+# (under 1%) take 8-9 ms dense, against 0.2-0.3 ms sparse. DID-4 (5%) takes
+# 7.6 ms sparse; as a sparse-by-dense product it took 8.5 ms and about
+# 1,500 page faults per call for its densified right factor. Row blocks
+# keep the float64 result in a small buffer; a whole (n, n) one beside the
+# int64 counts cost about 1,600 page faults (5 ms) per product.
 DENSE_PRODUCT_SHARE = 0.1
 PRODUCT_ROWS = 128
 
 
 def commuting_matrix(hin: Hin, spec: MetaPathSpec) -> CommutingMatrix:
     """Left-to-right integer product of the spec's step matrices: sparse up
-    to the last step, whose right factor is dense. A near-complete count
+    to the last step, which yields a dense result. A near-complete count
     matrix costs a sparse product far more in index bookkeeping than a
     dense one. When at least `DENSE_PRODUCT_SHARE` of the left factor is
     nonzero, the last step is a dense float64 product (BLAS dgemm), in
-    blocks of `PRODUCT_ROWS` rows; otherwise it is a sparse-by-dense int64
-    product.
+    blocks of `PRODUCT_ROWS` rows; otherwise it is a sparse int64 product,
+    densified once.
 
     The float64 product is exact. Every term is a product of non-negative
     integers, so every partial sum of a count is an integer no larger than
@@ -139,7 +141,7 @@ def commuting_matrix(hin: Hin, spec: MetaPathSpec) -> CommutingMatrix:
         for i in range(0, left.shape[0], PRODUCT_ROWS):
             counts[i:i + PRODUCT_ROWS] = left[i:i + PRODUCT_ROWS] @ right
     else:
-        counts = product @ last.toarray()
+        counts = (product @ last).toarray()
     n = hin.n_drugs
     if counts.shape != (n, n):
         raise SchemaError(f"{spec.name}: product shape {counts.shape}, expected {(n, n)}")

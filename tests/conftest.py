@@ -221,8 +221,9 @@ def reference_build_vocab(corpus, threshold, max_size):
 
 
 def reference_encode_drug(tokens, vocab):
-    """Oracle for `espf.encode_drug`: replay every merge, then set the bit of
-    each final unit, or of its characters when the unit is unknown."""
+    """Oracle for one row of `espf._encode_corpus`: replay every merge, then
+    set the bit of each final unit, or of its characters when the unit is
+    unknown."""
     seq = list(tokens)
     for pair in vocab.merges:
         seq = merge_sequence(seq, pair)
@@ -347,7 +348,8 @@ def reference_attention_dense(hd, a, mask, fixed, heads, s, dropout, rng):
     """Oracle for `autodiff._attention_dense`, same signature and returns:
     each head builds its scores with broadcasting and masks them with
     `np.where`, and the adjoint applies the slope of the leaky relu as a
-    factor from `np.where`."""
+    factor from `np.where`. The finiteness check is the (K, n) row sums
+    before the softmax divides by them, or the fixed alpha."""
     n, width = hd.shape
     f = width // heads
     dt = hd.dtype
@@ -355,7 +357,7 @@ def reference_attention_dense(hd, a, mask, fixed, heads, s, dropout, rng):
     keep_scale = dt.type(1.0 / (1.0 - dropout))
 
     out = np.empty_like(hd)
-    alphas, keeps, scores = [], [], []
+    alphas, keeps, scores, sums = [], [], [], []
     for k in range(heads):
         cols = slice(k * f, (k + 1) * f)
         hk = hd[:, cols]
@@ -365,7 +367,8 @@ def reference_attention_dense(hd, a, mask, fixed, heads, s, dropout, rng):
             e = np.where(mask, np.where(e > 0, e, s * e), neg_inf)
             e -= e.max(axis=1, keepdims=True)
             np.exp(e, out=e)
-            alpha = e / e.sum(axis=1, keepdims=True)
+            sums.append(e.sum(axis=1))
+            alpha = e / sums[-1][:, None]
             scores.append((src, dst))
         else:
             alpha = fixed
@@ -399,7 +402,7 @@ def reference_attention_dense(hd, a, mask, fixed, heads, s, dropout, rng):
             da[k, f:] = hk.T @ d_dst
         return [dh] if da is None else [dh, da]
 
-    return out, alphas, bwd
+    return out, alphas, fixed if fixed is not None else np.stack(sums), bwd
 
 
 def reference_pair_scores_adjoint(zd, pairs, y, g):

@@ -1,5 +1,6 @@
 """Tensor core: forward semantics, adjoints vs finite differences, Adam."""
 
+import itertools
 import sys
 import threading
 import tracemalloc
@@ -162,7 +163,7 @@ class TestAttentionOnEdges:
         a = rng.standard_normal((heads, 2 * f))
         g = rng.standard_normal((n, heads * f))
         slope = np.float64(0.2)
-        out, alphas, bwd = ad._attention_dense(h, a, mask, None, heads, slope, 0.0, None)
+        out, alphas, _, bwd = ad._attention_dense(h, a, mask, None, heads, slope, 0.0, None)
         node, edge_alphas = ad.graph_attention(Tensor(h, requires_grad=True),
                                                Tensor(a, requires_grad=True), mask,
                                                heads=heads, slope=0.2)
@@ -391,15 +392,18 @@ class TestAdjoints:
             return total(ad.apply_unary("tanh", out), w)
         _fd_check_op(f, 1)
 
-    def test_graph_attention_with_dropout(self):
+    @pytest.mark.parametrize("per", [1, 2, 3])
+    def test_graph_attention_with_dropout(self, monkeypatch, per):
+        # 3 heads in blocks of 1, 2 + 1 and 3
+        _heads_per_block(monkeypatch, per, 7)
         mask = np.random.default_rng(5).random((7, 7)) < 0.4
         mask |= mask.T | np.eye(7, dtype=bool)
         w = _weights((7, 6))
 
-        @_with_shapes((7, 6), (2, 6))
+        @_with_shapes((7, 6), (3, 4))
         def f(h, a):
             # A fresh generator per call replays the same dropout masks.
-            out, _ = ad.graph_attention(h, a, mask, heads=2, slope=0.2,
+            out, _ = ad.graph_attention(h, a, mask, heads=3, slope=0.2,
                                         dropout=0.4, rng=np.random.default_rng(9))
             return total(ad.apply_unary("tanh", out), w)
         _fd_check_op(f, 2)
@@ -475,9 +479,10 @@ class TestAdjoints:
 
 
 def _dense_attention_results(attend, h, a, mask, fixed, heads, slope, dropout, g, rng):
-    """Output, alphas, adjoints and the next draws of the dropout generator."""
-    out, alphas, bwd = attend(h, a, mask, fixed, heads, h.dtype.type(slope), dropout, rng)
-    return {"out": out, **{f"alpha{k}": x for k, x in enumerate(alphas)},
+    """Output, alphas, finiteness check, adjoints and the next draws of the
+    dropout generator."""
+    out, alphas, check, bwd = attend(h, a, mask, fixed, heads, h.dtype.type(slope), dropout, rng)
+    return {"out": out, **{f"alpha{k}": x for k, x in enumerate(alphas)}, "check": check,
             **{f"adjoint{k}": x for k, x in enumerate(bwd(g))},
             "next float32 draw": np.array(rng.random(dtype=np.float32)),
             "next draw": np.array(rng.random())}
@@ -490,10 +495,16 @@ def _split_heads(monkeypatch, workers):
         monkeypatch.setattr(ad, "_usable_cores", lambda: workers)
 
 
+def _heads_per_block(monkeypatch, per, n):
+    """Give dense attention on n nodes blocks of `per` heads."""
+    monkeypatch.setattr(ad, "HEAD_BLOCK_ENTRIES", per * n * n)
+
+
 class TestDenseAttentionMatchesOracleBitForBit:
     """`_attention_dense` against `reference_attention_dense`: every output
     byte-identical, so training histories do not move, whether the heads
-    run serially, in 2 uneven groups or in 3 groups of one."""
+    run serially, in 2 uneven groups or in 3 groups of one, and in blocks
+    of 1, 2 (2 + 1) or 3 heads."""
 
     N, HEADS, F = 37, 3, 4
 
@@ -510,16 +521,20 @@ class TestDenseAttentionMatchesOracleBitForBit:
             mask[[0, 3, 3, 20, 36], [5, 1, 30, 19, 0]] = False
         return h.astype(dtype), a.astype(dtype), mask, g.astype(dtype)
 
-    def assert_bytes_equal(self, *args, make_rng=lambda: np.random.default_rng(5)):
+    def assert_bytes_equal(self, *args, make_rng=lambda: np.random.default_rng(5),
+                           per_block=(1, 2, 3)):
         want = _dense_attention_results(reference_attention_dense, *args, make_rng())
-        for workers in (1, 2, 3):
+        n = len(args[0])
+        for workers, per in itertools.product((1, 2, 3), per_block):
             with pytest.MonkeyPatch.context() as monkeypatch:
                 _split_heads(monkeypatch, workers)
+                if per is not None:
+                    _heads_per_block(monkeypatch, per, n)
                 got = _dense_attention_results(ad._attention_dense, *args, make_rng())
             assert got.keys() == want.keys()
             for name in want:
-                assert got[name].dtype == want[name].dtype, (workers, name)
-                assert got[name].tobytes() == want[name].tobytes(), (workers, name)
+                assert got[name].dtype == want[name].dtype, (workers, per, name)
+                assert got[name].tobytes() == want[name].tobytes(), (workers, per, name)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("dropout", [0.0, 0.6])
@@ -557,6 +572,24 @@ class TestDenseAttentionMatchesOracleBitForBit:
         h, a, mask, g = self.inputs(np.float32, "holes")
         self.assert_bytes_equal(h, a, mask, None, self.HEADS, 0.2, 0.6, g,
                                 make_rng=lambda: np.random.Generator(bit_generator(5)))
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.6])
+    def test_planted_shape_in_one_block(self, dropout):
+        # 50 drugs and 8 heads of 8, as the planted set trains: the default
+        # block holds every head, and the alphas are views of its array
+        n, heads, f = 50, 8, 8
+        assert ad.HEAD_BLOCK_ENTRIES // (n * n) >= heads
+        rng = np.random.default_rng(9)
+        h, g = (rng.standard_normal((n, heads * f)).astype(np.float32) for _ in range(2))
+        a = rng.standard_normal((heads, 2 * f)).astype(np.float32)
+        mask = rng.random((n, n)) < 0.15
+        mask |= mask.T | np.eye(n, dtype=bool)
+        self.assert_bytes_equal(h, a, mask, None, heads, 0.2, dropout, g, per_block=(None,))
+        _, alphas, _, _ = ad._attention_dense(h, a, mask, None, heads, np.float32(0.2),
+                                              dropout, np.random.default_rng(5))
+        block = alphas[0].base
+        assert block.shape == (heads, n, n)
+        assert all(alpha.base is block for alpha in alphas)
 
 
 class TestHeadGroups:
@@ -623,6 +656,61 @@ class TestHeadGroups:
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
             ad.graph_attention(h, Tensor(a), np.ones((n, n), dtype=bool),
                                heads=self.HEADS, slope=0.2)
+
+
+class TestNonFiniteGuard:
+    """`graph_attention` checks its output first, then every alpha through
+    an array that is finite exactly when the alphas are: the row sums of
+    the softmax, or the fixed alpha."""
+
+    @pytest.mark.parametrize("branch", ["dense", "edges"])
+    def test_overflowing_scores_fail_the_output_check(self, branch):
+        # float32 src = 2 * 1e30 * 1e10 overflows: the scores are inf, every
+        # alpha NaN, and so is the output, which is checked first
+        n = 6 if branch == "dense" else 64
+        mask = np.ones((n, n), dtype=bool) if branch == "dense" else ring_mask(n)
+        h = Tensor(np.full((n, 4), 1e30, dtype=np.float32))
+        a = Tensor(np.full((2, 4), 1e10, dtype=np.float32))
+        with np.errstate(all="ignore"), pytest.raises(ad.NonFiniteError,
+                                                      match=r"^graph_attention produced"):
+            ad.graph_attention(h, a, mask, heads=2, slope=0.2)
+
+    def test_overflowing_fixed_alpha_product_fails_the_output_check(self):
+        h = Tensor(np.full((6, 4), 1e30, dtype=np.float32))
+        fixed = np.full((6, 6), 1e9, dtype=np.float32)
+        with np.errstate(all="ignore"), pytest.raises(ad.NonFiniteError,
+                                                      match=r"^graph_attention produced"):
+            ad.graph_attention(h, None, None, heads=2, slope=0.2, fixed=fixed)
+
+    def test_non_finite_fixed_alpha_fails_the_alpha_check(self):
+        # heads of width 0 leave an empty, finite output
+        fixed = np.full((3, 3), 1 / 3)
+        fixed[1, 2] = np.nan
+        with pytest.raises(ad.NonFiniteError, match=r"^graph_attention\.alpha produced"):
+            ad.graph_attention(Tensor(np.ones((3, 0))), None, None, heads=2, slope=0.2,
+                               fixed=fixed)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 9), heads=st.integers(1, 3), f=st.integers(1, 3),
+       log_scale=st.floats(0, 25), slope=st.sampled_from([0.2, 0.0, -0.1, 1.5]),
+       branch=st.sampled_from(["dense", "edges"]), seed=st.integers(0, 2**32 - 1))
+def test_alpha_check_fails_exactly_when_an_oracle_alpha_is_not_finite(
+        n, heads, f, log_scale, slope, branch, seed):
+    # float32 scores overflow from a scale of about 1e19 on
+    rng = np.random.default_rng(seed)
+    h = (rng.standard_normal((n, heads * f)) * 10.0 ** log_scale).astype(np.float32)
+    a = (rng.standard_normal((heads, 2 * f)) * 10.0 ** log_scale).astype(np.float32)
+    mask = rng.random((n, n)) < 0.5
+    mask |= mask.T | np.eye(n, dtype=bool)
+    s = np.float32(slope)
+    with np.errstate(all="ignore"):
+        _, want, _, _ = reference_attention_dense(h, a, mask, None, heads, s, 0.0, None)
+        if branch == "dense":
+            _, _, check, _ = ad._attention_dense(h, a, mask, None, heads, s, 0.0, None)
+        else:
+            _, _, check, _ = ad._attention_edges(h, a, sp.csr_array(mask), heads, s, 0.0, None)
+    assert np.isfinite(check).all() == all(np.isfinite(alpha).all() for alpha in want)
 
 
 def _split_pairs(monkeypatch, workers, block=None):

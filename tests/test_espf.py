@@ -14,9 +14,9 @@ from hinddi.espf import (
     RelationParseError,
     SmilesError,
     Vocabulary,
+    _encode_corpus,
     build_feature_matrix,
     build_vocab,
-    encode_drug,
     load_features,
     load_fingerprints,
     load_smiles,
@@ -182,24 +182,24 @@ class TestEncode:
     def test_merge_trace_bits(self):
         vocab = build_vocab([tokenize_smiles("CCO"), tokenize_smiles("CCN")],
                             threshold=2, max_size=10)
-        row = encode_drug(tokenize_smiles("CCO"), vocab)
+        (row,) = _encode_corpus([tokenize_smiles("CCO")], vocab)
         bits = {vocab.units[k] for k in np.flatnonzero(row)}
         assert bits == {"CC", "O"}
 
     def test_no_merges_gives_raw_token_set(self):
         vocab = Vocabulary(("C", "N", "O"), 3, (), 5, 512)
-        row = encode_drug(tokenize_smiles("CON"), vocab)
+        (row,) = _encode_corpus([tokenize_smiles("CON")], vocab)
         assert row.tolist() == [1, 1, 1]
 
     def test_encoding_is_deterministic(self):
         vocab = build_vocab([tokenize_smiles("CCOCC")], threshold=2, max_size=10)
         tokens = tokenize_smiles("CCOCC")
-        np.testing.assert_array_equal(encode_drug(tokens, vocab),
-                                      encode_drug(tokens, vocab))
+        np.testing.assert_array_equal(_encode_corpus([tokens], vocab),
+                                      _encode_corpus([tokens], vocab))
 
     def test_unknown_unit_falls_back_to_base_chars(self):
         vocab = Vocabulary(("C", "O"), 2, (), 5, 512)
-        row = encode_drug(tokenize_smiles("CSO"), vocab)  # S unseen
+        (row,) = _encode_corpus([tokenize_smiles("CSO")], vocab)  # S unseen
         bits = {vocab.units[k] for k in np.flatnonzero(row)}
         assert bits == {"C", "O"}
 
@@ -216,7 +216,7 @@ class TestEncode:
         smiles = corpus + others
         expected = [reference_encode_drug(tokenize_smiles(s), vocab) for s in smiles]
         for s, row in zip(smiles, expected):
-            np.testing.assert_array_equal(encode_drug(tokenize_smiles(s), vocab), row)
+            np.testing.assert_array_equal(_encode_corpus([tokenize_smiles(s)], vocab)[0], row)
         fm = build_feature_matrix({f"d{k}": s for k, s in enumerate(smiles)}, vocab,
                                   make_registry(len(smiles)))
         np.testing.assert_array_equal(fm.values, np.stack(expected))
@@ -229,7 +229,7 @@ class TestEncode:
         vocab = build_vocab(sequences + sequences, threshold, max_size)
         expected = [reference_encode_drug(tokens, vocab) for tokens in sequences]
         for tokens, row in zip(sequences, expected):
-            np.testing.assert_array_equal(encode_drug(tokens, vocab), row)
+            np.testing.assert_array_equal(_encode_corpus([tokens], vocab)[0], row)
         fm = build_feature_matrix({f"d{k}": s for k, s in enumerate(corpus)}, vocab,
                                   make_registry(len(corpus)))
         np.testing.assert_array_equal(fm.values, np.stack(expected))
@@ -278,9 +278,8 @@ class TestVocabRoundTrip:
         vocab = build_vocab(corpus, threshold=2, max_size=32)
         save_vocab(vocab, tmp_path / "vocab.tsv")
         back = load_vocab(tmp_path / "vocab.tsv")
-        for seq in corpus:
-            np.testing.assert_array_equal(encode_drug(seq, vocab),
-                                          encode_drug(seq, back))
+        np.testing.assert_array_equal(_encode_corpus(corpus, vocab),
+                                      _encode_corpus(corpus, back))
 
 
 class TestFingerprints:

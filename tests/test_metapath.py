@@ -134,6 +134,33 @@ class TestCommutingMatrix:
             assert counts.dtype == np.int64
             np.testing.assert_array_equal(counts, expected.toarray())
 
+    def test_sparse_last_steps_equal_the_dense_integer_product(self):
+        # Shares like paper-513's: every drug has 2 targets of 120 and 15
+        # side effects of 300, so DID-1, DID-2 and DID-4 keep the last step
+        # sparse; numpy's int64 matmul of the dense steps is the reference.
+        n, n_proteins, n_side_effects = 200, 120, 300
+        rng = np.random.default_rng(17)
+
+        def pairs(rows, cols, per_row):
+            return [(i, j) for i in range(rows)
+                    for j in rng.choice(cols, per_row, replace=False)]
+
+        hin = make_hin(n, n_proteins, n_side_effects, 4,
+                       t_pairs=pairs(n, n_proteins, 2),
+                       c_pairs=pairs(n, n_side_effects, 15),
+                       p_pairs=[(p, q) for p, q in pairs(n_proteins, n_proteins, 1) if p < q])
+        specs = {s.name: s for s in builtin_specs()}
+        for name in ("DID-1", "DID-2", "DID-4"):
+            steps = [hin.matrix(s.matrix).to_csr().toarray() for s in specs[name].steps]
+            steps = [m.T if s.transposed else m for m, s in zip(steps, specs[name].steps)]
+            left = steps[0]
+            for m in steps[1:-1]:
+                left = left @ m
+            assert np.count_nonzero(left) < DENSE_PRODUCT_SHARE * left.size
+            counts = commuting_matrix(hin, specs[name]).counts
+            assert counts.dtype == np.int64
+            np.testing.assert_array_equal(counts, left @ steps[-1])
+
     def test_counts_beyond_exact_float64_rejected(self, monkeypatch):
         hin = make_hin(2, 1, 0, 0, t_pairs=[(0, 0), (1, 0)])
         huge = sp.csr_matrix(np.array([[2 ** 52], [2]], dtype=np.int64))
