@@ -51,8 +51,10 @@ denser than the column says (self-loops), and the host slowed down
 between the last two training columns. The edge branch loses from about
 12-15% density in training and 10% in eval mode at n = 128, and at every
 density at n = 50. The 5% threshold keeps a margin below every
-crossover; paper-scale meta-path graphs are either about 1% or over 70%
-dense.
+crossover. With the default top-16 PathSim graphs, every paper-scale
+(513-drug) meta-path graph is under 5% dense (about 1% for DID-1 and
+DID-2, 4% for DID-3 and DID-4); the binarized ones (`top_k = 0`) are
+either about 1% or over 70% dense.
 
 The dense branch takes the heads of a group in blocks of up to
 `HEAD_BLOCK_ENTRIES` (32,768) // n^2 contiguous heads, held as (m, n, n)

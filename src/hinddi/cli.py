@@ -113,7 +113,7 @@ def _load_pipeline(cfg: RunConfig):
                           "run featurize first")
     hin = load_hin(cfg.graph_dir)
     features = load_features(cfg.features_file, hin.registry)
-    graphs = make_graphs(hin, cfg.metapaths, cfg.binarize_threshold)
+    graphs = make_graphs(hin, cfg.metapaths, cfg.binarize_threshold, cfg.top_k)
     values = features.values.astype(cfg.dtype)
     return hin, graphs, features, values
 
@@ -137,6 +137,15 @@ def _load_model(cfg: RunConfig, checkpoint, d0: int):
     if set(params.metapaths) != set(cfg.metapaths):
         raise ConfigError(f"checkpoint meta-paths {sorted(params.metapaths)} "
                           f"differ from configured {sorted(cfg.metapaths)}")
+    # the graphs must be the ones trained on; checkpoints from before top-k
+    # graphs echo no top_k and were trained on binarized ones
+    for key, default in (("binarize_threshold", None), ("top_k", "0")):
+        trained = echo.get(f"metapaths.{key}", default)
+        if trained is None:
+            raise ConfigError(f"{checkpoint}: checkpoint echo lacks 'metapaths.{key}'")
+        if trained != str(getattr(cfg, key)):
+            raise ConfigError(f"checkpoint was trained with [metapaths] {key} = {trained}, "
+                              f"configured {getattr(cfg, key)}")
     return params, model_config
 
 
@@ -269,18 +278,22 @@ def cmd_train(args, cfg: RunConfig) -> int:
 
     results = {}
     artifacts = [checkpoint_path, history_path]
+    out = None
     for split_name, pairs in (("validation", bundle.validation),
                               ("test", bundle.test)):
         if not len(pairs):
             continue
-        _, metrics = evaluate_pairs(params, model_config, pairs, graphs, values)
+        out, metrics = evaluate_pairs(params, model_config, pairs, graphs, values)
         path = cfg.out_dir / f"metrics_{split_name}.tsv"
         _write_metrics(path, metrics)
         artifacts.append(path)
         results[split_name] = asdict(metrics)
+    if out is None:  # no held-out pairs were scored
+        out = encode(params, values, graphs, model_config)
     summary = {"seed": cfg.seed, "protocol": bundle.protocol,
                "best_epoch": history.best_epoch,
                "stopped_epoch": history.stopped_epoch,
+               "beta": dict(zip(params.metapaths, out.beta.data.tolist())),
                "metrics": results, "config": cfg.echo()}
     summary_path = cfg.out_dir / "summary.json"
     _write_atomic(summary_path, json.dumps(summary, indent=2, sort_keys=True) + "\n")

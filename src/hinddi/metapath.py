@@ -1,10 +1,20 @@
-"""Meta-path schemas, commuting matrices and binarized neighbor graphs.
+"""Meta-path schemas, commuting matrices and top-k PathSim neighbor graphs.
 
 A meta-path is a chain of typed relation steps starting and ending at
 drugs. Its commuting matrix is the integer product of the step matrices;
 entry (i, j) counts concrete path instances from drug i to drug j. The
-encoder consumes the binarized form with self-loops added, held as one
-canonical boolean CSR array that graph attention reads as it is.
+encoder consumes a neighbor graph per meta-path. A drug's candidates are
+the other drugs whose count reaches a threshold; a drug with more than k
+candidates keeps the k of highest PathSim (Sun et al., VLDB 2011) and
+every drug that keeps it, so that the graph stays symmetric. Self-loops
+are added, and the graph is held as one canonical boolean CSR array that
+graph attention reads as it is. With k = 0 every candidate is kept: the
+paper's binarized graph.
+
+The cut matters at paper scale. On 513 drugs, the binarized DID-3 and
+DID-4 graphs are 100% and 74% dense, and node attention cannot single out
+neighbors in a near-complete neighborhood: both meta-path embeddings end
+up the same for every drug. Top-16 leaves them about 4% dense.
 """
 
 from __future__ import annotations
@@ -112,6 +122,13 @@ def _step_csr(hin: Hin, step: MetaPathStep):
 DENSE_PRODUCT_SHARE = 0.1
 PRODUCT_ROWS = 128
 
+# Neighbors kept per drug by default, by PathSim, when it has more.
+TOP_K = 16
+# Top-k selection scores rows in blocks of about this many float64 entries
+# (128 kB). On paper-513, whole (n, n) score arrays cost about 950 page
+# faults, about 3 ms, per near-complete graph; blocks of this size none.
+SCORE_ENTRIES = 16384
+
 
 def commuting_matrix(hin: Hin, spec: MetaPathSpec) -> CommutingMatrix:
     """Left-to-right integer product of the spec's step matrices: sparse up
@@ -169,16 +186,80 @@ class NeighborGraph:
         return self.mask.shape[0]
 
 
-def neighbor_graph(m: CommutingMatrix, threshold: int = 1) -> NeighborGraph:
-    """Binarize a commuting matrix: edge iff count >= threshold, plus self-loops."""
+def neighbor_graph(m: CommutingMatrix, threshold: int = 1, top_k: int = TOP_K) -> NeighborGraph:
+    """Drug i's neighbors: itself and its candidates, the drugs j != i with
+    count >= `threshold`. A drug with more than `top_k` candidates keeps
+    only its `top_k` highest-PathSim ones, and gets back every drug that
+    keeps it; `top_k = 0` keeps every candidate, the paper's binarization.
+
+    PathSim is 2 M_ij / max(M_ii + M_jj, 1) in float64 (Sun et al., VLDB
+    2011); the floor covers a zero diagonal beside positive counts, as
+    DID-2 can have. Equal scores go to the lower column. On a symmetric
+    count matrix, as every built-in meta-path gives, the graph is the union
+    of the kept sets with their transpose: symmetric, and a drug with at
+    most `top_k` candidates keeps exactly its binarized row.
+    """
     if threshold < 1:
         raise ValueError(f"binarization threshold must be >= 1, got {threshold}")
+    if top_k < 0:
+        raise ValueError(f"top_k must be >= 0, got {top_k}")
     adj = m.counts >= threshold
     np.fill_diagonal(adj, True)
+    degree = np.count_nonzero(adj, axis=1)
+    if top_k and degree.max(initial=0) > top_k + 1:
+        _keep_top_pathsim(adj, m.counts, top_k, threshold,
+                          np.flatnonzero(degree > top_k + 1))
+        degree = np.count_nonzero(adj, axis=1)
     n = adj.shape[0]
     idx = sp.get_index_dtype(maxval=adj.size)  # int32 unless n^2 overflows it
     # boolean indexing runs row by row, so each row's columns come out sorted
     cols = np.broadcast_to(np.arange(n, dtype=idx), (n, n))[adj]
-    indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(adj, axis=1))]).astype(idx)
+    indptr = np.concatenate([[0], np.cumsum(degree)]).astype(idx)
     return NeighborGraph(m.name, sp.csr_array((np.ones(cols.size, dtype=bool), cols, indptr),
                                               shape=(n, n)))
+
+
+def _keep_top_pathsim(adj: np.ndarray, counts: np.ndarray, k: int, threshold: int,
+                      heavy: np.ndarray) -> None:
+    """Cut each `heavy` row of `adj` (candidates plus self-loops) to its
+    self-loop and its top k candidates by (-PathSim, column), then give it
+    back every drug whose row keeps it.
+
+    Rows are scored in blocks of about `SCORE_ENTRIES` scores. The factor 2
+    of PathSim is left out, which changes no order and no tie. A score is 0
+    off the candidates and positive on them. `np.partition` puts each row's
+    k highest scores last: the least of them is the row's cut, and the row
+    has more than k scores at the cut when the next one equals it. Only
+    those rows rank ties; they rescore the entries at or above the cut with
+    the same float64 operations.
+    """
+    n = adj.shape[0]
+    diag = np.diagonal(counts).astype(np.float64)
+    keep = np.empty((heavy.size, n), dtype=bool)
+    cut = np.empty((heavy.size, 1))
+    tied = np.empty(heavy.size, dtype=bool)
+    step = max(1, SCORE_ENTRIES // n)
+    for start in range(0, heavy.size, step):
+        block, rows = slice(start, start + step), heavy[start:start + step]
+        score = np.add.outer(diag[rows], diag)
+        np.maximum(score, 1.0, out=score)
+        np.divide(counts[rows], score, out=score)
+        score[np.arange(rows.size), rows] = 0.0
+        if threshold > 1:  # else counts off the candidates are 0 already
+            score *= adj[rows]
+        ranked = np.partition(score, n - k - 1, axis=1)
+        cut[block, 0] = ranked[:, n - k:].min(axis=1)
+        tied[block] = ranked[:, n - k - 1] == cut[block, 0]
+        np.greater_equal(score, cut[block], out=keep[block])
+    straddle = np.flatnonzero(tied)
+    r, c = np.divmod(np.flatnonzero(keep[straddle]), n)
+    r = straddle[r]
+    i = heavy[r]
+    tie = counts[i, c] / np.maximum(diag[i] + diag[c], 1.0) == cut[r, 0]
+    room = k - np.bincount(r[~tie], minlength=heavy.size)
+    r, c = r[tie], c[tie]
+    late = np.arange(r.size) - np.searchsorted(r, r) >= room[r]  # rank in row
+    keep[r[late], c[late]] = False
+    keep[np.arange(heavy.size), heavy] = True
+    adj[heavy] = keep
+    adj[heavy] |= adj[:, heavy].T

@@ -22,7 +22,7 @@ from .espf import (
     tokenize_smiles,
 )
 from .hin import RELATIONS, EntityKind, EntityRegistry, Hin, build_hin, load_ddi, load_relation
-from .metapath import NeighborGraph, commuting_matrix, neighbor_graph, spec_by_name
+from .metapath import TOP_K, NeighborGraph, commuting_matrix, neighbor_graph, spec_by_name
 
 __all__ = ["INPUT_FILES", "InputPaths", "load_hin_inputs", "make_graphs",
            "make_espf_features", "make_fingerprint_features"]
@@ -65,12 +65,13 @@ def load_hin_inputs(paths: InputPaths) -> Hin:
     return build_hin(registry, relations, ddi)
 
 
-def make_graphs(hin: Hin, metapath_names, threshold: int = 1) -> dict[str, NeighborGraph]:
-    """Binarized neighbor graphs for the selected meta-paths."""
+def make_graphs(hin: Hin, metapath_names, threshold: int = 1,
+                top_k: int = TOP_K) -> dict[str, NeighborGraph]:
+    """Top-k PathSim neighbor graphs for the selected meta-paths."""
     graphs = {}
     for name in metapath_names:
         spec = spec_by_name(name)
-        graphs[name] = neighbor_graph(commuting_matrix(hin, spec), threshold)
+        graphs[name] = neighbor_graph(commuting_matrix(hin, spec), threshold, top_k)
     return graphs
 
 

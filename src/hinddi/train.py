@@ -13,6 +13,7 @@ from .data import SplitBundle, pairs_to_arrays, purpose_rng
 from .metapath import NeighborGraph
 from .metrics import Metrics, evaluate
 from .model import (
+    EncoderOutput,
     ModelConfig,
     ModelParams,
     bce_loss,
@@ -99,14 +100,15 @@ def _mean_loss_and_scores(params, config, pairs, labels, graphs, features,
 def evaluate_pairs(params: ModelParams, config: ModelConfig, labeled: np.ndarray,
                    graphs: dict[str, NeighborGraph], features: np.ndarray,
                    fixed_alpha=None, uniform_beta: bool = False,
-                   threshold: float = 0.5) -> tuple[np.ndarray, Metrics]:
-    """Eval-mode scores and threshold metrics for an (m, 3) `[i, j, label]`
-    pair array, such as a `SplitBundle` partition."""
+                   threshold: float = 0.5) -> tuple[EncoderOutput, Metrics]:
+    """The eval-mode encoder output (embeddings and beta) and the threshold
+    metrics of its scores for an (m, 3) `[i, j, label]` pair array, such as
+    a `SplitBundle` partition."""
     pairs, labels = pairs_to_arrays(labeled)
-    scores, _ = forward(params, features, graphs, pairs, config,
-                        training=False, fixed_alpha=fixed_alpha,
-                        uniform_beta=uniform_beta)
-    return scores.data.copy(), evaluate(scores.data, labels, threshold)
+    scores, out = forward(params, features, graphs, pairs, config,
+                          training=False, fixed_alpha=fixed_alpha,
+                          uniform_beta=uniform_beta)
+    return out, evaluate(scores.data, labels, threshold)
 
 
 def train(params: ModelParams, model_config: ModelConfig,

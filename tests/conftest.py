@@ -135,6 +135,33 @@ def brute_force_path_counts(hin, spec):
     return np.array(rows, dtype=np.int64).reshape(n, n)
 
 
+def reference_neighbor_mask(counts, threshold, top_k):
+    """Dense bool neighbor mask by brute force, one row at a time.
+
+    Drug i's candidates are the drugs j != i with count >= threshold. When
+    top_k > 0 and there are more than top_k, the row keeps the first top_k
+    after sorting by (-PathSim, column), PathSim being
+    2 M_ij / max(M_ii + M_jj, 1) in Python floats, and then gets back every
+    drug whose row keeps it. Self-loops are added last.
+    """
+    n = len(counts)
+    keep = np.zeros((n, n), dtype=bool)
+    cut = []
+    for i in range(n):
+        candidates = [j for j in range(n) if j != i and counts[i][j] >= threshold]
+        if 0 < top_k < len(candidates):
+            pathsim = {j: 2.0 * int(counts[i][j]) / max(int(counts[i][i]) + int(counts[j][j]), 1)
+                       for j in candidates}
+            candidates = sorted(candidates, key=lambda j: (-pathsim[j], j))[:top_k]
+            cut.append(i)
+        keep[i, candidates] = True
+    mask = keep.copy()
+    for i in cut:
+        mask[i] |= keep[:, i]
+    np.fill_diagonal(mask, True)
+    return mask
+
+
 def reference_tokenize_smiles(s):
     """Oracle for `espf.tokenize_smiles`: a character-by-character scan."""
     if not s:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,7 @@ from hinddi import autodiff as ad
 from hinddi import cli
 from hinddi.cli import main
 from hinddi.config import RunConfig
-from hinddi.model import load_checkpoint, save_checkpoint
+from hinddi.model import ModelConfig, encode, load_checkpoint, save_checkpoint
 from tests.test_model import per_head_layout
 
 
@@ -216,6 +217,55 @@ class TestTrain:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1, err
             assert str(path) in err
+
+    def test_summary_records_the_final_beta(self, pipeline):
+        root, cfg = pipeline
+        out = root / "out"
+        beta = json.loads((out / "summary.json").read_text())["beta"]
+        params, echo = load_checkpoint(out / "checkpoint.bin")
+        assert list(beta) == list(params.metapaths)
+        assert min(beta.values()) > 0 and abs(sum(beta.values()) - 1) < 1e-6
+        # the eval-mode weights of the checkpointed model
+        _, graphs, _, values = cli._load_pipeline(RunConfig.from_file(cfg))
+        encoded = encode(params, values, graphs, ModelConfig.from_echo(echo))
+        assert list(beta.values()) == encoded.beta.data.tolist()
+
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    def test_graph_settings_checked_against_checkpoint(self, pipeline, tmp_path,
+                                                       capsys, command):
+        root = tmp_path / "run"
+        shutil.copytree(pipeline[0], root)
+        good = root / "out" / "checkpoint.bin"
+        params, echo = load_checkpoint(good)
+        # trained before top-k graphs: no top_k in the echo
+        legacy = root / "legacy.bin"
+        save_checkpoint(legacy, params, {k: v for k, v in echo.items()
+                                         if k != "metapaths.top_k"})
+        no_threshold = root / "no_threshold.bin"
+        save_checkpoint(no_threshold, params, {k: v for k, v in echo.items()
+                                               if k != "metapaths.binarize_threshold"})
+        pairs = root / "pairs.tsv"
+        pairs.write_text("D000\tD001\n", encoding="utf-8")
+        extra = ["--pairs", pairs] if command == "predict" else []
+
+        def run(checkpoint, settings=""):
+            cfg = root / "graphs.cfg"
+            cfg.write_text((root / "run.cfg").read_text(encoding="utf-8")
+                           + f"\n[metapaths]\n{settings}\n", encoding="utf-8")
+            return run_cli(command, "--config", cfg, "--checkpoint", checkpoint, *extra)
+
+        for checkpoint, settings, fragment in (
+                (legacy, "", "trained with [metapaths] top_k = 0, configured 16"),
+                (good, "top_k = 8", "trained with [metapaths] top_k = 16, configured 8"),
+                (good, "binarize_threshold = 2",
+                 "trained with [metapaths] binarize_threshold = 1, configured 2"),
+                (no_threshold, "", "lacks 'metapaths.binarize_threshold'")):
+            assert run(checkpoint, settings) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert fragment in err, err
+        assert run(legacy, "top_k = 0") == 0
+        assert run(good, "top_k = 16\nbinarize_threshold = 1") == 0
 
     def test_evaluate_reproduces_train_test_metrics(self, pipeline):
         root, cfg = pipeline

@@ -3,12 +3,16 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hinddi import metapath
 from hinddi.hin import EntityKind, SchemaError
 from hinddi.metapath import (
     DENSE_PRODUCT_SHARE,
     PRODUCT_ROWS,
+    TOP_K,
     CommutingMatrix,
     MetaPathSpec,
     MetaPathStep,
@@ -16,7 +20,12 @@ from hinddi.metapath import (
     commuting_matrix,
     neighbor_graph,
 )
-from tests.conftest import brute_force_path_counts, make_hin, random_hin
+from tests.conftest import (
+    brute_force_path_counts,
+    make_hin,
+    random_hin,
+    reference_neighbor_mask,
+)
 
 
 class TestBuiltinSpecs:
@@ -219,7 +228,7 @@ class TestNeighborGraph:
             hin = random_hin(rng)
             for spec in builtin_specs():
                 counts = commuting_matrix(hin, spec).counts
-                g = neighbor_graph(CommutingMatrix(spec.name, counts), threshold)
+                g = neighbor_graph(CommutingMatrix(spec.name, counts), threshold, top_k=0)
                 mask = g.mask
                 assert isinstance(mask, sp.csr_array) and mask.dtype == bool
                 assert mask.data.all()
@@ -243,7 +252,7 @@ class TestNeighborGraph:
         np.fill_diagonal(adj, True)
         idx = sp.get_index_dtype(maxval=adj.size)
         cols = (np.flatnonzero(adj) % n).astype(idx)
-        mask = neighbor_graph(CommutingMatrix("DID-1", counts)).mask
+        mask = neighbor_graph(CommutingMatrix("DID-1", counts), top_k=0).mask
         assert mask.indices.dtype == cols.dtype
         assert mask.indices.tobytes() == cols.tobytes()
         assert mask.indptr.tobytes() == np.concatenate(
@@ -258,3 +267,102 @@ class TestNeighborGraph:
         with pytest.raises(ValueError):
             neighbor_graph(CommutingMatrix("DID-1", np.zeros((2, 2), dtype=np.int64)),
                            threshold=0)
+
+    def test_negative_top_k_rejected(self):
+        with pytest.raises(ValueError, match="top_k must be >= 0, got -1"):
+            neighbor_graph(CommutingMatrix("DID-1", np.zeros((2, 2), dtype=np.int64)),
+                           top_k=-1)
+
+
+def flat_index_csr(adj):
+    """indices and indptr bytes of a dense bool mask, from np.flatnonzero."""
+    n = len(adj)
+    idx = sp.get_index_dtype(maxval=adj.size)
+    return ((np.flatnonzero(adj) % n).astype(idx).tobytes(),
+            np.concatenate([[0], np.cumsum(adj.sum(axis=1))]).astype(idx).tobytes())
+
+
+@st.composite
+def count_matrices(draw):
+    """Square count matrices, symmetric like every built-in meta-path's or
+    not. Small count ranges give many equal PathSim scores; a zeroed
+    diagonal beside positive counts is what DID-2 can give."""
+    n = draw(st.integers(1, 24))
+    counts = draw(arrays(np.int64, (n, n),
+                         elements=st.integers(0, draw(st.sampled_from([1, 3, 40])))))
+    if draw(st.booleans()):
+        counts = np.triu(counts) + np.triu(counts, 1).T
+    if draw(st.booleans()):
+        np.fill_diagonal(counts, 0)
+    return counts
+
+
+class TestTopKPathSim:
+    @settings(max_examples=300, deadline=None)
+    @given(counts=count_matrices(), threshold=st.integers(1, 3),
+           top_k=st.integers(0, 4) | st.integers(0, 26))
+    def test_matches_the_brute_force_oracle(self, counts, threshold, top_k):
+        mask = neighbor_graph(CommutingMatrix("DID-2", counts), threshold, top_k).mask
+        expect = reference_neighbor_mask(counts, threshold, top_k)
+        assert (mask.indices.tobytes(), mask.indptr.tobytes()) == flat_index_csr(expect)
+        assert mask.dtype == bool and mask.data.all()
+
+    @settings(max_examples=150, deadline=None)
+    @given(counts=count_matrices(), threshold=st.integers(1, 3),
+           top_k=st.integers(1, 8))
+    def test_self_loops_and_symmetry_in_canonical_csr(self, counts, threshold, top_k):
+        mask = neighbor_graph(CommutingMatrix("DID-3", counts), threshold, top_k).mask
+        n = len(counts)
+        assert isinstance(mask, sp.csr_array) and mask.has_canonical_format
+        rows = np.repeat(np.arange(n), np.diff(mask.indptr))
+        assert np.all(np.diff(rows * n + mask.indices) > 0)
+        adj = mask.toarray()
+        assert adj.diagonal().all()
+        if (counts == counts.T).all():
+            assert (adj == adj.T).all()
+        binarized = (counts >= threshold) | np.eye(n, dtype=bool)
+        assert not (adj & ~(binarized | binarized.T)).any()
+        # a row with at most top_k candidates is the binarized row
+        light = binarized.sum(axis=1) <= top_k + 1
+        assert (adj[light] == binarized[light]).all()
+        assert (adj[~light].sum(axis=1) >= top_k + 1).all()
+
+    def test_score_floor_covers_a_zero_diagonal(self):
+        # no diagonal count: every denominator is the floor 1, so each drug
+        # keeps the two others of its triangle, whose counts are highest
+        counts = np.ones((6, 6), dtype=np.int64)
+        triangles = np.kron(np.eye(2, dtype=np.int64), np.ones((3, 3), dtype=np.int64))
+        counts += 8 * triangles
+        np.fill_diagonal(counts, 0)
+        adj = neighbor_graph(CommutingMatrix("DID-2", counts), top_k=2).adjacency
+        np.testing.assert_array_equal(adj, triangles.astype(bool))
+
+    def test_a_drug_under_the_threshold_is_never_kept(self):
+        # drug 3 shares one path with drug 0, under the threshold of 2, yet
+        # would score highest: 2 * 1 / (4 + 1) against 2 * 2 / (4 + 10)
+        counts = np.diag([4, 10, 10, 1, 1]).astype(np.int64)
+        counts[0, [1, 2, 3]] = counts[[1, 2, 3], 0] = [2, 2, 1]
+        adj = neighbor_graph(CommutingMatrix("DID-4", counts), threshold=2, top_k=1).adjacency
+        # drug 0 keeps drug 1 of the tied two, and gets drug 2 back
+        np.testing.assert_array_equal(np.flatnonzero(adj[0]), [0, 1, 2])
+        np.testing.assert_array_equal(adj, reference_neighbor_mask(counts, 2, 1))
+
+    def test_block_edges_match_the_oracle(self, monkeypatch):
+        # rows scored a few at a time, so that blocks end mid-matrix
+        counts = np.random.default_rng(8).integers(0, 4, (40, 40))
+        counts = counts + counts.T
+        expect = reference_neighbor_mask(counts, 2, 5)
+        for entries in (1, 40 * 3 + 7, 40 * 40):
+            monkeypatch.setattr(metapath, "SCORE_ENTRIES", entries)
+            adj = neighbor_graph(CommutingMatrix("DID-3", counts), 2, 5).adjacency
+            np.testing.assert_array_equal(adj, expect)
+
+    def test_default_is_top_16(self):
+        assert TOP_K == 16
+        counts = np.ones((40, 40), dtype=np.int64)
+        mask = neighbor_graph(CommutingMatrix("DID-3", counts)).mask
+        # all scores tie: each drug keeps the 16 lowest other columns, so
+        # the union gives drugs 0-15 every drug and the others 0-15 and
+        # themselves
+        np.testing.assert_array_equal(mask.toarray(), reference_neighbor_mask(counts, 1, 16))
+        assert np.diff(mask.indptr)[[0, 15, 16, 39]].tolist() == [40, 40, 17, 17]
