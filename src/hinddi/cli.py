@@ -30,7 +30,7 @@ from .data import purpose_rng, split_cold_start, split_edges
 from .espf import load_features, save_features, save_vocab
 from .gradcheck import finite_diff_check
 from .hin import EntityKind, HinError, load_hin, load_pairs, save_hin, stats, validate
-from .metapath import commuting_matrix, spec_by_name
+from .metapath import TOP_K, commuting_matrix, spec_by_name
 from .metrics import Metrics
 from .model import (
     ModelConfig,
@@ -113,7 +113,7 @@ def _load_pipeline(cfg: RunConfig):
                           "run featurize first")
     hin = load_hin(cfg.graph_dir)
     features = load_features(cfg.features_file, hin.registry)
-    graphs = make_graphs(hin, cfg.metapaths, cfg.binarize_threshold, cfg.top_k)
+    graphs = make_graphs(hin, cfg.metapaths, cfg.binarize_threshold)
     values = features.values.astype(cfg.dtype)
     return hin, graphs, features, values
 
@@ -137,15 +137,16 @@ def _load_model(cfg: RunConfig, checkpoint, d0: int):
     if set(params.metapaths) != set(cfg.metapaths):
         raise ConfigError(f"checkpoint meta-paths {sorted(params.metapaths)} "
                           f"differ from configured {sorted(cfg.metapaths)}")
-    # the graphs must be the ones trained on; checkpoints from before top-k
-    # graphs echo no top_k and were trained on binarized ones
-    for key, default in (("binarize_threshold", None), ("top_k", "0")):
-        trained = echo.get(f"metapaths.{key}", default)
-        if trained is None:
-            raise ConfigError(f"{checkpoint}: checkpoint echo lacks 'metapaths.{key}'")
-        if trained != str(getattr(cfg, key)):
-            raise ConfigError(f"checkpoint was trained with [metapaths] {key} = {trained}, "
-                              f"configured {getattr(cfg, key)}")
+    # the graphs must be the ones trained on
+    trained = echo.get("metapaths.binarize_threshold")
+    if trained is None:
+        raise ConfigError(f"{checkpoint}: checkpoint echo lacks 'metapaths.binarize_threshold'")
+    if trained != str(cfg.binarize_threshold):
+        raise ConfigError(f"checkpoint was trained with [metapaths] binarize_threshold = "
+                          f"{trained}, configured {cfg.binarize_threshold}")
+    if echo.get("metapaths.top_k") != str(TOP_K):
+        raise ConfigError(f"{checkpoint}: checkpoint was trained on binarized meta-path "
+                          f"graphs, not top-{TOP_K} ones; retrain")
     return params, model_config
 
 
@@ -271,6 +272,7 @@ def cmd_train(args, cfg: RunConfig) -> int:
 
     checkpoint_path = cfg.out_dir / "checkpoint.bin"
     echo = dict(cfg.echo())
+    echo["metapaths.top_k"] = str(TOP_K)  # the graphs trained on
     echo.update(model_config.echo())
     save_checkpoint(checkpoint_path, params, echo)
     history_path = cfg.out_dir / "history.tsv"

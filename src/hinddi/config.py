@@ -29,7 +29,7 @@ import numpy as np
 
 from .autodiff import ParameterError
 from .data import SplitError, check_drug_fraction, check_ratios
-from .metapath import TOP_K, builtin_spec_names
+from .metapath import builtin_spec_names
 from .model import ModelConfig
 from .pipeline import InputPaths
 from .train import TrainConfig
@@ -76,7 +76,6 @@ class RunConfig:
     espf_max_size: int = _key("features", 512)
     metapaths: tuple[str, ...] = _key("metapaths", tuple(builtin_spec_names()))
     binarize_threshold: int = _key("metapaths", 1)
-    top_k: int = _key("metapaths", TOP_K)  # 0 keeps every candidate
     # ModelConfig and TrainConfig values set by the config file, by field name
     model: dict = field(default_factory=dict, metadata={"section": "model"})
     training: dict = field(default_factory=dict, metadata={"section": "training"})
@@ -143,8 +142,6 @@ class RunConfig:
                 raise ConfigError(f"unknown meta-path {mp!r}; known: {sorted(known)}")
         if not self.metapaths:
             raise ConfigError("at least one meta-path is required")
-        if self.top_k < 0:
-            raise ConfigError(f"[metapaths] top_k must be >= 0, got {self.top_k}")
         # input_dim comes from the features; any valid value checks the rest
         for section, check in (("model", lambda: self.model_config(input_dim=1)),
                                ("training", self.train_config),

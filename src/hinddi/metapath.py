@@ -111,15 +111,18 @@ def _step_csr(hin: Hin, step: MetaPathStep):
 
 # The last step runs as a dense BLAS product when at least this share of its
 # left factor is nonzero, PRODUCT_ROWS rows per call, and as a sparse
-# product densified once otherwise. On paper-513 (2-vCPU guest, BLAS on one
-# thread) DID-3 (23% nonzero) takes about 3 ms dense instead of 9-12 ms
-# sparse. A dense product costs the same at any share: DID-1 and DID-2
-# (under 1%) take 8-9 ms dense, against 0.2-0.3 ms sparse. DID-4 (5%) takes
-# 7.6 ms sparse; as a sparse-by-dense product it took 8.5 ms and about
-# 1,500 page faults per call for its densified right factor. Row blocks
-# keep the float64 result in a small buffer; a whole (n, n) one beside the
+# product densified once otherwise. The dense product is float32 (sgemm)
+# when its counts are exact there, as on paper-513, and float64 otherwise;
+# for X X^t (DID-1, DID-3, DID-4) the right factor is the left's transpose,
+# read in place, and only the blocks on and above the diagonal are
+# multiplied. Whole calls on paper-513 (2-vCPU guest, BLAS on one thread,
+# host speed varying about 1.6x): DID-3 (23% nonzero) takes 2.3-3.4 ms,
+# against 4.0-6.7 ms as a float64 product of whole blocks and 15-22 ms
+# sparse; DID-4 (5%) takes 3.8-6.3 ms, against 8.7-11.3 ms sparse. DID-1
+# (under 1%) takes about 3 ms dense, against 0.7-1.6 ms sparse. Row blocks
+# keep the float result in a small buffer; a whole (n, n) one beside the
 # int64 counts cost about 1,600 page faults (5 ms) per product.
-DENSE_PRODUCT_SHARE = 0.1
+DENSE_PRODUCT_SHARE = 0.03
 PRODUCT_ROWS = 128
 
 # Neighbors kept per drug by default, by PathSim, when it has more.
@@ -128,6 +131,9 @@ TOP_K = 16
 # (128 kB). On paper-513, whole (n, n) score arrays cost about 950 page
 # faults, about 3 ms, per near-complete graph; blocks of this size none.
 SCORE_ENTRIES = 16384
+# Rows are ranked by packed int64 keys while count times denominator stays
+# under 2**PACKED_BITS over the column range (see _keep_top_pathsim).
+PACKED_BITS = 50
 
 
 def commuting_matrix(hin: Hin, spec: MetaPathSpec) -> CommutingMatrix:
@@ -135,30 +141,43 @@ def commuting_matrix(hin: Hin, spec: MetaPathSpec) -> CommutingMatrix:
     to the last step, which yields a dense result. A near-complete count
     matrix costs a sparse product far more in index bookkeeping than a
     dense one. When at least `DENSE_PRODUCT_SHARE` of the left factor is
-    nonzero, the last step is a dense float64 product (BLAS dgemm), in
-    blocks of `PRODUCT_ROWS` rows; otherwise it is a sparse int64 product,
+    nonzero, the last step is a dense float product (BLAS gemm), in blocks
+    of `PRODUCT_ROWS` rows; otherwise it is a sparse int64 product,
     densified once.
 
-    The float64 product is exact. Every term is a product of non-negative
+    The float product is exact. Every term is a product of non-negative
     integers, so every partial sum of a count is an integer no larger than
-    the count, and float64 holds every integer below 2**53. No count
-    exceeds its row's left sum times the largest right entry, and that
-    bound is checked once, below 2**53.
+    the count. No count exceeds its row's left sum times the largest right
+    entry. That bound is checked once: below 2**24 the product runs in
+    float32, which holds every integer up to there, and below 2**53 in
+    float64.
     """
-    *head, last = (_step_csr(hin, step) for step in spec.steps)
-    product = head[0]
+    *head, final = spec.steps
+    product = _step_csr(hin, head[0])
     for step in head[1:]:
-        product = product @ step
+        product = product @ _step_csr(hin, step)
     if product.nnz >= DENSE_PRODUCT_SHARE * product.shape[0] * product.shape[1]:
-        left = product.astype(np.float64).toarray()
-        right = last.astype(np.float64).toarray()
-        if left.sum(axis=1).max(initial=0) * right.max(initial=0) >= 2.0 ** 53:
+        # X X^t: the right factor is the left's transpose, read in place
+        square = len(head) == 1 and final == MetaPathStep(head[0].matrix, not head[0].transposed)
+        last = product if square else _step_csr(hin, final)
+        row_sums = np.asarray(product.sum(axis=1))
+        bound = float(row_sums.max(initial=0)) * float(last.data.max(initial=0))
+        if bound >= 2.0 ** 53:
             raise SchemaError(f"{spec.name}: path counts may reach 2**53, beyond exact float64")
+        dtype = np.float32 if bound < 2.0 ** 24 else np.float64
+        left = product.astype(dtype).toarray()
+        right = left.T if square else last.astype(dtype).toarray()
         counts = np.empty((left.shape[0], right.shape[1]), dtype=np.int64)
         for i in range(0, left.shape[0], PRODUCT_ROWS):
-            counts[i:i + PRODUCT_ROWS] = left[i:i + PRODUCT_ROWS] @ right
+            rows = slice(i, i + PRODUCT_ROWS)
+            if square:  # symmetric: columns from the block's own on, mirrored below
+                block = left[rows] @ right[:, i:]
+                counts[rows, i:] = block
+                counts[i + PRODUCT_ROWS:, rows] = block[:, PRODUCT_ROWS:].T
+            else:
+                counts[rows] = left[rows] @ right
     else:
-        counts = (product @ last).toarray()
+        counts = (product @ _step_csr(hin, final)).toarray()
     n = hin.n_drugs
     if counts.shape != (n, n):
         raise SchemaError(f"{spec.name}: product shape {counts.shape}, expected {(n, n)}")
@@ -207,9 +226,10 @@ def neighbor_graph(m: CommutingMatrix, threshold: int = 1, top_k: int = TOP_K) -
     np.fill_diagonal(adj, True)
     degree = np.count_nonzero(adj, axis=1)
     if top_k and degree.max(initial=0) > top_k + 1:
-        _keep_top_pathsim(adj, m.counts, top_k, threshold,
-                          np.flatnonzero(degree > top_k + 1))
-        degree = np.count_nonzero(adj, axis=1)
+        heavy = _rows_to_cut(adj, degree, top_k)
+        if heavy.size:
+            _keep_top_pathsim(adj, m.counts, top_k, threshold, heavy)
+            degree = np.count_nonzero(adj, axis=1)
     n = adj.shape[0]
     idx = sp.get_index_dtype(maxval=adj.size)  # int32 unless n^2 overflows it
     # boolean indexing runs row by row, so each row's columns come out sorted
@@ -219,47 +239,81 @@ def neighbor_graph(m: CommutingMatrix, threshold: int = 1, top_k: int = TOP_K) -
                                               shape=(n, n)))
 
 
+def _rows_to_cut(adj: np.ndarray, degree: np.ndarray, k: int) -> np.ndarray:
+    """The rows of more than k candidates whose cut can change the graph.
+
+    A row whose candidates all have at most k of their own, and whose
+    column equals the row, gets back every drug it drops and holds no other
+    cut row, so cutting it changes nothing. Such a row has no more
+    candidates than there are light rows, so near-complete graphs skip the
+    check.
+    """
+    heavy = degree > k + 1
+    n_light = heavy.size - np.count_nonzero(heavy)
+    maybe = np.flatnonzero(heavy & (degree <= n_light + 1))
+    if maybe.size:
+        rows = adj[maybe]
+        whole = ((np.count_nonzero(rows & heavy, axis=1) == 1)  # the self-loop only
+                 & (rows == adj[:, maybe].T).all(axis=1))
+        heavy[maybe[whole]] = False
+    return np.flatnonzero(heavy)
+
+
 def _keep_top_pathsim(adj: np.ndarray, counts: np.ndarray, k: int, threshold: int,
                       heavy: np.ndarray) -> None:
     """Cut each `heavy` row of `adj` (candidates plus self-loops) to its
     self-loop and its top k candidates by (-PathSim, column), then give it
-    back every drug whose row keeps it.
+    back every drug whose row holds it.
 
     Rows are scored in blocks of about `SCORE_ENTRIES` scores. The factor 2
-    of PathSim is left out, which changes no order and no tie. A score is 0
-    off the candidates and positive on them. `np.partition` puts each row's
-    k highest scores last: the least of them is the row's cut, and the row
-    has more than k scores at the cut when the next one equals it. Only
-    those rows rank ties; they rescore the entries at or above the cut with
-    the same float64 operations.
+    of PathSim is left out, which changes no order and no tie, and so is
+    the floor when no diagonal count is 0. A score is 0 off the candidates
+    and positive on them, so its float64 bits, read as an int64, keep its
+    order. A row's keys are those bits with the low `shift` bits replaced
+    by the column, lower columns ranking higher: every key differs, and
+    `np.partition` puts the row's k kept columns last, readable from their
+    keys. That is exact while every count of the block times every
+    denominator stays under 2**(PACKED_BITS - shift): two different scores
+    M/D are then more than 2**(shift + 1) float64 steps apart. Blocks with
+    larger counts are sorted by (-score, column) instead.
     """
     n = adj.shape[0]
     diag = np.diagonal(counts).astype(np.float64)
-    keep = np.empty((heavy.size, n), dtype=bool)
-    cut = np.empty((heavy.size, 1))
-    tied = np.empty(heavy.size, dtype=bool)
+    floor = not diag.all()
+    shift = max(1, (n - 1).bit_length())
+    low = (1 << shift) - 1
+    column_key = low - np.arange(n)
+    limit = 2.0 ** (PACKED_BITS - shift) / max(2.0 * diag.max(initial=0), 1.0)
+    kept = np.empty((heavy.size, k), dtype=np.int64)
     step = max(1, SCORE_ENTRIES // n)
     for start in range(0, heavy.size, step):
-        block, rows = slice(start, start + step), heavy[start:start + step]
+        rows = heavy[start:start + step]
+        contiguous = rows[-1] - rows[0] == rows.size - 1
+        block = counts[rows[0]:rows[-1] + 1] if contiguous else counts[rows]
         score = np.add.outer(diag[rows], diag)
-        np.maximum(score, 1.0, out=score)
-        np.divide(counts[rows], score, out=score)
+        if floor:
+            np.maximum(score, 1.0, out=score)
+        np.divide(block, score, out=score)
         score[np.arange(rows.size), rows] = 0.0
         if threshold > 1:  # else counts off the candidates are 0 already
             score *= adj[rows]
-        ranked = np.partition(score, n - k - 1, axis=1)
-        cut[block, 0] = ranked[:, n - k:].min(axis=1)
-        tied[block] = ranked[:, n - k - 1] == cut[block, 0]
-        np.greater_equal(score, cut[block], out=keep[block])
-    straddle = np.flatnonzero(tied)
-    r, c = np.divmod(np.flatnonzero(keep[straddle]), n)
-    r = straddle[r]
-    i = heavy[r]
-    tie = counts[i, c] / np.maximum(diag[i] + diag[c], 1.0) == cut[r, 0]
-    room = k - np.bincount(r[~tie], minlength=heavy.size)
-    r, c = r[tie], c[tie]
-    late = np.arange(r.size) - np.searchsorted(r, r) >= room[r]  # rank in row
-    keep[r[late], c[late]] = False
-    keep[np.arange(heavy.size), heavy] = True
-    adj[heavy] = keep
-    adj[heavy] |= adj[:, heavy].T
+        if block.max(initial=0) < limit:
+            key = score.view(np.int64)
+            key &= ~low
+            key |= column_key
+            top = np.partition(key, n - k, axis=1)[:, n - k:]
+            kept[start:start + step] = low - (top & low)
+        else:
+            columns = np.broadcast_to(np.arange(n), score.shape)
+            kept[start:start + step] = np.lexsort((columns, -score), axis=1)[:, :k]
+    cut = np.zeros(n, dtype=bool)
+    cut[heavy] = True
+    light = np.flatnonzero(~cut)
+    back = adj[np.ix_(light, heavy)].T  # light rows holding a cut row
+    rows, cols = np.repeat(heavy, k), kept.ravel()
+    adj[heavy] = False
+    adj[heavy, heavy] = True
+    adj[rows, cols] = True
+    mutual = cut[cols]  # cut rows keeping a cut row
+    adj[cols[mutual], rows[mutual]] = True
+    adj[np.ix_(heavy, light)] |= back

@@ -14,6 +14,7 @@ from hinddi import autodiff as ad
 from hinddi import cli
 from hinddi.cli import main
 from hinddi.config import RunConfig
+from hinddi.metapath import TOP_K
 from hinddi.model import ModelConfig, encode, load_checkpoint, save_checkpoint
 from tests.test_model import per_head_layout
 
@@ -230,6 +231,24 @@ class TestTrain:
         encoded = encode(params, values, graphs, ModelConfig.from_echo(echo))
         assert list(beta.values()) == encoded.beta.data.tolist()
 
+    def test_summary_beta_without_held_out_pairs(self, tmp_path):
+        # every edge trains, so no validation or test encode yields beta
+        cfg = quick_synth(tmp_path, epochs=3)
+        cfg.write_text(cfg.read_text(encoding="utf-8") + "\n[split]\nratios = 1, 0, 0\n",
+                       encoding="utf-8")
+        for command in ("build-graph", "featurize"):
+            assert run_cli(command, "--config", cfg) == 0
+        with pytest.warns(UserWarning, match="split_edges: empty"):
+            assert run_cli("train", "--config", cfg) == 0
+        out = tmp_path / "out"
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["metrics"] == {}
+        params, echo = load_checkpoint(out / "checkpoint.bin")
+        _, graphs, _, values = cli._load_pipeline(RunConfig.from_file(cfg))
+        encoded = encode(params, values, graphs, ModelConfig.from_echo(echo))
+        assert list(summary["beta"]) == list(params.metapaths)
+        assert list(summary["beta"].values()) == encoded.beta.data.tolist()
+
     @pytest.mark.parametrize("command", ["evaluate", "predict"])
     def test_graph_settings_checked_against_checkpoint(self, pipeline, tmp_path,
                                                        capsys, command):
@@ -237,10 +256,13 @@ class TestTrain:
         shutil.copytree(pipeline[0], root)
         good = root / "out" / "checkpoint.bin"
         params, echo = load_checkpoint(good)
-        # trained before top-k graphs: no top_k in the echo
+        assert echo["metapaths.top_k"] == str(TOP_K)
+        # trained on binarized graphs: no top_k in the echo, or 0
         legacy = root / "legacy.bin"
         save_checkpoint(legacy, params, {k: v for k, v in echo.items()
                                          if k != "metapaths.top_k"})
+        binarized = root / "binarized.bin"
+        save_checkpoint(binarized, params, {**echo, "metapaths.top_k": "0"})
         no_threshold = root / "no_threshold.bin"
         save_checkpoint(no_threshold, params, {k: v for k, v in echo.items()
                                                if k != "metapaths.binarize_threshold"})
@@ -254,9 +276,10 @@ class TestTrain:
                            + f"\n[metapaths]\n{settings}\n", encoding="utf-8")
             return run_cli(command, "--config", cfg, "--checkpoint", checkpoint, *extra)
 
+        retrain = f"trained on binarized meta-path graphs, not top-{TOP_K} ones; retrain"
         for checkpoint, settings, fragment in (
-                (legacy, "", "trained with [metapaths] top_k = 0, configured 16"),
-                (good, "top_k = 8", "trained with [metapaths] top_k = 16, configured 8"),
+                (legacy, "", retrain),
+                (binarized, "", retrain),
                 (good, "binarize_threshold = 2",
                  "trained with [metapaths] binarize_threshold = 1, configured 2"),
                 (no_threshold, "", "lacks 'metapaths.binarize_threshold'")):
@@ -264,8 +287,7 @@ class TestTrain:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1, err
             assert fragment in err, err
-        assert run(legacy, "top_k = 0") == 0
-        assert run(good, "top_k = 16\nbinarize_threshold = 1") == 0
+        assert run(good, "binarize_threshold = 1") == 0
 
     def test_evaluate_reproduces_train_test_metrics(self, pipeline):
         root, cfg = pipeline

@@ -37,7 +37,6 @@ espf_max_size = 100
 [metapaths]
 metapaths = DID-3, DID-1
 binarize_threshold = 2
-top_k = 5
 
 [model]
 hidden = 4
@@ -96,7 +95,6 @@ class TestSchema:
             ("features.espf_max_size", "100"),
             ("metapaths.metapaths", "DID-3,DID-1"),
             ("metapaths.binarize_threshold", "2"),
-            ("metapaths.top_k", "5"),
             ("model.hidden", "4"),
             ("model.heads", "2"),
             ("model.attn_dim", "16"),
@@ -155,8 +153,7 @@ class TestSchema:
             "metapaths": {
                 "metapaths": ",".join(data.draw(st.lists(
                     st.sampled_from(builtin_spec_names()), min_size=1, unique=True))),
-                "binarize_threshold": data.draw(st.integers(1, 9)),
-                "top_k": data.draw(st.integers(0, 64))},
+                "binarize_threshold": data.draw(st.integers(1, 9))},
             "model": {
                 "hidden": data.draw(st.integers(1, 64)),
                 "heads": data.draw(st.integers(1, 16)),
@@ -298,9 +295,6 @@ BAD_INPUTS = {
     "NaN leaky slope": (
         "build-graph", append("[model]\nleaky_slope = nan\n"),
         "[model] leaky_slope must be finite, got nan"),
-    "negative top_k": (
-        "build-graph", append("[metapaths]\ntop_k = -1\n"),
-        "[metapaths] top_k must be >= 0, got -1"),
     "zero hidden": (
         "build-graph", append("[model]\nhidden = 0\n"), "[model] hidden must be >= 1"),
     "two split ratios": (

@@ -105,20 +105,23 @@ class TestCommutingMatrix:
 
     @pytest.mark.parametrize("n_drugs", [3, 30])
     def test_large_counts_match_oracle(self, n_drugs):
-        # d0 and d1 share all 50 proteins, side effects and substructures,
-        # and the proteins form one complete PPI block, so DID-2 counts
-        # 50 * 49 paths between them; every other drug has no relations.
-        # Their left factors are 2 / n_drugs nonzero: 3 drugs densify the
-        # last step, 30 keep it sparse.
-        full = [(d, k) for d in (0, 1) for k in range(50)]
-        hin = make_hin(n_drugs, 50, 50, 50, t_pairs=full, c_pairs=full, h_pairs=full,
+        # d0 and d1 share n_shared (all 50, or 12) of the 50 proteins, side
+        # effects and substructures, and the proteins form one complete PPI
+        # block, so DID-2 counts n_shared * (n_shared - 1) paths between
+        # them; every other drug has no relations. Their left factors are
+        # 2 n_shared / (50 n_drugs) nonzero: 3 drugs densify the last step,
+        # 30 keep it sparse.
+        n_shared = 50 if n_drugs == 3 else 12
+        shared = [(d, k) for d in (0, 1) for k in range(n_shared)]
+        hin = make_hin(n_drugs, 50, 50, 50, t_pairs=shared, c_pairs=shared, h_pairs=shared,
                        p_pairs=[(p, q) for p in range(50) for q in range(p + 1, 50)])
-        assert (2 / n_drugs >= DENSE_PRODUCT_SHARE) == (n_drugs == 3)
+        assert (2 * n_shared / (50 * n_drugs) >= DENSE_PRODUCT_SHARE) == (n_drugs == 3)
         for spec in builtin_specs():
             counts = commuting_matrix(hin, spec).counts
             assert counts.dtype == np.int64
             np.testing.assert_array_equal(counts, brute_force_path_counts(hin, spec))
-            assert counts[0, 1] == (50 * 49 if spec.name == "DID-2" else 50)
+            assert counts[0, 1] == (n_shared * (n_shared - 1) if spec.name == "DID-2"
+                                    else n_shared)
             assert not counts[2:].any() and not counts[:, 2:].any()
 
     def test_row_blocks_match_sparse_product(self):
@@ -144,9 +147,10 @@ class TestCommutingMatrix:
             np.testing.assert_array_equal(counts, expected.toarray())
 
     def test_sparse_last_steps_equal_the_dense_integer_product(self):
-        # Shares like paper-513's: every drug has 2 targets of 120 and 15
-        # side effects of 300, so DID-1, DID-2 and DID-4 keep the last step
-        # sparse; numpy's int64 matmul of the dense steps is the reference.
+        # Shares like paper-513's DID-1 and DID-2: every drug has 2 targets
+        # of 120 and 6 side effects of 300, so DID-1, DID-2 and DID-4 keep
+        # the last step sparse; numpy's int64 matmul of the dense steps is
+        # the reference.
         n, n_proteins, n_side_effects = 200, 120, 300
         rng = np.random.default_rng(17)
 
@@ -156,7 +160,7 @@ class TestCommutingMatrix:
 
         hin = make_hin(n, n_proteins, n_side_effects, 4,
                        t_pairs=pairs(n, n_proteins, 2),
-                       c_pairs=pairs(n, n_side_effects, 15),
+                       c_pairs=pairs(n, n_side_effects, 6),
                        p_pairs=[(p, q) for p, q in pairs(n_proteins, n_proteins, 1) if p < q])
         specs = {s.name: s for s in builtin_specs()}
         for name in ("DID-1", "DID-2", "DID-4"):
@@ -177,6 +181,17 @@ class TestCommutingMatrix:
                             lambda hin, step: huge.T.tocsr() if step.transposed else huge)
         with pytest.raises(SchemaError, match="2\\*\\*53"):
             commuting_matrix(hin, builtin_specs()[0])
+
+    @pytest.mark.parametrize("count", [4095, 2 ** 25 + 1])
+    def test_dense_product_exact_on_either_side_of_2_to_24(self, monkeypatch, count):
+        # 4095**2 is under 2**24 and runs in float32; (2**25 + 1)**2 =
+        # 2**50 + 2**26 + 1 runs in float64, as float32 would round it
+        hin = make_hin(2, 1, 0, 0, t_pairs=[(0, 0), (1, 0)])
+        step = sp.csr_matrix(np.array([[count], [3]], dtype=np.int64))
+        monkeypatch.setattr(metapath, "_step_csr",
+                            lambda hin, s: step.T.tocsr() if s.transposed else step)
+        counts = commuting_matrix(hin, builtin_specs()[0]).counts
+        np.testing.assert_array_equal(counts, [[count * count, 3 * count], [3 * count, 9]])
 
     def test_hierarchical_spec_against_oracle(self):
         rng = np.random.default_rng(5)
@@ -285,11 +300,12 @@ def flat_index_csr(adj):
 @st.composite
 def count_matrices(draw):
     """Square count matrices, symmetric like every built-in meta-path's or
-    not. Small count ranges give many equal PathSim scores; a zeroed
-    diagonal beside positive counts is what DID-2 can give."""
+    not. Small count ranges give many equal PathSim scores, counts up to
+    2**40 rows too large for packed keys; a zeroed diagonal beside positive
+    counts is what DID-2 can give."""
     n = draw(st.integers(1, 24))
-    counts = draw(arrays(np.int64, (n, n),
-                         elements=st.integers(0, draw(st.sampled_from([1, 3, 40])))))
+    top = draw(st.sampled_from([1, 3, 40, 2 ** 40]))
+    counts = draw(arrays(np.int64, (n, n), elements=st.integers(0, top)))
     if draw(st.booleans()):
         counts = np.triu(counts) + np.triu(counts, 1).T
     if draw(st.booleans()):
@@ -302,10 +318,14 @@ class TestTopKPathSim:
     @given(counts=count_matrices(), threshold=st.integers(1, 3),
            top_k=st.integers(0, 4) | st.integers(0, 26))
     def test_matches_the_brute_force_oracle(self, counts, threshold, top_k):
-        mask = neighbor_graph(CommutingMatrix("DID-2", counts), threshold, top_k).mask
-        expect = reference_neighbor_mask(counts, threshold, top_k)
-        assert (mask.indices.tobytes(), mask.indptr.tobytes()) == flat_index_csr(expect)
-        assert mask.dtype == bool and mask.data.all()
+        expect = flat_index_csr(reference_neighbor_mask(counts, threshold, top_k))
+        # packed keys where the counts allow them, and sorting everywhere
+        for packed_bits in (metapath.PACKED_BITS, 0):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(metapath, "PACKED_BITS", packed_bits)
+                mask = neighbor_graph(CommutingMatrix("DID-2", counts), threshold, top_k).mask
+            assert (mask.indices.tobytes(), mask.indptr.tobytes()) == expect
+            assert mask.dtype == bool and mask.data.all()
 
     @settings(max_examples=150, deadline=None)
     @given(counts=count_matrices(), threshold=st.integers(1, 3),
@@ -346,6 +366,45 @@ class TestTopKPathSim:
         # drug 0 keeps drug 1 of the tied two, and gets drug 2 back
         np.testing.assert_array_equal(np.flatnonzero(adj[0]), [0, 1, 2])
         np.testing.assert_array_equal(adj, reference_neighbor_mask(counts, 2, 1))
+
+    def test_a_cut_that_gives_every_drug_back_is_skipped(self, monkeypatch):
+        # drug 0 has 3 candidates, each with only drug 0 as its own: cut to
+        # 2, it gets the third back, so its row is not scored at all
+        counts = np.diag([4, 4, 4, 4, 4]).astype(np.int64)
+        counts[0, 1:4] = counts[1:4, 0] = [3, 2, 1]
+        scored = []
+        monkeypatch.setattr(metapath, "_keep_top_pathsim", lambda *args: scored.append(args))
+        adj = neighbor_graph(CommutingMatrix("DID-2", counts), top_k=2).adjacency
+        assert not scored
+        np.testing.assert_array_equal(adj, reference_neighbor_mask(counts, 1, 2))
+        monkeypatch.undo()
+        # drug 3 no longer holds drug 0, so it gives nothing back: drug 0 is cut
+        counts[3, 0] = 0
+        adj = neighbor_graph(CommutingMatrix("DID-2", counts), top_k=2).adjacency
+        np.testing.assert_array_equal(np.flatnonzero(adj[0]), [0, 1, 2])
+        np.testing.assert_array_equal(adj, reference_neighbor_mask(counts, 1, 2))
+
+    def test_a_cut_row_beside_another_cut_row_is_scored(self):
+        # drug 0's candidates are drug 1, which holds only drug 0, and drug
+        # 2, which has more than k itself and keeps drug 3: cut, drug 0
+        # keeps drug 1 and gets nothing back from drug 2
+        counts = np.diag([10] * 6).astype(np.int64)
+        for i, j, c in ((0, 1, 5), (0, 2, 1), (2, 3, 9), (2, 4, 2)):
+            counts[i, j] = counts[j, i] = c
+        adj = neighbor_graph(CommutingMatrix("DID-3", counts), top_k=1).adjacency
+        np.testing.assert_array_equal(np.flatnonzero(adj[0]), [0, 1])
+        np.testing.assert_array_equal(np.flatnonzero(adj[2]), [2, 3, 4])
+        np.testing.assert_array_equal(adj, reference_neighbor_mask(counts, 1, 1))
+
+    def test_counts_too_large_to_pack_are_sorted(self):
+        # with no diagonal the scores are the counts; 2**51 and 2**51 + 1
+        # are 2 float64 steps apart, which packed keys would call a tie,
+        # giving drug 0 column 1 instead of 2
+        counts = np.zeros((4, 4), dtype=np.int64)
+        counts[0, 1:] = [2 ** 51, 2 ** 51 + 1, 5]
+        adj = neighbor_graph(CommutingMatrix("DID-2", counts), top_k=1).adjacency
+        np.testing.assert_array_equal(np.flatnonzero(adj[0]), [0, 2])
+        np.testing.assert_array_equal(adj, reference_neighbor_mask(counts, 1, 1))
 
     def test_block_edges_match_the_oracle(self, monkeypatch):
         # rows scored a few at a time, so that blocks end mid-matrix
