@@ -54,9 +54,14 @@ density at n = 50. The 5% threshold keeps a margin below every
 crossover. With the default top-16 PathSim graphs, every paper-scale
 (513-drug) meta-path graph is under 5% dense (about 1% for DID-1 and
 DID-2, 4% for DID-3 and DID-4); the binarized ones (`top_k = 0`) are
-either about 1% or over 70% dense.
+either about 1% or over 70% dense. A top-k graph holds at most (2k + 1) n
+entries: each drug keeps its self-loop and at most k candidates, and each
+kept edge adds at most its reverse. So from n > 660 on, no top-16 graph
+is 5% dense (33 / n), and none reaches the dense branch. Below that the
+bound alone allows more (6.4% at n = 513); the planted 50-drug graphs
+(11-22%) take the dense branch.
 
-The dense branch takes the heads of a group in blocks of up to
+The dense branch takes the K heads in blocks of up to
 `HEAD_BLOCK_ENTRIES` (32,768) // n^2 contiguous heads, held as (m, n, n)
 arrays, so that each step is one NumPy call per block instead of one per
 head; no step crosses heads, so the bits do not depend on the block.
@@ -75,44 +80,17 @@ The budget gives one block of all 8 heads at n = 50, blocks of 3 at
 n = 96 and of 2 at n = 128, and one head per block from n = 182 on, so
 paper-scale graphs keep per-head arrays.
 
-From `PARALLEL_MIN_NODES` (320) nodes on, the dense branch runs its K heads
-in W = min(K, usable cores) contiguous groups, forward and adjoint alike:
-the calling thread runs the first group and a module thread pool, created
-on first use, the others. NumPy releases the interpreter lock in its loops
-and BLAS calls, so the groups overlap; each short op pays a lock handoff,
-which is why small graphs stay serial. Outputs do not depend on the split:
-no head reads another's results, a head's ops are the same in any group,
-groups write disjoint columns of the output and of dh and disjoint rows of
-da, and dropout draws the serial stream (see `graph_attention`). Measured
-time of one call (8 heads of 8, float32, complete mask; 2-vCPU guest, BLAS
-on one thread, median of 35-854 calls in 7 interleaved blocks), serial vs
-2 groups, fwd+bwd in training (dropout 0.6) and fwd in eval mode:
-
-    n       train                 eval
-    50      0.91 vs 2.3 ms (0.39) 0.22 vs 0.66 ms (0.33)
-    128     2.3 vs 3.7 ms (0.62)  0.93 vs 1.39 ms (0.67)
-    256     16 vs 14 ms (1.18)    6.7 vs 5.9 ms (1.14)
-    320     24 vs 18 ms (1.27)    9.9 vs 8.1 ms (1.23)
-    384     35 vs 23 ms (1.52)    15 vs 12 ms (1.24)
-    513     54 vs 37 ms (1.47)    25 vs 19 ms (1.29)
-    1,026   295 vs 179 ms (1.65)  116 vs 85 ms (1.36)
-
-(speed-up in brackets; n = 50 and 128 measured with head blocks, median
-of 11 interleaved rounds of 15-40 calls, mask about 75% dense). An
-earlier run of the same table, with 3x the steal time (CPU time the host
-gave to other guests), had n = 256 at 1.07 in training and 0.90 in eval
-mode, so the threshold sits one step above that size. On a guest with steal time, a call can run slower split than
-serial in a busy period, when the thread that holds a group waits for a
-core.
-
-`pair_scores` uses the same pool for its forward. From `PARALLEL_MIN_PAIRS`
+`pair_scores` runs its forward on a module thread pool, created on first
+use; every other op runs on the calling thread. From `PARALLEL_MIN_PAIRS`
 (8,192) pairs on, it cuts its blocks of `PAIR_BLOCK` pairs into W = min(
-blocks, usable cores) contiguous groups; each group gathers into its own
-buffers and writes its own slice of the dot products, whose ops do not
-depend on the split. Measured time of one forward (F = 64, float32, 513
-rows; random pairs, and all 131,328 unordered pairs in row-major order;
-2-vCPU guest, median of 15 interleaved rounds of 5-48 calls), serial vs
-2 groups:
+blocks, usable cores) contiguous groups: the calling thread runs the first
+and the pool the others, which overlap because NumPy releases the
+interpreter lock in its loops. Each group gathers into its own buffers
+and writes its own slice of the dot products, whose ops do not depend on
+the split. Measured time of one forward (F = 64, float32, 513 rows;
+random pairs, and all 131,328 unordered pairs in row-major order; 2-vCPU
+guest, median of 15 interleaved rounds of 5-48 calls), serial vs 2
+groups:
 
     pairs     serial vs split
     4,096     0.50 vs 0.47 ms (1.07, won 7 of 15 rounds)
@@ -134,7 +112,6 @@ is an error.
 from __future__ import annotations
 
 import contextvars
-import copy
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -349,88 +326,10 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool) ->
 # crossover table in the module docstring.
 SPARSE_DENSITY = 0.05
 
-
-# A dense `graph_attention` call on at least this many nodes runs its heads
-# in contiguous groups, one per usable core, each group on its own thread;
-# see the split table in the module docstring.
-PARALLEL_MIN_NODES = 320
-
 # Entries of the (m, n, n) arrays that a block of m dense heads works on
 # at once: all 8 heads at n = 50, one head per block from n = 182 on. See
 # the block table in the module docstring.
 HEAD_BLOCK_ENTRIES = 32768
-
-# Float64 entries per block of a dense head's dropout draw. Drawing the
-# (n, n) uniforms a block of rows at a time takes the generator's stream in
-# the same order as one whole draw, with a buffer of this size.
-DRAW_BLOCK = 16384
-
-# Bit generators whose `advance(d)` skips exactly d float64 draws
-_ADVANCE_PER_DRAW = (np.random.PCG64, np.random.PCG64DXSM)
-
-_pool_lock = threading.Lock()
-_pool: ThreadPoolExecutor | None = None
-
-
-def _usable_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not on every platform
-        return os.cpu_count() or 1
-
-
-def _executor() -> ThreadPoolExecutor:
-    """The module's thread pool, created on first use with room for a thread
-    per usable core but the caller's; it starts a thread only when a task
-    finds none idle."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(max(1, _usable_cores() - 1),
-                                       thread_name_prefix="hinddi-autodiff")
-        return _pool
-
-
-def _ranges(items: range, workers: int) -> list[range]:
-    """`items` cut into `workers` contiguous ranges of near-equal length."""
-    bounds = [len(items) * g // workers for g in range(workers + 1)]
-    return [items[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-
-
-def _head_groups(heads, n, rng):
-    """Contiguous ranges of the K heads, one per thread, and the generator
-    each range draws its dropout masks from: `rng` for the first, and for
-    each other a copy of `rng` advanced past the n*n draws of every head
-    before the range. One range unless n reaches `PARALLEL_MIN_NODES`, or
-    if `rng` cannot skip draws."""
-    workers = min(heads, _usable_cores()) if n >= PARALLEL_MIN_NODES else 1
-    if rng is not None and not isinstance(rng.bit_generator, _ADVANCE_PER_DRAW):
-        workers = 1
-    groups = _ranges(range(heads), workers)
-    gens = [rng]
-    for group in groups[1:]:
-        gens.append(copy.deepcopy(rng))
-        if rng is not None:
-            gens[-1].bit_generator.advance(group.start * n * n)
-    return groups, gens
-
-
-def _run_groups(work, groups, gens) -> None:
-    """work(group, gen) for every group: the first on this thread, the others
-    on the pool, each in a copy of this thread's context so that settings
-    such as `np.errstate` hold there too."""
-    if len(groups) == 1:
-        work(groups[0], gens[0])
-        return
-    pool = _executor()
-    futures = [pool.submit(contextvars.copy_context().run, work, group, gen)
-               for group, gen in zip(groups[1:], gens[1:])]
-    try:
-        work(groups[0], gens[0])
-    finally:
-        wait(futures)
-    for future in futures:
-        future.result()
 
 
 def graph_attention(h: Tensor, a: Tensor | None, mask, *,
@@ -455,10 +354,8 @@ def graph_attention(h: Tensor, a: Tensor | None, mask, *,
     `SPARSE_DENSITY` of n^2, and on the densified mask otherwise; a fixed
     alpha is always dense. The two branches agree to rounding. With
     `dropout` > 0 the dense branch drops out each alpha_k with the masks of
-    the serial stream: K successive (n, n) draws from `rng`, in head order,
-    after which `rng` is where those draws leave it, also when groups of
-    heads run on other threads; the edge branch drops out all heads with
-    one (E, K) draw, edges in row-major order.
+    K successive (n, n) draws from `rng`, in head order; the edge branch
+    drops out all heads with one (E, K) draw, edges in row-major order.
 
     Returns the node and the K alphas before dropout, uncopied: (n, n)
     arrays on the dense branch (views of their head block's array, or the
@@ -517,12 +414,12 @@ def _attention_dense(hd, a, mask, fixed, heads, s, dropout, rng):
     array that is finite exactly when every alpha is, and the adjoint, which
     maps the output's adjoint to [dh] or [dh, da].
 
-    A block is up to `HEAD_BLOCK_ENTRIES` // n^2 contiguous heads of one
-    group, held as (m, n, n) arrays that each step passes over once, in
-    place where it can; every elementwise step, row reduction and product
-    of a head is the one it would be alone, so the bits do not depend on
-    the block. The scores and `da` stay one mat-vec (BLAS gemv) per head,
-    issued by one stacked `np.matmul` per block.
+    A block is up to `HEAD_BLOCK_ENTRIES` // n^2 contiguous heads, held as
+    (m, n, n) arrays that each step passes over once, in place where it
+    can; every elementwise step, row reduction and product of a head is the
+    one it would be alone, so the bits do not depend on the block. The
+    scores and `da` stay one mat-vec (BLAS gemv) per head, issued by one
+    stacked `np.matmul` per block.
     Masked ufunc loops (`where=` on a scattered mask) and `np.where` cost
     3-10 passes, so the leaky relu, the mask and the slope of the adjoint
     are written as plain elementwise ops that give the same bits.
@@ -530,12 +427,7 @@ def _attention_dense(hd, a, mask, fixed, heads, s, dropout, rng):
     The finiteness check is on the row sums of exp(x - row max): each entry
     lies in [0, 1] or is NaN and the row maximum gives exactly 1, so a sum
     is in [1, n] or NaN, and alpha = exp / sum is finite exactly when every
-    sum is. A fixed alpha is its own check.
-
-    The heads run in the groups of `_head_groups`, forward and adjoint
-    alike. No head reads another's results: groups write disjoint columns
-    of the output and `dh` and disjoint rows of `da`, and a head's ops are
-    the same in any group, so the results do not depend on the split."""
+    sum is. A fixed alpha is its own check."""
     n, width = hd.shape
     f = width // heads
     dt = hd.dtype
@@ -550,53 +442,33 @@ def _attention_dense(hd, a, mask, fixed, heads, s, dropout, rng):
         src, dst, sums = (np.empty((heads, n), dtype=dt) for _ in range(3))
 
     per = max(1, HEAD_BLOCK_ENTRIES // (n * n))
+    blocks = [slice(lo, min(lo + per, heads)) for lo in range(0, heads, per)]
     h3 = hd.reshape(n, heads, f).transpose(1, 0, 2)          # (K, n, F) views
     out = np.empty_like(hd)
     o3 = out.reshape(n, heads, f).transpose(1, 0, 2)
-    # the alpha and keep mask of the block that starts at head k, at k
-    alpha_at, keep_at = [None] * heads, [None] * heads
-    groups, gens = _head_groups(heads, n, rng if dropout else None)
-
-    def blocks(group):
-        return [slice(lo, min(lo + per, group.stop))
-                for lo in range(group.start, group.stop, per)]
-
-    def forward(group, gen):
-        scratch = np.empty((min(per, len(group)), n, n), dtype=dt)
+    alphas, keeps = [], []                   # each block's alpha and keep mask
+    shape = (min(per, heads), n, n)          # of a block's arrays
+    scratch = np.empty(shape, dtype=dt)
+    for b in blocks:
+        tmp = scratch[:b.stop - b.start]
+        if fixed is None:
+            np.matmul(h3[b], a[b, :f, None], out=src[b, :, None])
+            np.matmul(h3[b], a[b, f:, None], out=dst[b, :, None])
+            alpha = np.add(src[b, :, None], dst[b, None, :])
+            leaky(alpha, np.multiply(alpha, s, out=tmp), out=alpha)
+            np.fmin(alpha, cap, out=alpha)
+            alpha -= alpha.max(axis=2, keepdims=True)
+            np.exp(alpha, out=alpha)
+            np.sum(alpha, axis=2, out=sums[b])
+            alpha /= sums[b, :, None]
+            alphas.append(alpha)
+        else:
+            alpha = fixed
         if dropout:
-            draws = np.empty((min(len(scratch) * n, max(1, DRAW_BLOCK // n)), n))
-        for b in blocks(group):
-            tmp = scratch[:b.stop - b.start]
-            if fixed is None:
-                np.matmul(h3[b], a[b, :f, None], out=src[b, :, None])
-                np.matmul(h3[b], a[b, f:, None], out=dst[b, :, None])
-                alpha = np.add(src[b, :, None], dst[b, None, :])
-                leaky(alpha, np.multiply(alpha, s, out=tmp), out=alpha)
-                np.fmin(alpha, cap, out=alpha)
-                alpha -= alpha.max(axis=2, keepdims=True)
-                np.exp(alpha, out=alpha)
-                np.sum(alpha, axis=2, out=sums[b])
-                alpha /= sums[b, :, None]
-                alpha_at[b.start] = alpha
-            else:
-                alpha = fixed
-            if dropout:
-                # the heads' (n, n) draws in head order, DRAW_BLOCK at a time
-                keep = keep_at[b.start] = np.empty(tmp.shape, dtype=bool)
-                rows = keep.reshape(-1, n)
-                for lo in range(0, len(rows), len(draws)):
-                    block = gen.random(out=draws[:len(rows) - lo])
-                    np.greater_equal(block, dropout, out=rows[lo:lo + len(block)])
-                alpha = np.multiply(alpha, np.multiply(keep, keep_scale, out=tmp), out=tmp)
-            np.matmul(alpha, h3[b], out=o3[b])
-
-    _run_groups(forward, groups, gens)
-    if len(gens) > 1 and dropout:
-        # leave rng where serial draws would, at the end of the last group's,
-        # with its own uint32 buffer, which `advance` cleared in the copies
-        state, own = gens[-1].bit_generator.state, rng.bit_generator.state
-        state.update(has_uint32=own["has_uint32"], uinteger=own["uinteger"])
-        rng.bit_generator.state = state
+            keep = rng.random(tmp.shape) >= dropout  # the heads' (n, n) draws in order
+            keeps.append(keep)
+            alpha = np.multiply(alpha, np.multiply(keep, keep_scale, out=tmp), out=tmp)
+        np.matmul(alpha, h3[b], out=o3[b])
 
     def bwd(g):
         dh = np.zeros_like(hd)
@@ -609,45 +481,41 @@ def _attention_dense(hd, a, mask, fixed, heads, s, dropout, rng):
         # bits(s) ^ ([src > -dst] * (bits(1) ^ bits(s))).
         uint = np.uint32 if dt == np.float32 else np.uint64
         s_bits, one_bits = np.array([s, 1], dtype=dt).view(uint)
-
-        def backward(group, _):
-            # two scratch arrays: `work` holds the dropped alpha, then d_e;
-            # `fac` the dropout factor, then d_e * alpha, then the slope
-            shape = (min(per, len(group)), n, n)
-            works, factor = np.empty(shape, dtype=dt), np.empty(shape, dtype=dt)
-            for b in blocks(group):
-                m = b.stop - b.start
-                work, fac = works[:m], factor[:m]
-                alpha = fixed if da is None else alpha_at[b.start]
-                dropped = alpha
-                if dropout:
-                    np.multiply(keep_at[b.start], keep_scale, out=fac)
-                    dropped = np.multiply(alpha, fac, out=work)
-                d3[b] += np.matmul(dropped.swapaxes(-1, -2), g3[b])
-                if da is None:
-                    continue
-                d_e = np.matmul(g3[b], h3[b].swapaxes(1, 2), out=work)  # d_alpha, then d_e
-                if dropout:
-                    d_e *= fac
-                d_e -= np.multiply(d_e, alpha, out=fac).sum(axis=2, keepdims=True)
-                d_e *= alpha
-                bits = fac.view(uint)
-                np.multiply(np.greater(src[b, :, None], -dst[b, None, :]), one_bits ^ s_bits,
-                            out=bits)
-                bits ^= s_bits
+        # two scratch arrays, made here so that the tape does not keep the
+        # forward's: `work` holds the dropped alpha, then d_e; `fac` the
+        # dropout factor, then d_e * alpha, then the slope
+        works, factor = np.empty(shape, dtype=dt), np.empty(shape, dtype=dt)
+        for k, b in enumerate(blocks):
+            m = b.stop - b.start
+            work, fac = works[:m], factor[:m]
+            alpha = fixed if da is None else alphas[k]
+            dropped = alpha
+            if dropout:
+                np.multiply(keeps[k], keep_scale, out=fac)
+                dropped = np.multiply(alpha, fac, out=work)
+            d3[b] += np.matmul(dropped.swapaxes(-1, -2), g3[b])
+            if da is None:
+                continue
+            d_e = np.matmul(g3[b], h3[b].swapaxes(1, 2), out=work)  # d_alpha, then d_e
+            if dropout:
                 d_e *= fac
-                d_src, d_dst = d_e.sum(axis=2), d_e.sum(axis=1)
-                d3[b] += (d_src[:, :, None] * a[b, None, :f]
-                          + d_dst[:, :, None] * a[b, None, f:])
-                np.matmul(h3[b].swapaxes(1, 2), d_src[:, :, None], out=da[b, :f, None])
-                np.matmul(h3[b].swapaxes(1, 2), d_dst[:, :, None], out=da[b, f:, None])
-
-        _run_groups(backward, groups, [None] * len(groups))
+            d_e -= np.multiply(d_e, alpha, out=fac).sum(axis=2, keepdims=True)
+            d_e *= alpha
+            bits = fac.view(uint)
+            np.multiply(np.greater(src[b, :, None], -dst[b, None, :]), one_bits ^ s_bits,
+                        out=bits)
+            bits ^= s_bits
+            d_e *= fac
+            d_src, d_dst = d_e.sum(axis=2), d_e.sum(axis=1)
+            d3[b] += (d_src[:, :, None] * a[b, None, :f]
+                      + d_dst[:, :, None] * a[b, None, f:])
+            np.matmul(h3[b].swapaxes(1, 2), d_src[:, :, None], out=da[b, :f, None])
+            np.matmul(h3[b].swapaxes(1, 2), d_dst[:, :, None], out=da[b, f:, None])
         return [dh] if da is None else [dh, da]
 
     if fixed is not None:
         return out, [fixed] * heads, fixed, bwd
-    return out, [x for block in alpha_at if block is not None for x in block], sums, bwd
+    return out, [x for block in alphas for x in block], sums, bwd
 
 
 def _attention_edges(hd, a, mask, heads, s, dropout, rng):
@@ -802,6 +670,53 @@ PAIR_BLOCK = 2048
 PARALLEL_MIN_PAIRS = 8192
 
 
+_pool_lock = threading.Lock()
+_pool: ThreadPoolExecutor | None = None
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+def _executor() -> ThreadPoolExecutor:
+    """The module's thread pool, created on first use with room for a thread
+    per usable core but the caller's; it starts a thread only when a task
+    finds none idle."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max(1, _usable_cores() - 1),
+                                       thread_name_prefix="hinddi-autodiff")
+        return _pool
+
+
+def _ranges(items: range, workers: int) -> list[range]:
+    """`items` cut into `workers` contiguous ranges of near-equal length."""
+    bounds = [len(items) * g // workers for g in range(workers + 1)]
+    return [items[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _run_groups(work, groups) -> None:
+    """work(group) for every group: the first on this thread, the others on
+    the pool, each in a copy of this thread's context so that settings such
+    as `np.errstate` hold there too."""
+    if len(groups) == 1:
+        work(groups[0])
+        return
+    pool = _executor()
+    futures = [pool.submit(contextvars.copy_context().run, work, group)
+               for group in groups[1:]]
+    try:
+        work(groups[0])
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
+
+
 def pair_scores(z: Tensor, pairs: np.ndarray) -> Tensor:
     """sigmoid(z[i] . z[j]) for each row (i, j) of an (m, 2) index array,
     as one node; an index outside z's rows raises IndexError. Each dot
@@ -821,7 +736,7 @@ def pair_scores(z: Tensor, pairs: np.ndarray) -> Tensor:
     starts = range(0, m, PAIR_BLOCK)
     workers = max(1, min(len(starts), _usable_cores())) if m >= PARALLEL_MIN_PAIRS else 1
 
-    def forward(group, _):
+    def forward(group):
         rows_i = np.empty((min(m, PAIR_BLOCK), zd.shape[1]), dtype=zd.dtype)
         rows_j = np.empty_like(rows_i)
         for start in group:
@@ -832,7 +747,7 @@ def pair_scores(z: Tensor, pairs: np.ndarray) -> Tensor:
             np.take(zd, j[block], axis=0, out=b, mode="clip")
             np.add.reduce(np.multiply(a, b, out=a), axis=1, out=dots[block])
 
-    _run_groups(forward, _ranges(starts, workers), [None] * workers)
+    _run_groups(forward, _ranges(starts, workers))
     _check_finite(dots, op)  # the sigmoid would hide an overflow
     y = 1 / (1 + np.exp(-dots))
 

@@ -1,6 +1,5 @@
 """Tensor core: forward semantics, adjoints vs finite differences, Adam."""
 
-import itertools
 import sys
 import threading
 import tracemalloc
@@ -488,13 +487,6 @@ def _dense_attention_results(attend, h, a, mask, fixed, heads, slope, dropout, g
             "next draw": np.array(rng.random())}
 
 
-def _split_heads(monkeypatch, workers):
-    """Run dense attention at any n in `workers` head groups (1: serially)."""
-    if workers > 1:
-        monkeypatch.setattr(ad, "PARALLEL_MIN_NODES", 0)
-        monkeypatch.setattr(ad, "_usable_cores", lambda: workers)
-
-
 def _heads_per_block(monkeypatch, per, n):
     """Give dense attention on n nodes blocks of `per` heads."""
     monkeypatch.setattr(ad, "HEAD_BLOCK_ENTRIES", per * n * n)
@@ -503,8 +495,7 @@ def _heads_per_block(monkeypatch, per, n):
 class TestDenseAttentionMatchesOracleBitForBit:
     """`_attention_dense` against `reference_attention_dense`: every output
     byte-identical, so training histories do not move, whether the heads
-    run serially, in 2 uneven groups or in 3 groups of one, and in blocks
-    of 1, 2 (2 + 1) or 3 heads."""
+    run in blocks of 1, 2 (2 + 1) or 3 heads."""
 
     N, HEADS, F = 37, 3, 4
 
@@ -525,16 +516,15 @@ class TestDenseAttentionMatchesOracleBitForBit:
                            per_block=(1, 2, 3)):
         want = _dense_attention_results(reference_attention_dense, *args, make_rng())
         n = len(args[0])
-        for workers, per in itertools.product((1, 2, 3), per_block):
+        for per in per_block:
             with pytest.MonkeyPatch.context() as monkeypatch:
-                _split_heads(monkeypatch, workers)
                 if per is not None:
                     _heads_per_block(monkeypatch, per, n)
                 got = _dense_attention_results(ad._attention_dense, *args, make_rng())
             assert got.keys() == want.keys()
             for name in want:
-                assert got[name].dtype == want[name].dtype, (workers, per, name)
-                assert got[name].tobytes() == want[name].tobytes(), (workers, per, name)
+                assert got[name].dtype == want[name].dtype, (per, name)
+                assert got[name].tobytes() == want[name].tobytes(), (per, name)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("dropout", [0.0, 0.6])
@@ -569,6 +559,7 @@ class TestDenseAttentionMatchesOracleBitForBit:
 
     @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox])
     def test_generator_that_cannot_skip_draws(self, bit_generator):
+        # the masks come from the stream of any bit generator, in head order
         h, a, mask, g = self.inputs(np.float32, "holes")
         self.assert_bytes_equal(h, a, mask, None, self.HEADS, 0.2, 0.6, g,
                                 make_rng=lambda: np.random.Generator(bit_generator(5)))
@@ -592,70 +583,70 @@ class TestDenseAttentionMatchesOracleBitForBit:
         assert all(alpha.base is block for alpha in alphas)
 
 
-class TestHeadGroups:
-    N, HEADS = 37, 3
+@pytest.mark.parametrize("mode", ["train", "eval"])
+@pytest.mark.parametrize("alpha", ["learned", "fixed"])
+def test_dense_attention_runs_on_the_calling_thread(monkeypatch, alpha, mode):
+    # a dense paper-scale call, forward and adjoint, with cores to spare,
+    # never asks for the pool, with dropout or without a generator
+    def no_pool():
+        raise AssertionError("dense attention used the thread pool")
 
-    @pytest.mark.parametrize("workers, heads", [(1, [[0, 1, 2]]), (2, [[0], [1, 2]]),
-                                                (3, [[0], [1], [2]])])
-    def test_contiguous_groups_and_their_draws(self, monkeypatch, workers, heads):
-        _split_heads(monkeypatch, workers)
-        rng = np.random.default_rng(5)
-        groups, gens = ad._head_groups(self.HEADS, self.N, rng)
-        assert [list(group) for group in groups] == heads and gens[0] is rng
-        serial = np.random.default_rng(5).random((self.HEADS, self.N, self.N))
-        for group, gen in zip(groups, gens):
-            assert gen.random((self.N, self.N)).tobytes() == serial[group.start].tobytes()
+    monkeypatch.setattr(ad, "_usable_cores", lambda: 4)
+    monkeypatch.setattr(ad, "_executor", no_pool)
+    n, heads, f = 513, 4, 2
+    rng = np.random.default_rng(1)
+    h = Tensor(rng.standard_normal((n, heads * f)).astype(np.float32), requires_grad=True)
+    kwargs = {"heads": heads, "slope": 0.2}
+    if mode == "train":
+        kwargs.update(dropout=0.6, rng=rng)
+    if alpha == "learned":
+        a = Tensor(rng.standard_normal((heads, 2 * f)).astype(np.float32),
+                   requires_grad=True)
+        node, _ = ad.graph_attention(h, a, np.ones((n, n), dtype=bool), **kwargs)
+    else:
+        fixed = np.full((n, n), 1 / n, dtype=np.float32)
+        node, _ = ad.graph_attention(h, None, None, fixed=fixed, **kwargs)
+    backward(total(node), [h])
+    assert h.grad.shape == (n, heads * f)
 
-    def test_one_group_below_the_threshold_or_on_one_core(self, monkeypatch):
-        rng = np.random.default_rng(5)
-        monkeypatch.setattr(ad, "_usable_cores", lambda: 2)
-        n = ad.PARALLEL_MIN_NODES
-        assert ad._head_groups(8, n - 1, rng) == ([range(8)], [rng])
-        assert len(ad._head_groups(8, n, rng)[0]) == 2
-        monkeypatch.setattr(ad, "_usable_cores", lambda: 1)
-        assert ad._head_groups(8, n, rng) == ([range(8)], [rng])
 
-    def test_no_generator_in_eval_mode(self, monkeypatch):
-        _split_heads(monkeypatch, 2)
-        assert ad._head_groups(4, self.N, None) == ([range(2), range(2, 4)], [None, None])
+def test_concurrent_dense_calls_under_fast_thread_switches():
+    # two threads attend at once with their own generators, switching as
+    # often as the interpreter allows: dense attention keeps no state
+    # between calls, so each gets the oracle's bytes
+    rng = np.random.default_rng(2)
+    n, heads, f = 64, 8, 4
+    h, g = (rng.standard_normal((n, heads * f)) for _ in range(2))
+    a = rng.standard_normal((heads, 2 * f))
+    mask = rng.random((n, n)) < 0.5
+    np.fill_diagonal(mask, True)
+    args = (h, a, mask, None, heads, 0.2, 0.6, g)
+    want = {seed: _dense_attention_results(reference_attention_dense, *args,
+                                           np.random.default_rng(seed))
+            for seed in (5, 6)}
+    wrong = []
 
-    def test_more_groups_than_cores_under_fast_thread_switches(self, monkeypatch):
-        # 8 groups on a fresh pool of 7 threads, switching threads as often
-        # as the interpreter allows: a lost or misplaced write changes a byte
-        _split_heads(monkeypatch, 8)
-        monkeypatch.setattr(ad, "_pool", None)
-        rng = np.random.default_rng(2)
-        n, heads, f = 64, 8, 4
-        h, g = (rng.standard_normal((n, heads * f)) for _ in range(2))
-        a = rng.standard_normal((heads, 2 * f))
-        mask = rng.random((n, n)) < 0.5
-        np.fill_diagonal(mask, True)
-        args = (h, a, mask, None, heads, 0.2, 0.6, g)
-        want = _dense_attention_results(reference_attention_dense, *args,
-                                        np.random.default_rng(5))
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(5):
-                got = _dense_attention_results(ad._attention_dense, *args,
-                                               np.random.default_rng(5))
-                assert all(got[k].tobytes() == want[k].tobytes() for k in want)
-        finally:
-            sys.setswitchinterval(interval)
-            ad._pool.shutdown(wait=True)
+    start = threading.Barrier(2, timeout=60)
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_overflowing_scores_raise_under_errstate(self, monkeypatch, workers):
-        # only the last head's scores overflow; with two groups a pool
-        # thread computes it, and the caller's np.errstate must hold there
-        _split_heads(monkeypatch, workers)
-        n, f = 6, 2
-        h = Tensor(np.ones((n, self.HEADS * f), dtype=np.float32))
-        a = np.zeros((self.HEADS, 2 * f), dtype=np.float32)
-        a[2] = 1e38                                     # src + dst = 4e38
-        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-            ad.graph_attention(h, Tensor(a), np.ones((n, n), dtype=bool),
-                               heads=self.HEADS, slope=0.2)
+    def attend(seed):
+        start.wait()
+        for _ in range(20):
+            got = _dense_attention_results(ad._attention_dense, *args,
+                                           np.random.default_rng(seed))
+            wrong.extend(k for k in want[seed] if got[k].tobytes() != want[seed][k].tobytes())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=attend, args=(seed,)) for seed in want]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
 
 
 class TestNonFiniteGuard:
@@ -689,6 +680,19 @@ class TestNonFiniteGuard:
         with pytest.raises(ad.NonFiniteError, match=r"^graph_attention\.alpha produced"):
             ad.graph_attention(Tensor(np.ones((3, 0))), None, None, heads=2, slope=0.2,
                                fixed=fixed)
+
+    @pytest.mark.parametrize("branch", ["dense", "edges"])
+    def test_overflowing_scores_raise_under_errstate(self, branch):
+        # only the last head's scores overflow, and the caller's np.errstate
+        # turns that into an error before any check runs
+        n = 6 if branch == "dense" else 64
+        mask = np.ones((n, n), dtype=bool) if branch == "dense" else ring_mask(n)
+        heads, f = 3, 2
+        h = Tensor(np.ones((n, heads * f), dtype=np.float32))
+        a = np.zeros((heads, 2 * f), dtype=np.float32)
+        a[2] = 1e38                                     # src + dst = 4e38
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            ad.graph_attention(h, Tensor(a), mask, heads=heads, slope=0.2)
 
 
 @settings(max_examples=200, deadline=None)
@@ -765,9 +769,9 @@ def test_pair_scores_in_blocks_equal_one_gather(monkeypatch, dtype, workers):
     _split_pairs(monkeypatch, workers, block=7)
     groups, run_groups = [], ad._run_groups
 
-    def count_groups(work, parts, gens):
+    def count_groups(work, parts):
         groups.append(len(parts))
-        run_groups(work, parts, gens)
+        run_groups(work, parts)
 
     monkeypatch.setattr(ad, "_run_groups", count_groups)
     rng = np.random.default_rng(workers)

@@ -469,8 +469,9 @@ class TestEntryPoint:
         assert (tmp_path / "d" / "ddi.tsv").exists()
 
     def test_planted_run_starts_no_thread(self, tmp_path):
-        # 50 drugs are below autodiff.PARALLEL_MIN_NODES, so graph attention
-        # runs every head on the calling thread and no pool is created
+        # 50 drugs give at most 1,225 pairs, below autodiff.PARALLEL_MIN_PAIRS
+        # (8,192), so pair scoring runs on the calling thread, as graph
+        # attention always does, and no pool is created
         cfg = quick_synth(tmp_path, drugs=50, epochs=10)
         script = ("import sys, threading\n"
                   "before = threading.active_count()\n"

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from hinddi import metapath
+from hinddi import autodiff, metapath, pipeline
 from hinddi.hin import EntityKind, SchemaError
 from hinddi.metapath import (
     DENSE_PRODUCT_SHARE,
@@ -16,10 +16,12 @@ from hinddi.metapath import (
     CommutingMatrix,
     MetaPathSpec,
     MetaPathStep,
+    builtin_spec_names,
     builtin_specs,
     commuting_matrix,
     neighbor_graph,
 )
+from perfbench.workloads import PAPER_SPEC, generate_clustered, write_lines
 from tests.conftest import (
     brute_force_path_counts,
     make_hin,
@@ -340,6 +342,9 @@ class TestTopKPathSim:
         assert adj.diagonal().all()
         if (counts == counts.T).all():
             assert (adj == adj.T).all()
+            # a cut row keeps k, a light row holds at most k, and each kept
+            # edge adds at most its reverse
+            assert mask.nnz <= (2 * top_k + 1) * n
         binarized = (counts >= threshold) | np.eye(n, dtype=bool)
         assert not (adj & ~(binarized | binarized.T)).any()
         # a row with at most top_k candidates is the binarized row
@@ -425,3 +430,15 @@ class TestTopKPathSim:
         # themselves
         np.testing.assert_array_equal(mask.toarray(), reference_neighbor_mask(counts, 1, 16))
         assert np.diff(mask.indptr)[[0, 15, 16, 39]].tolist() == [40, 40, 17, 17]
+
+    def test_paper_scale_graphs_stay_on_the_edge_branch(self, tmp_path):
+        # (2k + 1) n edges would still be 6.4% of 513^2; the generated
+        # paper-count network keeps all four graphs under SPARSE_DENSITY
+        write_lines(generate_clustered(PAPER_SPEC, 0), tmp_path)
+        hin = pipeline.load_hin_inputs(pipeline.InputPaths.in_dir(tmp_path))
+        graphs = pipeline.make_graphs(hin, builtin_spec_names())
+        assert sorted(graphs) == ["DID-1", "DID-2", "DID-3", "DID-4"]
+        for name, graph in graphs.items():
+            n = graph.mask.shape[0]
+            assert n == PAPER_SPEC.n_drugs
+            assert graph.mask.nnz < autodiff.SPARSE_DENSITY * n * n, name
