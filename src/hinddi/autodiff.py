@@ -24,42 +24,45 @@ the one form `metapath.NeighborGraph` stores, and has two branches for a
 learned alpha, chosen per call from the mask's density (nnz / n^2). Below
 `SPARSE_DENSITY` (5%) it works on the mask's E edges in the order of its
 `indptr` and `indices`, taken as they are: (E, K) scores, a segment
-softmax per row, dropout drawn per edge and head, and row and column sums
-as products with the (n, E) edge incidence, so its time and memory grow
-with E. Otherwise it works on dense (n, n) arrays from the densified
-mask, a block of heads at a time, whose cost does not depend on the
-density. Measured fwd+bwd time of one meta-path (8 heads of 8, float32,
-random symmetric masks; 2-vCPU guest, BLAS on one thread, median of 11-40
-interleaved runs), dense vs edges, in training (dropout 0.6) and in eval
-mode (no dropout):
+softmax per row, dropout drawn per edge and head, row and column sums of
+(E, K) arrays as products with the (n, E) edge incidence, and the
+aggregation and its adjoint as one product each with a (K n, K n)
+block-diagonal CSR that holds the K dropped alphas, so its time and
+memory grow with E. Otherwise it works on dense (n, n) arrays from the
+densified mask, a block of heads at a time, whose cost does not depend on
+the density. Measured time of one meta-path (8 heads of 8, float32,
+random symmetric masks with self-loops; 2-vCPU guest, BLAS on one thread,
+median of 9 interleaved rounds), dense vs edges, in training (forward and
+adjoint, dropout 0.6) and in eval mode (forward alone, no dropout, as
+validation and screening run it):
 
     n       5%             10%            14%            18%
     train
-    50      0.86 vs 0.98   0.86 vs 1.11   0.83 vs 1.20   0.51 vs 0.75 ms
-    128     2.3 vs 1.1 ms  2.3 vs 2.0 ms  2.2 vs 2.6 ms  2.2 vs 3.0 ms
-    513     40 vs 18 ms    39 vs 30 ms    38 vs 43 ms    42 vs 54 ms
-    1,026   231 vs 77 ms   245 vs 146 ms  235 vs 226 ms  227 vs 274 ms
+    50      0.51 vs 0.61   0.59 vs 0.85   0.54 vs 0.85   0.63 vs 0.97 ms
+    128     2.8 vs 1.1 ms  2.0 vs 1.3 ms  1.9 vs 1.6 ms  2.0 vs 1.8 ms
+    513     39 vs 11 ms    37 vs 16 ms    36 vs 19 ms    36 vs 24 ms
+    1,026   179 vs 34 ms   193 vs 73 ms   238 vs 122 ms  176 vs 106 ms
     eval
-    50      0.20 vs 0.37   0.20 vs 0.40   0.20 vs 0.42   0.19 vs 0.44 ms
-    128     0.76 vs 0.60   0.96 vs 1.17   0.95 vs 1.41   0.72 vs 1.67 ms
-    513     29 vs 14 ms    27 vs 29 ms    31 vs 41 ms    29 vs 46 ms
-    1,026   151 vs 68 ms   164 vs 120 ms  141 vs 194 ms  140 vs 226 ms
+    50      0.17 vs 0.43   0.17 vs 0.48   0.16 vs 0.45   0.15 vs 0.47 ms
+    128     0.63 vs 0.38   0.66 vs 0.45   0.66 vs 0.49   0.66 vs 0.52 ms
+    513     9.9 vs 1.6 ms  10.1 vs 2.8 ms 9.9 vs 3.9 ms  9.7 vs 5.3 ms
+    1,026   50 vs 7.2 ms   49 vs 14 ms    53 vs 21 ms    51 vs 26 ms
 
-The n = 50 and n = 128 rows were measured with head blocks, the others
-before them (one head at a time); at n = 50 the masks are 2 points
-denser than the column says (self-loops), and the host slowed down
-between the last two training columns. The edge branch loses from about
-12-15% density in training and 10% in eval mode at n = 128, and at every
-density at n = 50. The 5% threshold keeps a margin below every
-crossover. With the default top-16 PathSim graphs, every paper-scale
-(513-drug) meta-path graph is under 5% dense (about 1% for DID-1 and
-DID-2, 4% for DID-3 and DID-4); the binarized ones (`top_k = 0`) are
-either about 1% or over 70% dense. A top-k graph holds at most (2k + 1) n
-entries: each drug keeps its self-loop and at most k candidates, and each
-kept edge adds at most its reverse. So from n > 660 on, no top-16 graph
-is 5% dense (33 / n), and none reaches the dense branch. Below that the
-bound alone allows more (6.4% at n = 513); the planted 50-drug graphs
-(11-22%) take the dense branch.
+The edge branch loses at every density at n = 50 and wins at every
+density measured from n = 128 on. The 5% threshold stays all the same.
+With the default top-16 PathSim graphs every paper-scale (513-drug)
+meta-path graph is already under it (about 1% for DID-1 and DID-2, 4%
+for DID-3 and DID-4); the binarized ones (`top_k = 0`) are either about
+1% or over 70% dense. Of the default graphs, a higher threshold would
+move only the planted 50-drug ones (11-22%), which are faster dense. It
+would also change their dropout from K (n, n) draws to one (E, K) draw,
+and with it their training histories: a prototype that sent every learned
+alpha to the edge branch failed acceptance criterion 7 (full 0.9468 < MP
+0.9583). A top-k graph holds at most (2k + 1) n entries: each drug keeps
+its self-loop and at most k candidates, and each kept edge adds at most
+its reverse. So from n > 660 on, no top-16 graph is 5% dense (33 / n),
+and none reaches the dense branch. Below that the bound alone allows
+more (6.4% at n = 513).
 
 The dense branch takes the K heads in blocks of up to
 `HEAD_BLOCK_ENTRIES` (32,768) // n^2 contiguous heads, held as (m, n, n)
@@ -475,12 +478,6 @@ def _attention_dense(hd, a, mask, fixed, heads, s, dropout, rng):
         d3 = dh.reshape(n, heads, f).transpose(1, 0, 2)
         g3 = g.reshape(n, heads, f).transpose(1, 0, 2)
         da = None if fixed is not None else np.zeros_like(a)
-        # The slope of leaky_relu is 1 where src + dst > 0 and s elsewhere.
-        # A rounded sum keeps the sign of the exact one, so src + dst > 0
-        # exactly where src > -dst; the bits of the slope are then
-        # bits(s) ^ ([src > -dst] * (bits(1) ^ bits(s))).
-        uint = np.uint32 if dt == np.float32 else np.uint64
-        s_bits, one_bits = np.array([s, 1], dtype=dt).view(uint)
         # two scratch arrays, made here so that the tape does not keep the
         # forward's: `work` holds the dropped alpha, then d_e; `fac` the
         # dropout factor, then d_e * alpha, then the slope
@@ -501,11 +498,9 @@ def _attention_dense(hd, a, mask, fixed, heads, s, dropout, rng):
                 d_e *= fac
             d_e -= np.multiply(d_e, alpha, out=fac).sum(axis=2, keepdims=True)
             d_e *= alpha
-            bits = fac.view(uint)
-            np.multiply(np.greater(src[b, :, None], -dst[b, None, :]), one_bits ^ s_bits,
-                        out=bits)
-            bits ^= s_bits
-            d_e *= fac
+            # A rounded sum keeps the sign of the exact one, so src + dst > 0
+            # exactly where src > -dst.
+            d_e *= _leaky_slope(np.greater(src[b, :, None], -dst[b, None, :]), s, fac)
             d_src, d_dst = d_e.sum(axis=2), d_e.sum(axis=1)
             d3[b] += (d_src[:, :, None] * a[b, None, :f]
                       + d_dst[:, :, None] * a[b, None, f:])
@@ -522,10 +517,23 @@ def _attention_edges(hd, a, mask, heads, s, dropout, rng):
     """`graph_attention` with a learned alpha on the E edges of the canonical
     CSR `mask`, all K heads at once: scores, alphas and dropout are (E, K)
     arrays with edges in the mask's row-major order. Row maxima are
-    `np.maximum.reduceat` over the row pointer; row and column sums are
-    products with the (n, E) incidences of each node's row and column
-    edges, built from the mask's arrays without a sort, which add each
-    node's edges in edge order. Returns what `_attention_dense` returns."""
+    `np.maximum.reduceat` over the row pointer; the softmax denominators,
+    `d_src` and `d_dst` are products with the (n, E) incidences of each
+    node's row and column edges, built from the mask's arrays without a
+    sort, which add each node's edges in edge order. Returns what
+    `_attention_dense` returns.
+
+    The aggregation is one product of a (K n, K n) block-diagonal CSR with
+    the (K n, F) head-major copy of h: block k holds head k's dropped alpha
+    on the mask's pattern, its columns shifted by k n, and its rows point
+    at the k-th copy of the edges. The adjoint's aggregation term is the
+    transpose (a CSC view of the same arrays) times the head-major copy of
+    the output adjoint. scipy's `csr_matvecs` and `csc_matvecs` add each
+    term as y += w * x, in edge order, without a fused multiply-add, so
+    every output and adjoint rounds as a sum of w * x over the incidence
+    would, and no (E, K, F) array is built for them. Only `d_alpha`'s
+    einsum still works on (E, K, F) operands, gathered in the adjoint so
+    that the tape does not hold them."""
     n, width = hd.shape
     f = width // heads
     dt = hd.dtype
@@ -541,27 +549,38 @@ def _attention_edges(hd, a, mask, heads, s, dropout, rng):
     h3 = hd.reshape(n, heads, f)
     src = np.einsum("nkf,kf->nk", h3, a[:, :f])
     dst = np.einsum("nkf,kf->nk", h3, a[:, f:])
-    raw = src[rows] + dst[cols]
-    e = np.where(raw > 0, raw, s * raw)
-    e -= np.maximum.reduceat(e, starts)[rows]
+    raw = np.take(src, rows, axis=0)
+    raw += np.take(dst, cols, axis=0)
+    positive = raw > 0
+    # leaky_relu(e) is max(e, s*e) for a slope s <= 1, min(e, s*e) above
+    e = (np.maximum if s <= 1 else np.minimum)(raw, s * raw, out=raw)
+    e -= np.take(np.maximum.reduceat(e, starts), rows, axis=0)
     np.exp(e, out=e)
     sums = row_sum @ e                  # finite exactly when alpha is; see _attention_dense
-    alpha = e / sums[rows]
-    weight = alpha
+    alpha = e
+    alpha /= np.take(sums, rows, axis=0)
+    alpha_t = np.ascontiguousarray(alpha.T)     # (K, E): each head's alpha in a row
+    weight_t = alpha_t
     if dropout:
         factor = (rng.random(alpha.shape) >= dropout) * dt.type(1.0 / (1.0 - dropout))
-        weight = alpha * factor
-    neighbors = h3[cols]                                    # (E, K, F)
-    out = row_sum @ (weight[:, :, None] * neighbors).reshape(-1, width)
+        weight_t = alpha_t * factor.T
+    # int32 where it fits: half the index bytes, and half the build time
+    idx = np.int32 if heads * edges < 2**31 else np.int64
+    offsets = np.arange(heads, dtype=idx)[:, None]
+    block = sp.csr_array((weight_t.reshape(-1), (cols + offsets * n).reshape(-1),
+                          np.append(starts + offsets * edges, idx(heads * edges))),
+                         shape=(heads * n, heads * n))
+    out = _node_major(block @ _head_major(h3), heads)
 
     def bwd(g):
-        g_rows = g.reshape(n, heads, f)[rows]               # (E, K, F)
-        dh = col_sum @ (weight[:, :, None] * g_rows).reshape(-1, width)
-        d_alpha = np.einsum("ekf,ekf->ek", g_rows, neighbors)
+        g3 = g.reshape(n, heads, f)
+        dh = _node_major(block.T @ _head_major(g3), heads)
+        d_alpha = np.einsum("ekf,ekf->ek", np.take(g3, rows, axis=0),
+                            np.take(h3, cols, axis=0))
         if dropout:
             d_alpha *= factor
-        d_e = alpha * (d_alpha - (row_sum @ (d_alpha * alpha))[rows])
-        d_e *= np.where(raw > 0, dt.type(1), s)
+        d_e = alpha * (d_alpha - np.take(row_sum @ (d_alpha * alpha), rows, axis=0))
+        d_e *= _leaky_slope(positive, s, np.empty_like(d_e))
         d_src, d_dst = row_sum @ d_e, col_sum @ d_e
         dh += (d_src[:, :, None] * a[None, :, :f]
                + d_dst[:, :, None] * a[None, :, f:]).reshape(n, width)
@@ -569,9 +588,34 @@ def _attention_edges(hd, a, mask, heads, s, dropout, rng):
                              np.einsum("nk,nkf->kf", d_dst, h3)], axis=1)
         return [dh, da]
 
-    alphas = [sp.csr_array((alpha[:, k], cols, indptr), shape=(n, n))
+    alphas = [sp.csr_array((alpha_t[k], cols, indptr), shape=(n, n))
               for k in range(heads)]
     return out, alphas, sums, bwd
+
+
+def _head_major(x3):
+    """An (n, K, F) array as the (K n, F) array of its K (n, F) heads."""
+    n, heads, f = x3.shape
+    return np.ascontiguousarray(x3.transpose(1, 0, 2)).reshape(heads * n, f)
+
+
+def _node_major(x, heads):
+    """A (K n, F) head-major array as the (n, K F) array of its nodes."""
+    f = x.shape[1]
+    return x.reshape(heads, -1, f).transpose(1, 0, 2).reshape(-1, heads * f)
+
+
+def _leaky_slope(positive, s, out):
+    """The slope of leaky_relu, 1 where the bool array `positive` is set and
+    s elsewhere, written into the float array `out`. Its bits are bits(s) ^
+    (positive * (bits(1) ^ bits(s))): two passes, where `np.where(positive,
+    1, s)` takes about ten times as long."""
+    uint = np.uint32 if out.dtype == np.float32 else np.uint64
+    s_bits, one_bits = np.array([s, 1], dtype=out.dtype).view(uint)
+    bits = out.view(uint)
+    np.multiply(positive, one_bits ^ s_bits, out=bits)
+    bits ^= s_bits
+    return out
 
 
 def semantic_attention(zs: Sequence[Tensor], w: Tensor | None, b: Tensor | None,

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from hinddi.data import SplitBundle, SplitError, check_drug_fraction, check_ratios, purpose_rng
 from hinddi.espf import FINGERPRINT_BITS, FeatureMatrix, SmilesError, Vocabulary
@@ -430,6 +431,59 @@ def reference_attention_dense(hd, a, mask, fixed, heads, s, dropout, rng):
         return [dh] if da is None else [dh, da]
 
     return out, alphas, fixed if fixed is not None else np.stack(sums), bwd
+
+
+def reference_attention_edges(hd, a, mask, heads, s, dropout, rng):
+    """Oracle for `autodiff._attention_edges`, same signature and returns:
+    the aggregation and its adjoint gather (E, K, F) arrays, weight them
+    and sum them with an (n, E) ones incidence; the leaky relu and its
+    slope come from `np.where`."""
+    n, width = hd.shape
+    f = width // heads
+    dt = hd.dtype
+    indptr, cols = mask.indptr, mask.indices
+    edges = cols.size
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    ones = np.ones(edges, dtype=dt)
+    row_sum = sp.csr_array((ones, np.arange(edges), indptr), shape=(n, edges))
+    # the transpose of the (E, n) CSR that holds edge e's column in row e
+    col_sum = sp.csr_array((ones, cols, np.arange(edges + 1)), shape=(edges, n)).T
+    starts = indptr[:-1]  # every row holds its self-loop: none is empty
+
+    h3 = hd.reshape(n, heads, f)
+    src = np.einsum("nkf,kf->nk", h3, a[:, :f])
+    dst = np.einsum("nkf,kf->nk", h3, a[:, f:])
+    raw = src[rows] + dst[cols]
+    e = np.where(raw > 0, raw, s * raw)
+    e -= np.maximum.reduceat(e, starts)[rows]
+    np.exp(e, out=e)
+    sums = row_sum @ e
+    alpha = e / sums[rows]
+    weight = alpha
+    if dropout:
+        factor = (rng.random(alpha.shape) >= dropout) * dt.type(1.0 / (1.0 - dropout))
+        weight = alpha * factor
+    neighbors = h3[cols]                                    # (E, K, F)
+    out = row_sum @ (weight[:, :, None] * neighbors).reshape(-1, width)
+
+    def bwd(g):
+        g_rows = g.reshape(n, heads, f)[rows]               # (E, K, F)
+        dh = col_sum @ (weight[:, :, None] * g_rows).reshape(-1, width)
+        d_alpha = np.einsum("ekf,ekf->ek", g_rows, neighbors)
+        if dropout:
+            d_alpha *= factor
+        d_e = alpha * (d_alpha - (row_sum @ (d_alpha * alpha))[rows])
+        d_e *= np.where(raw > 0, dt.type(1), s)
+        d_src, d_dst = row_sum @ d_e, col_sum @ d_e
+        dh += (d_src[:, :, None] * a[None, :, :f]
+               + d_dst[:, :, None] * a[None, :, f:]).reshape(n, width)
+        da = np.concatenate([np.einsum("nk,nkf->kf", d_src, h3),
+                             np.einsum("nk,nkf->kf", d_dst, h3)], axis=1)
+        return [dh, da]
+
+    alphas = [sp.csr_array((alpha[:, k], cols, indptr), shape=(n, n))
+              for k in range(heads)]
+    return out, alphas, sums, bwd
 
 
 def reference_pair_scores_adjoint(zd, pairs, y, g):

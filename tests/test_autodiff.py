@@ -14,8 +14,10 @@ from hinddi import autodiff as ad
 from hinddi.autodiff import Tensor, backward
 from hinddi.gradcheck import finite_diff_check
 from hinddi.optim import Adam
-from tests.conftest import (reference_attention_dense, reference_pair_scores_adjoint,
-                            ring_mask)
+from hinddi import pipeline
+from perfbench.workloads import PAPER_SPEC, generate_clustered, write_lines
+from tests.conftest import (reference_attention_dense, reference_attention_edges,
+                            reference_pair_scores_adjoint, ring_mask)
 
 
 def total(x, weights=None):
@@ -407,13 +409,16 @@ class TestAdjoints:
             return total(ad.apply_unary("tanh", out), w)
         _fd_check_op(f, 2)
 
-    def test_graph_attention_on_edges_with_dropout(self):
+    @pytest.mark.parametrize("slope", [0.2, 1.5, -0.1])
+    def test_graph_attention_on_edges_with_dropout(self, slope):
+        # a slope above 1 makes the leaky relu a minimum, one below 0 flips
+        # the sign of negative scores
         mask = ring_mask(64, chords=[(3, 30), (10, 50)])
         w = _weights((64, 6))
 
         @_with_shapes((64, 6), (2, 6))
         def f(h, a):
-            out, alphas = ad.graph_attention(h, a, mask, heads=2, slope=0.2,
+            out, alphas = ad.graph_attention(h, a, mask, heads=2, slope=slope,
                                              dropout=0.4, rng=np.random.default_rng(9))
             assert all(sp.issparse(alpha.data) for alpha in alphas)
             return total(ad.apply_unary("tanh", out), w)
@@ -581,6 +586,92 @@ class TestDenseAttentionMatchesOracleBitForBit:
         block = alphas[0].base
         assert block.shape == (heads, n, n)
         assert all(alpha.base is block for alpha in alphas)
+
+
+def _edge_attention_results(attend, h, a, mask, heads, slope, dropout, g, rng):
+    """Output, the CSR parts of every alpha, finiteness check, adjoints and
+    the next draw of the dropout generator."""
+    out, alphas, check, bwd = attend(h, a, mask, heads, h.dtype.type(slope), dropout, rng)
+    parts = {f"alpha{k} {name}": x for k, alpha in enumerate(alphas)
+             for name, x in zip(("data", "indices", "indptr"), csr_parts(alpha))}
+    return {"out": out, **parts, "check": check,
+            **{f"adjoint{k}": x for k, x in enumerate(bwd(g))},
+            "next draw": np.array(rng.random())}
+
+
+def _edge_inputs(dtype, n, heads, f, integer_scores=False, seed=8):
+    """h, a and an output adjoint g for K = `heads` heads of width f."""
+    rng = np.random.default_rng(seed)
+    shape_h, shape_a = (n, heads * f), (heads, 2 * f)
+    if integer_scores:  # many scores src + dst are exactly 0
+        h, a = rng.integers(-2, 3, shape_h), rng.integers(-1, 2, shape_a)
+    else:
+        h, a = rng.standard_normal(shape_h), rng.standard_normal(shape_a)
+    g = rng.standard_normal(shape_h)
+    return h.astype(dtype), a.astype(dtype), g.astype(dtype)
+
+
+def assert_edges_match_oracle(h, a, mask, heads, slope, dropout, g):
+    want, got = (_edge_attention_results(attend, h, a, mask, heads, slope, dropout, g,
+                                         np.random.default_rng(5))
+                 for attend in (reference_attention_edges, ad._attention_edges))
+    assert got.keys() == want.keys()
+    for name in want:
+        assert same_bits(got[name], want[name]), name
+
+
+@pytest.fixture(scope="module")
+def paper_did3(tmp_path_factory):
+    """The top-16 DID-3 mask of the paper-count network, data seed 0."""
+    inputs = tmp_path_factory.mktemp("paper")
+    write_lines(generate_clustered(PAPER_SPEC, 0), inputs)
+    hin = pipeline.load_hin_inputs(pipeline.InputPaths.in_dir(inputs))
+    return pipeline.make_graphs(hin, ["DID-3"])["DID-3"].mask
+
+
+class TestEdgeAttentionMatchesOracleBitForBit:
+    """`_attention_edges` against `reference_attention_edges`, which gathers
+    (E, K, F) arrays and sums them with a ones incidence: every output
+    byte-identical, so training histories do not move."""
+
+    N, HEADS, F = 70, 3, 4
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("dropout", [0.0, 0.6])
+    @pytest.mark.parametrize("slope", [0.2, 0.0, -0.1, 1.5])
+    def test_ring_with_chords_and_an_isolated_drug(self, dtype, dropout, slope):
+        mask = sp.csr_array(ring_mask(self.N, chords=[(2, 40), (5, 50), (0, 35)],
+                                      isolated=[9]))
+        h, a, g = _edge_inputs(dtype, self.N, self.HEADS, self.F)
+        assert_edges_match_oracle(h, a, mask, self.HEADS, slope, dropout, g)
+
+    @pytest.mark.parametrize("slope", [0.2, 0.0, -0.1, 1.5])
+    def test_scores_exactly_zero_take_the_slope(self, slope):
+        mask = sp.csr_array(ring_mask(self.N, chords=[(2, 40)], isolated=[9]))
+        h, a, g = _edge_inputs(np.float64, self.N, self.HEADS, self.F, integer_scores=True)
+        assert_edges_match_oracle(h, a, mask, self.HEADS, slope, 0.6, g)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("dropout", [0.0, 0.6])
+    def test_paper_scale_did3_graph(self, paper_did3, dtype, dropout):
+        # 513 drugs and 8 heads of 8, as paper-513 trains
+        assert paper_did3.nnz < ad.SPARSE_DENSITY * 513 * 513
+        h, a, g = _edge_inputs(dtype, 513, 8, 8)
+        assert_edges_match_oracle(h, a, paper_did3, 8, 0.2, dropout, g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 40), heads=st.integers(1, 3), f=st.integers(1, 3),
+       density=st.floats(0, 0.3), slope=st.sampled_from([0.2, 0.0, -0.1, 1.5]),
+       dropout=st.sampled_from([0.0, 0.6]),
+       dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**32 - 1))
+def test_edge_attention_matches_oracle_on_random_masks(n, heads, f, density, slope,
+                                                        dropout, dtype, seed):
+    rng = np.random.default_rng(seed)
+    mask = rng.random((n, n)) < density
+    mask |= mask.T | np.eye(n, dtype=bool)
+    h, a, g = _edge_inputs(dtype, n, heads, f, seed=seed)
+    assert_edges_match_oracle(h, a, sp.csr_array(mask), heads, slope, dropout, g)
 
 
 @pytest.mark.parametrize("mode", ["train", "eval"])
