@@ -28,9 +28,12 @@ softmax per row, dropout drawn per edge and head, row and column sums of
 (E, K) arrays as products with the (n, E) edge incidence, and the
 aggregation and its adjoint as one product each with a (K n, K n)
 block-diagonal CSR that holds the K dropped alphas, so its time and
-memory grow with E. Otherwise it works on dense (n, n) arrays from the
-densified mask, a block of heads at a time, whose cost does not depend on
-the density. Measured time of one meta-path (8 heads of 8, float32,
+memory grow with E. What depends on the mask alone (its checks, the
+incidences, the block's index arrays) an `EdgeLayout` builds on first use
+and keeps; each `NeighborGraph` owns one, so the model's calls rebuild
+none of it. The K per-head alphas are made only when read. Otherwise it
+works on dense (n, n) arrays from the densified mask, a block of heads at
+a time, whose cost does not depend on the density. Measured time of one meta-path (8 heads of 8, float32,
 random symmetric masks with self-loops; 2-vCPU guest, BLAS on one thread,
 median of 9 interleaved rounds), dense vs edges, in training (forward and
 adjoint, dropout 0.6) and in eval mode (forward alone, no dropout, as
@@ -117,8 +120,8 @@ from __future__ import annotations
 import contextvars
 import os
 import threading
+from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import ThreadPoolExecutor, wait
-from typing import Callable, Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -131,6 +134,7 @@ __all__ = [
     "ContractError",
     "ParameterError",
     "Tensor",
+    "EdgeLayout",
     "UNARY_KINDS",
     "matmul",
     "apply_unary",
@@ -178,7 +182,8 @@ class Tensor:
     leaf may be replaced in place between graph builds (this is how the
     optimizer updates parameters); tensors are otherwise treated as
     immutable values. The alphas that `graph_attention` returns from its
-    edge branch are constants whose data is a `scipy.sparse.csr_array`.
+    edge branch are constants whose data is a `scipy.sparse.csr_array`,
+    each made when it is read.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_op")
@@ -315,8 +320,9 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool) ->
         raise ParameterError(f"dropout rate {rate} outside [0, 1)")
     if not training:
         return x
-    keep = rng.random(x.shape) >= rate
-    factor = (keep / (1.0 - rate)).astype(x.dtype)
+    # bool times the scale in the tensor's dtype: 0 or that scale, the bits
+    # of the float64 quotient keep / (1 - rate) cast to it
+    factor = (rng.random(x.shape) >= rate) * x.dtype.type(1.0 / (1.0 - rate))
     return _node(x.data * factor, "dropout", (x,), lambda g: [g * factor])
 
 
@@ -351,8 +357,11 @@ def graph_attention(h: Tensor, a: Tensor | None, mask, *,
 
     `mask` is a bool `scipy.sparse.csr_array` in canonical format (sorted
     indices, no duplicates, no stored False), as `NeighborGraph.mask` holds
+    it, or the `EdgeLayout` of one, as `NeighborGraph.edge_layout` holds
     it; any other sparse mask raises ContractError, and a dense bool array
-    is converted. A learned alpha is computed on the mask's E edges, laid
+    is converted. A layout keeps the edge branch's index arrays from call
+    to call; a mask gets a new layout, checked and built anew, per call. A
+    learned alpha is computed on the mask's E edges, laid
     out as its `indptr` and `indices` give them, when its nnz is under
     `SPARSE_DENSITY` of n^2, and on the densified mask otherwise; a fixed
     alpha is always dense. The two branches agree to rounding. With
@@ -360,11 +369,13 @@ def graph_attention(h: Tensor, a: Tensor | None, mask, *,
     K successive (n, n) draws from `rng`, in head order; the edge branch
     drops out all heads with one (E, K) draw, edges in row-major order.
 
-    Returns the node and the K alphas before dropout, uncopied: (n, n)
-    arrays on the dense branch (views of their head block's array, or the
-    fixed alpha itself), `scipy.sparse.csr_array`s on the mask's edges on
-    the edge branch. The output is checked for NaN and Inf first, then the
-    alphas: a learned one through its softmax row sums, the fixed one once.
+    Returns the node and a read-only sequence of the K alphas before
+    dropout, as constant tensors made when read: (n, n) arrays on the dense
+    branch (views of their head block's array, or the fixed alpha itself),
+    `scipy.sparse.csr_array`s on the mask's edges that share one (K, E)
+    array on the edge branch. The output is checked for NaN and Inf first,
+    then the alphas: a learned one through its softmax row sums, the fixed
+    one once.
     """
     op = "graph_attention"
     if (a is None) == (fixed is None):
@@ -383,6 +394,44 @@ def graph_attention(h: Tensor, a: Tensor | None, mask, *,
                        f"attention matrix shape {a.shape}, expected ({heads}, {2 * f})")
         _require_shape(op, np.shape(mask) == (n, n),
                        f"mask shape {np.shape(mask)} for {n} nodes")
+        layout = mask if isinstance(mask, EdgeLayout) else EdgeLayout(mask)
+        parents = (h, a)
+    else:
+        fixed = np.asarray(fixed, dtype=dt)
+        _require_shape(op, fixed.shape == (n, n), f"fixed alpha shape {fixed.shape} for {n} nodes")
+        parents = (h,)
+    s = dt.type(slope)
+    if fixed is not None:
+        out, alphas, check, bwd = _attention_dense(hd, None, None, fixed, heads, s, dropout, rng)
+    elif layout.mask.nnz < SPARSE_DENSITY * n * n:
+        out, alphas, check, bwd = _attention_edges(hd, a.data, layout, heads, s, dropout, rng)
+    else:
+        out, alphas, check, bwd = _attention_dense(hd, a.data, layout.mask.toarray(), None,
+                                                   heads, s, dropout, rng)
+    node = _node(out, op, parents, bwd)
+    _check_finite(check, f"{op}.alpha")
+    return node, _Lazy(heads, lambda k: _result(alphas[k], f"{op}.alpha", (), None))
+
+
+class EdgeLayout:
+    """A neighbor mask, checked once, and the arrays of `graph_attention`'s
+    edge branch that depend on the mask alone, each built on first use and
+    kept: every edge's row, the (n, E) row and column incidences of each
+    dtype, and the `indices` and `indptr` of the (K n, K n) block-diagonal
+    CSR of each head count K. `NeighborGraph.edge_layout` holds one per
+    graph, so a graph builds them at most once per dtype and head count; a
+    mask passed to `graph_attention` as it is gets a new layout per call.
+
+    `mask` is a bool `scipy.sparse.csr_array` in canonical format (sorted
+    indices, no duplicates, no stored False) with every self-loop, or a
+    dense bool array, which is converted; anything else raises
+    ContractError. Two threads that build the same entry at once each build
+    it, and one of the equal results is kept."""
+
+    __slots__ = ("mask", "_rows", "_incidences", "_blocks")
+
+    def __init__(self, mask):
+        op = "graph_attention"
         if not sp.issparse(mask):
             mask = sp.csr_array(np.asarray(mask, dtype=bool))
         elif not (mask.format == "csr" and mask.dtype == bool
@@ -393,22 +442,69 @@ def graph_attention(h: Tensor, a: Tensor | None, mask, *,
         if missing.size:
             raise ContractError(f"{op}: neighbor mask must include self-loops "
                                 f"(missing in rows {missing.tolist()})")
-        parents = (h, a)
-    else:
-        fixed = np.asarray(fixed, dtype=dt)
-        _require_shape(op, fixed.shape == (n, n), f"fixed alpha shape {fixed.shape} for {n} nodes")
-        parents = (h,)
-    s = dt.type(slope)
-    if fixed is not None:
-        out, alphas, check, bwd = _attention_dense(hd, None, None, fixed, heads, s, dropout, rng)
-    elif mask.nnz < SPARSE_DENSITY * n * n:
-        out, alphas, check, bwd = _attention_edges(hd, a.data, mask, heads, s, dropout, rng)
-    else:
-        out, alphas, check, bwd = _attention_dense(hd, a.data, mask.toarray(), None,
-                                                   heads, s, dropout, rng)
-    node = _node(out, op, parents, bwd)
-    _check_finite(check, f"{op}.alpha")
-    return node, [_result(alpha, f"{op}.alpha", (), None) for alpha in alphas]
+        self.mask = mask
+        self._rows = None
+        self._incidences = {}
+        self._blocks = {}
+
+    @property
+    def shape(self) -> tuple:
+        return self.mask.shape
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The row of each edge, in the mask's row-major order."""
+        if self._rows is None:
+            self._rows = np.repeat(np.arange(self.mask.shape[0]), np.diff(self.mask.indptr))
+        return self._rows
+
+    def incidences(self, dtype):
+        """The (n, E) incidences of each node's row edges and of its column
+        edges, with ones of `dtype`: products with them add each node's
+        edges in edge order, without a sort."""
+        dtype = np.dtype(dtype)
+        if dtype not in self._incidences:
+            indptr, cols = self.mask.indptr, self.mask.indices
+            n, edges = self.mask.shape[0], cols.size
+            ones = np.ones(edges, dtype=dtype)
+            row_sum = sp.csr_array((ones, np.arange(edges), indptr), shape=(n, edges))
+            # the transpose of the (E, n) CSR that holds edge e's column in row e
+            col_sum = sp.csr_array((ones, cols, np.arange(edges + 1)), shape=(edges, n)).T
+            self._incidences[dtype] = row_sum, col_sum
+        return self._incidences[dtype]
+
+    def block(self, heads: int):
+        """The `indices` and `indptr` of the (K n, K n) block-diagonal CSR
+        whose block k is the mask's pattern with its columns shifted by k n,
+        its rows pointing at the k-th copy of the E edges."""
+        if heads not in self._blocks:
+            indptr, cols = self.mask.indptr, self.mask.indices
+            n, edges = self.mask.shape[0], cols.size
+            # int32 where it fits: half the index bytes, and half the build time
+            idx = np.int32 if heads * edges < 2**31 else np.int64
+            offsets = np.arange(heads, dtype=idx)[:, None]
+            self._blocks[heads] = ((cols + offsets * n).reshape(-1),
+                                   np.append(indptr[:-1] + offsets * edges, idx(heads * edges)))
+        return self._blocks[heads]
+
+
+class _Lazy(Sequence):
+    """A read-only sequence of `length` items whose item k is make(k),
+    made anew on each read."""
+
+    __slots__ = ("_length", "_make")
+
+    def __init__(self, length: int, make: Callable[[int], object]):
+        self._length = length
+        self._make = make
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self._make(i) for i in range(self._length)[k]]
+        return self._make(range(self._length)[k])
 
 
 def _attention_dense(hd, a, mask, fixed, heads, s, dropout, rng):
@@ -513,20 +609,21 @@ def _attention_dense(hd, a, mask, fixed, heads, s, dropout, rng):
     return out, [x for block in alphas for x in block], sums, bwd
 
 
-def _attention_edges(hd, a, mask, heads, s, dropout, rng):
-    """`graph_attention` with a learned alpha on the E edges of the canonical
-    CSR `mask`, all K heads at once: scores, alphas and dropout are (E, K)
-    arrays with edges in the mask's row-major order. Row maxima are
-    `np.maximum.reduceat` over the row pointer; the softmax denominators,
-    `d_src` and `d_dst` are products with the (n, E) incidences of each
-    node's row and column edges, built from the mask's arrays without a
-    sort, which add each node's edges in edge order. Returns what
-    `_attention_dense` returns.
+def _attention_edges(hd, a, layout, heads, s, dropout, rng):
+    """`graph_attention` with a learned alpha on the E edges of the mask of
+    the `EdgeLayout` `layout`, all K heads at once: scores, alphas and
+    dropout are (E, K) arrays with edges in the mask's row-major order. Row
+    maxima are `np.maximum.reduceat` over the row pointer; the softmax
+    denominators, `d_src` and `d_dst` are products with the layout's (n, E)
+    incidences of each node's row and column edges, which add each node's
+    edges in edge order. Returns what `_attention_dense` returns, but the K
+    alphas as a sequence that makes each head's CSR when it is read.
 
     The aggregation is one product of a (K n, K n) block-diagonal CSR with
     the (K n, F) head-major copy of h: block k holds head k's dropped alpha
     on the mask's pattern, its columns shifted by k n, and its rows point
-    at the k-th copy of the edges. The adjoint's aggregation term is the
+    at the k-th copy of the edges. Its index arrays are the layout's; a
+    call makes only its data. The adjoint's aggregation term is the
     transpose (a CSC view of the same arrays) times the head-major copy of
     the output adjoint. scipy's `csr_matvecs` and `csc_matvecs` add each
     term as y += w * x, in edge order, without a fused multiply-add, so
@@ -537,13 +634,9 @@ def _attention_edges(hd, a, mask, heads, s, dropout, rng):
     n, width = hd.shape
     f = width // heads
     dt = hd.dtype
-    indptr, cols = mask.indptr, mask.indices
-    edges = cols.size
-    rows = np.repeat(np.arange(n), np.diff(indptr))
-    ones = np.ones(edges, dtype=dt)
-    row_sum = sp.csr_array((ones, np.arange(edges), indptr), shape=(n, edges))
-    # the transpose of the (E, n) CSR that holds edge e's column in row e
-    col_sum = sp.csr_array((ones, cols, np.arange(edges + 1)), shape=(edges, n)).T
+    indptr, cols = layout.mask.indptr, layout.mask.indices
+    rows = layout.rows
+    row_sum, col_sum = layout.incidences(dt)
     starts = indptr[:-1]  # every row holds its self-loop: none is empty
 
     h3 = hd.reshape(n, heads, f)
@@ -564,11 +657,7 @@ def _attention_edges(hd, a, mask, heads, s, dropout, rng):
     if dropout:
         factor = (rng.random(alpha.shape) >= dropout) * dt.type(1.0 / (1.0 - dropout))
         weight_t = alpha_t * factor.T
-    # int32 where it fits: half the index bytes, and half the build time
-    idx = np.int32 if heads * edges < 2**31 else np.int64
-    offsets = np.arange(heads, dtype=idx)[:, None]
-    block = sp.csr_array((weight_t.reshape(-1), (cols + offsets * n).reshape(-1),
-                          np.append(starts + offsets * edges, idx(heads * edges))),
+    block = sp.csr_array((weight_t.reshape(-1), *layout.block(heads)),
                          shape=(heads * n, heads * n))
     out = _node_major(block @ _head_major(h3), heads)
 
@@ -588,8 +677,7 @@ def _attention_edges(hd, a, mask, heads, s, dropout, rng):
                              np.einsum("nk,nkf->kf", d_dst, h3)], axis=1)
         return [dh, da]
 
-    alphas = [sp.csr_array((alpha_t[k], cols, indptr), shape=(n, n))
-              for k in range(heads)]
+    alphas = _Lazy(heads, lambda k: sp.csr_array((alpha_t[k], cols, indptr), shape=(n, n)))
     return out, alphas, sums, bwd
 
 
@@ -815,7 +903,7 @@ def binary_cross_entropy(p: Tensor, labels: np.ndarray, clamp: float) -> Tensor:
     the gradient is zero where the clamp is active."""
     op = "binary_cross_entropy"
     labels = np.asarray(labels)
-    if not np.isin(labels, (0, 1)).all():
+    if not ((labels == 0) | (labels == 1)).all():
         raise ContractError(f"{op}: labels must be 0 or 1")
     _require_shape(op, labels.shape == p.shape,
                    f"labels shape {labels.shape} vs probabilities {p.shape}")

@@ -53,6 +53,17 @@ from .synth import desk_instance, generate_planted, write_planted
 from .train import ABLATION_VARIANTS, TrainingError, ablate, evaluate_pairs, train
 
 GRADCHECK_TOLERANCE = 1e-5
+# `gradcheck` instances, as (label, `desk_instance` sizes). The 12-drug
+# default is at least 8.3% dense from its self-loops alone, so graph
+# attention takes its dense branch there. The sparse one, 64 drugs over
+# 128 proteins, side effects and substructures each, has graphs about
+# 2.5% dense (at most 3.7% over seeds 0-299) and takes the edge branch,
+# as every paper-scale graph does.
+GRADCHECK_INSTANCES = (
+    ("dense", {}),
+    ("sparse", {"n_drugs": 64, "n_proteins": 128, "n_side_effects": 128,
+                "n_substructures": 128, "density": 0.005}),
+)
 
 _KNOWN_ERRORS = (ConfigError, HinError, TrainingError, ad.AutodiffError,
                  ValueError, OSError)
@@ -387,34 +398,41 @@ def cmd_predict(args, cfg: RunConfig) -> int:
 def cmd_gradcheck(args) -> int:
     started = time.time()
     seed = args.seed if args.seed is not None else 0
-    graphs, features, pairs, labels = desk_instance(seed=seed)
-    config = ModelConfig(input_dim=features.shape[1], hidden_dim=3, heads=2,
-                         attn_dim=5, dropout=0.0, seed=seed)
-    params = init_params(config, sorted(graphs), purpose_rng(seed, "init"),
-                         dtype=np.float64)
+    worst = 0.0
+    for label, sizes in GRADCHECK_INSTANCES:
+        graphs, features, pairs, labels = desk_instance(seed=seed, **sizes)
+        n = len(features)
+        density = [g.mask.nnz / (n * n) for g in graphs.values()]
+        branches = sorted({"edge" if d < ad.SPARSE_DENSITY else "dense" for d in density})
+        config = ModelConfig(input_dim=features.shape[1], hidden_dim=3, heads=2,
+                             attn_dim=5, dropout=0.0, seed=seed)
+        params = init_params(config, sorted(graphs), purpose_rng(seed, "init"),
+                             dtype=np.float64)
 
-    def loss_fn():
-        scores, _ = forward(params, features, graphs, pairs, config)
-        return bce_loss(scores, labels)
+        def loss_fn():
+            scores, _ = forward(params, features, graphs, pairs, config)
+            return bce_loss(scores, labels)
 
-    report = finite_diff_check(loss_fn, params.named(), probes=args.probes,
-                               epsilon=args.epsilon,
-                               rng=np.random.default_rng(seed))
-    groups = {}
-    for name, record in report.worst_by_param.items():
-        group = name.split(".")[0]
-        if group not in groups or record.rel_error > groups[group].rel_error:
-            groups[group] = record
-    print(f"gradcheck: {len(report.records)} probes over "
-          f"{len(report.worst_by_param)} tensors (64-bit, eps={args.epsilon})")
-    for group, record in sorted(groups.items()):
-        print(f"  {group:8s} worst {record.name}{list(record.index)}: "
-              f"analytic {record.analytic:+.6e} numeric {record.numeric:+.6e} "
-              f"rel {record.rel_error:.3e}")
-    print(f"max relative error: {report.max_rel_error:.3e} "
-          f"(tolerance {GRADCHECK_TOLERANCE:g})")
+        report = finite_diff_check(loss_fn, params.named(), probes=args.probes,
+                                   epsilon=args.epsilon,
+                                   rng=np.random.default_rng(seed))
+        worst = max(worst, report.max_rel_error)
+        groups = {}
+        for name, record in report.worst_by_param.items():
+            group = name.split(".")[0]
+            if group not in groups or record.rel_error > groups[group].rel_error:
+                groups[group] = record
+        print(f"gradcheck: {label} instance, {n} drugs, graphs {min(density):.1%}-"
+              f"{max(density):.1%} dense, on the {' and '.join(branches)} branch: "
+              f"{len(report.records)} probes over {len(report.worst_by_param)} tensors "
+              f"(64-bit, eps={args.epsilon})")
+        for group, record in sorted(groups.items()):
+            print(f"  {group:8s} worst {record.name}{list(record.index)}: "
+                  f"analytic {record.analytic:+.6e} numeric {record.numeric:+.6e} "
+                  f"rel {record.rel_error:.3e}")
+    print(f"max relative error: {worst:.3e} (tolerance {GRADCHECK_TOLERANCE:g})")
     print(f"elapsed: {time.time() - started:.2f}s")
-    if report.max_rel_error > GRADCHECK_TOLERANCE:
+    if worst > GRADCHECK_TOLERANCE:
         print("gradcheck: FAIL", file=sys.stderr)
         return 1
     print("gradcheck: pass")
@@ -487,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scores-out", default=None)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient check "
-                                         "on an internal synthetic instance")
+                                         "on two internal synthetic instances")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--probes", type=int, default=5)
     p.add_argument("--epsilon", type=float, default=1e-5)

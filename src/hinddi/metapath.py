@@ -20,10 +20,12 @@ up the same for every drug. Top-16 leaves them about 4% dense.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
+from .autodiff import EdgeLayout
 from .hin import RELATIONS, EntityKind, Hin, SchemaError
 
 __all__ = [
@@ -192,6 +194,12 @@ class NeighborGraph:
     and `indices` are the edge layout of `autodiff.graph_attention`."""
     name: str
     mask: sp.csr_array
+
+    @cached_property
+    def edge_layout(self) -> EdgeLayout:
+        """The mask, checked on first read, with the index arrays that
+        graph attention builds from it kept for every later call."""
+        return EdgeLayout(self.mask)
 
     @property
     def adjacency(self) -> np.ndarray:

@@ -6,9 +6,10 @@ fused `graph_attention` node scores each head's neighbors (leaky-relu of
 that head's row of a (K, 2F) attention matrix applied to the concatenated
 pair projection), normalizes the scores by a masked softmax over the
 neighbor mask and aggregates; one activation node follows. The attention
-node reads each graph's CSR mask as `NeighborGraph` stores it; the
-`autodiff` module docstring says when it works on the graph's edges and
-when on dense (n, n) arrays. One `semantic_attention` node scores each
+node reads each graph's `NeighborGraph.edge_layout`: its CSR mask, with
+the index arrays built from it on the first call; the `autodiff` module
+docstring says when it works on the graph's edges and when on dense
+(n, n) arrays. One `semantic_attention` node scores each
 meta-path embedding through a small tanh layer and fuses them with
 softmax weights beta. One `pair_scores` node gives pair probabilities, the
 sigmoid of the dot product of the fused embeddings, and one
@@ -22,6 +23,7 @@ from __future__ import annotations
 import io
 import math
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -164,7 +166,7 @@ class EncoderOutput:
     z_mp: dict[str, Tensor]             # metapath -> (n, K*F)
     beta: Tensor                        # (T,) nonnegative, sums to 1
     fused: Tensor                       # (n, K*F)
-    alphas: dict[str, list[Tensor]] = field(default_factory=dict)
+    alphas: dict[str, Sequence[Tensor]] = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -206,11 +208,13 @@ def encode(params: ModelParams, features: np.ndarray,
     act_slope = 0.2 if config.activation == "leaky_relu" else None
 
     z_mp: dict[str, Tensor] = {}
-    alphas_out: dict[str, list[Tensor]] = {}
+    alphas_out: dict[str, Sequence[Tensor]] = {}
     for mp in params.metapaths:
         fixed = None if fixed_alpha is None else fixed_alpha.get(mp)
+        learned = fixed is None
         z, alphas_out[mp] = ad.graph_attention(
-            h, params.attn[mp] if fixed is None else None, graphs[mp].mask,
+            h, params.attn[mp] if learned else None,
+            graphs[mp].edge_layout if learned else None,
             heads=config.heads, slope=config.leaky_slope, dropout=rate, rng=rng,
             fixed=fixed)
         z_mp[mp] = ad.apply_unary(config.activation, z, act_slope)

@@ -1,5 +1,6 @@
 """Tensor core: forward semantics, adjoints vs finite differences, Adam."""
 
+import functools
 import sys
 import threading
 import tracemalloc
@@ -15,6 +16,7 @@ from hinddi.autodiff import Tensor, backward
 from hinddi.gradcheck import finite_diff_check
 from hinddi.optim import Adam
 from hinddi import pipeline
+from hinddi.metapath import NeighborGraph
 from perfbench.workloads import PAPER_SPEC, generate_clustered, write_lines
 from tests.conftest import (reference_attention_dense, reference_attention_edges,
                             reference_pair_scores_adjoint, ring_mask)
@@ -289,6 +291,20 @@ class TestDropout:
         for rate in (-0.1, 1.0, 1.5):
             with pytest.raises(ad.ParameterError):
                 ad.dropout(Tensor([1.0]), rate, np.random.default_rng(0), training=True)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_factor_has_the_bits_of_the_cast_quotient(self, dtype):
+        # oracle: keep / (1 - rate) in float64, cast to the tensor's dtype
+        x = np.random.default_rng(1).standard_normal((40, 30)).astype(dtype)
+        for rate in np.round(np.arange(0.01, 1.0, 0.01), 2):
+            out = ad.dropout(Tensor(x, requires_grad=True), rate, np.random.default_rng(7),
+                             training=True)
+            keep = np.random.default_rng(7).random(x.shape) >= rate
+            want = x * (keep / (1.0 - rate)).astype(dtype)
+            assert out.data.dtype == want.dtype
+            assert out.data.tobytes() == want.tobytes(), rate
+            (g,) = out._backward(np.ones_like(x))
+            assert g.tobytes() == (keep / (1.0 - rate)).astype(dtype).tobytes(), rate
 
 
 class TestBackward:
@@ -611,10 +627,18 @@ def _edge_inputs(dtype, n, heads, f, integer_scores=False, seed=8):
     return h.astype(dtype), a.astype(dtype), g.astype(dtype)
 
 
-def assert_edges_match_oracle(h, a, mask, heads, slope, dropout, g):
+def attention_edges(hd, a, mask, heads, s, dropout, rng, layout=None):
+    """`autodiff._attention_edges` on `layout`, by default a new layout of
+    `mask`: the oracle's signature and returns."""
+    layout = ad.EdgeLayout(mask) if layout is None else layout
+    return ad._attention_edges(hd, a, layout, heads, s, dropout, rng)
+
+
+def assert_edges_match_oracle(h, a, mask, heads, slope, dropout, g, layout=None):
     want, got = (_edge_attention_results(attend, h, a, mask, heads, slope, dropout, g,
                                          np.random.default_rng(5))
-                 for attend in (reference_attention_edges, ad._attention_edges))
+                 for attend in (reference_attention_edges,
+                                functools.partial(attention_edges, layout=layout)))
     assert got.keys() == want.keys()
     for name in want:
         assert same_bits(got[name], want[name]), name
@@ -658,6 +682,94 @@ class TestEdgeAttentionMatchesOracleBitForBit:
         assert paper_did3.nnz < ad.SPARSE_DENSITY * 513 * 513
         h, a, g = _edge_inputs(dtype, 513, 8, 8)
         assert_edges_match_oracle(h, a, paper_did3, 8, 0.2, dropout, g)
+
+
+class TestEdgeLayout:
+    """An `EdgeLayout` builds the edge branch's index arrays once per dtype
+    and head count, and its calls still give the oracle's bytes."""
+
+    N = 70
+    MASK = sp.csr_array(ring_mask(N, chords=[(2, 40), (5, 50), (0, 35)], isolated=[9]))
+
+    def call(self, layout, heads, dtype, seed=8):
+        """One training call, forward and adjoint, on `layout`; returns the
+        output node and its alphas."""
+        h, a, g = _edge_inputs(dtype, self.N, heads, 3, seed=seed)
+        node, alphas = ad.graph_attention(
+            Tensor(h, requires_grad=True), Tensor(a, requires_grad=True), layout,
+            heads=heads, slope=0.2, dropout=0.6, rng=np.random.default_rng(5))
+        node._backward(g)
+        return node, alphas
+
+    def test_second_call_builds_no_index_arrays(self, monkeypatch):
+        layout = ad.EdgeLayout(self.MASK)
+        self.call(layout, 4, np.float32)
+        kept = (layout.rows, *layout.incidences(np.float32), *layout.block(4))
+        made = []
+        csr_array = sp.csr_array
+
+        def counted(*args, **kwargs):
+            made.append(csr_array(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(sp, "csr_array", counted)
+        _, alphas = self.call(layout, 4, np.float32, seed=9)
+        # one CSR a call, the dropped alphas on the kept block indices
+        assert len(made) == 1
+        assert np.shares_memory(made[0].indices, kept[3])
+        assert np.shares_memory(made[0].indptr, kept[4])
+        assert all(x is y for x, y in zip(
+            (layout.rows, *layout.incidences(np.float32), *layout.block(4)), kept))
+        # an alpha is built when read, and only then
+        alphas[-1]
+        assert len(made) == 2
+
+    def test_one_layout_for_every_head_count_and_dtype(self):
+        layout = ad.EdgeLayout(self.MASK)
+        for heads, dtype in [(2, np.float32), (4, np.float64), (4, np.float32),
+                             (2, np.float64), (2, np.float32)]:
+            h, a, g = _edge_inputs(dtype, self.N, heads, 3)
+            assert_edges_match_oracle(h, a, self.MASK, heads, 0.2, 0.6, g, layout=layout)
+        assert set(layout._blocks) == {2, 4}
+        assert set(layout._incidences) == {np.dtype(np.float32), np.dtype(np.float64)}
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_alphas_read_after_later_calls_match_the_oracle(self, dtype):
+        # the first call's alphas, read after a second call on the same
+        # layout and both adjoints, are the oracle's CSR parts for the first
+        layout = ad.EdgeLayout(self.MASK)
+        heads = 3
+        h, a, g = _edge_inputs(dtype, self.N, heads, 3)
+        _, want, _, _ = reference_attention_edges(h, a, self.MASK, heads, dtype(0.2), 0.6,
+                                                  np.random.default_rng(5))
+        node, alphas = ad.graph_attention(
+            Tensor(h, requires_grad=True), Tensor(a, requires_grad=True), layout,
+            heads=heads, slope=0.2, dropout=0.6, rng=np.random.default_rng(5))
+        self.call(layout, heads, dtype, seed=9)
+        node._backward(g)
+        assert len(alphas) == heads
+        assert all(isinstance(alpha, Tensor) for alpha in alphas)
+        for got in (list(alphas), alphas[:], [alphas[k - heads] for k in range(heads)]):
+            assert all(same_bits(x.data, y) for x, y in zip(got, want, strict=True))
+        with pytest.raises(IndexError):
+            alphas[heads]
+
+    def test_neighbor_graph_keeps_its_layout(self):
+        graph = NeighborGraph("ring", self.MASK)
+        assert graph.edge_layout is graph.edge_layout
+        assert graph.edge_layout.mask is graph.mask
+
+    @pytest.mark.parametrize("fault", ["no self-loop", "stored False"])
+    def test_bad_mask_rejected_when_the_layout_is_made(self, fault):
+        mask = self.MASK.copy()
+        if fault == "no self-loop":
+            mask = sp.csr_array(mask.toarray() & ~np.eye(self.N, dtype=bool))
+        else:
+            mask.data[3] = False
+        with pytest.raises(ad.ContractError):
+            ad.EdgeLayout(mask)
+        with pytest.raises(ad.ContractError):
+            NeighborGraph("ring", mask).edge_layout
 
 
 @settings(max_examples=60, deadline=None)
@@ -804,7 +916,7 @@ def test_alpha_check_fails_exactly_when_an_oracle_alpha_is_not_finite(
         if branch == "dense":
             _, _, check, _ = ad._attention_dense(h, a, mask, None, heads, s, 0.0, None)
         else:
-            _, _, check, _ = ad._attention_edges(h, a, sp.csr_array(mask), heads, s, 0.0, None)
+            _, _, check, _ = attention_edges(h, a, sp.csr_array(mask), heads, s, 0.0, None)
     assert np.isfinite(check).all() == all(np.isfinite(alpha).all() for alpha in want)
 
 

@@ -16,6 +16,7 @@ from hinddi.cli import main
 from hinddi.config import RunConfig
 from hinddi.metapath import TOP_K
 from hinddi.model import ModelConfig, encode, load_checkpoint, save_checkpoint
+from hinddi.synth import desk_instance
 from tests.test_model import per_head_layout
 
 
@@ -441,7 +442,19 @@ class TestGradcheck:
         out = capsys.readouterr().out
         assert "gradcheck: pass" in out
         for group in ("proj", "attn", "w_mp", "b_mp", "q_mp"):
-            assert group in out
+            assert out.count(f"  {group} ") == 2
+        # one instance per branch of graph attention
+        assert "dense instance, 12 drugs" in out and "on the dense branch" in out
+        assert "sparse instance, 64 drugs" in out and "on the edge branch" in out
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_sparse_instance_takes_the_edge_branch(self, seed):
+        ((_, dense), (_, sparse)) = cli.GRADCHECK_INSTANCES
+        for sizes, edges in ((dense, False), (sparse, True)):
+            graphs, features, _, _ = desk_instance(seed=seed, **sizes)
+            n = len(features)
+            assert all((g.mask.nnz < ad.SPARSE_DENSITY * n * n) == edges
+                       for g in graphs.values())
 
     def test_corrupt_adjoint_fails(self, monkeypatch, capsys):
         right = cli.bce_loss

@@ -298,9 +298,15 @@ class TestBceLoss:
         loss = bce_loss(Tensor(np.array([0.5, 0.5])), np.array([1, 0]))
         assert abs(loss.item() - 2 * math.log(2)) < 1e-6
 
-    def test_bad_label_rejected(self):
-        with pytest.raises(ContractError):
-            bce_loss(Tensor(np.array([0.5])), np.array([2]))
+    @pytest.mark.parametrize("label", [2, 0.5, np.nan, -1])
+    def test_bad_label_rejected(self, label):
+        with pytest.raises(ContractError, match="labels must be 0 or 1"):
+            bce_loss(Tensor(np.array([0.5, 0.5])), np.array([1, label]))
+
+    @pytest.mark.parametrize("labels", [[0, 1], [0.0, 1.0], [False, True], [-0.0, 1.0]])
+    def test_zero_one_labels_of_any_type_accepted(self, labels):
+        loss = bce_loss(Tensor(np.array([0.5, 0.5])), np.array(labels))
+        assert abs(loss.item() - 2 * math.log(2)) < 1e-6
 
 
 class TestForward:
