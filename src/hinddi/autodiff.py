@@ -33,11 +33,11 @@ incidences, the block's index arrays) an `EdgeLayout` builds on first use
 and keeps; each `NeighborGraph` owns one, so the model's calls rebuild
 none of it. The K per-head alphas are made only when read. Otherwise it
 works on dense (n, n) arrays from the densified mask, a block of heads at
-a time, whose cost does not depend on the density. Measured time of one meta-path (8 heads of 8, float32,
-random symmetric masks with self-loops; 2-vCPU guest, BLAS on one thread,
-median of 9 interleaved rounds), dense vs edges, in training (forward and
-adjoint, dropout 0.6) and in eval mode (forward alone, no dropout, as
-validation and screening run it):
+a time, whose cost does not depend on the density. Measured time of one
+meta-path (8 heads of 8, float32, random symmetric masks with self-loops;
+2-vCPU guest, BLAS on one thread, median of 9 interleaved rounds), dense
+vs edges, in training (forward and adjoint, dropout 0.6) and in eval mode
+(forward alone, no dropout, as validation and screening run it):
 
     n       5%             10%            14%            18%
     train
@@ -344,7 +344,7 @@ HEAD_BLOCK_ENTRIES = 32768
 def graph_attention(h: Tensor, a: Tensor | None, mask, *,
                     heads: int, slope: float, dropout: float = 0.0,
                     rng: np.random.Generator | None = None,
-                    fixed: np.ndarray | None = None) -> tuple[Tensor, list[Tensor]]:
+                    fixed: np.ndarray | None = None) -> tuple[Tensor, Sequence[Tensor]]:
     """K-head graph attention over a neighbor mask, as one node.
 
     Head k owns columns [k*F, (k+1)*F) of the (n, K*F) projection `h`. It
@@ -361,8 +361,8 @@ def graph_attention(h: Tensor, a: Tensor | None, mask, *,
     it; any other sparse mask raises ContractError, and a dense bool array
     is converted. A layout keeps the edge branch's index arrays from call
     to call; a mask gets a new layout, checked and built anew, per call. A
-    learned alpha is computed on the mask's E edges, laid
-    out as its `indptr` and `indices` give them, when its nnz is under
+    learned alpha is computed on the mask's E edges, laid out as its
+    `indptr` and `indices` give them, when its nnz is under
     `SPARSE_DENSITY` of n^2, and on the densified mask otherwise; a fixed
     alpha is always dense. The two branches agree to rounding. With
     `dropout` > 0 the dense branch drops out each alpha_k with the masks of
