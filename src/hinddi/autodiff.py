@@ -20,71 +20,30 @@ Every op result is checked for NaN and Inf, and a fused op also checks the
 intermediates that a later squashing step (tanh, sigmoid) would hide.
 
 `graph_attention` reads its neighbor mask as a canonical boolean CSR array,
-the one form `metapath.NeighborGraph` stores, and has two branches for a
-learned alpha, chosen per call from the mask's density (nnz / n^2). Below
-`SPARSE_DENSITY` (5%) it works on the mask's E edges in the order of its
-`indptr` and `indices`, taken as they are: (E, K) scores, a segment
-softmax per row, dropout drawn per edge and head, row and column sums of
-(E, K) arrays as products with the (n, E) edge incidence, and the
-aggregation and its adjoint as one product each with a (K n, K n)
-block-diagonal CSR that holds the K dropped alphas, so its time and
-memory grow with E. What depends on the mask alone (its checks, the
+the one form `metapath.NeighborGraph` stores, and works on the mask's E
+edges in the order of its `indptr` and `indices`, taken as they are, for a
+learned alpha and a fixed one alike: (E, K) scores, a segment softmax per
+row, row and column sums of (E, K) arrays as products with the (n, E) edge
+incidence, and the aggregation and its adjoint as one product each with a
+(K n, K n) block-diagonal CSR that holds the K dropped alphas, so its time
+and memory grow with E. What depends on the mask alone (its checks, the
 incidences, the block's index arrays) an `EdgeLayout` builds on first use
 and keeps; each `NeighborGraph` owns one, so the model's calls rebuild
-none of it. The K per-head alphas are made only when read. Otherwise it
-works on dense (n, n) arrays from the densified mask, a block of heads at
-a time, whose cost does not depend on the density. Measured time of one
-meta-path (8 heads of 8, float32, random symmetric masks with self-loops;
-2-vCPU guest, BLAS on one thread, median of 9 interleaved rounds), dense
-vs edges, in training (forward and adjoint, dropout 0.6) and in eval mode
-(forward alone, no dropout, as validation and screening run it):
+none of it. The K per-head alphas are (n, n) arrays, made only when read.
 
-    n       5%             10%            14%            18%
-    train
-    50      0.51 vs 0.61   0.59 vs 0.85   0.54 vs 0.85   0.63 vs 0.97 ms
-    128     2.8 vs 1.1 ms  2.0 vs 1.3 ms  1.9 vs 1.6 ms  2.0 vs 1.8 ms
-    513     39 vs 11 ms    37 vs 16 ms    36 vs 19 ms    36 vs 24 ms
-    1,026   179 vs 34 ms   193 vs 73 ms   238 vs 122 ms  176 vs 106 ms
-    eval
-    50      0.17 vs 0.43   0.17 vs 0.48   0.16 vs 0.45   0.15 vs 0.47 ms
-    128     0.63 vs 0.38   0.66 vs 0.45   0.66 vs 0.49   0.66 vs 0.52 ms
-    513     9.9 vs 1.6 ms  10.1 vs 2.8 ms 9.9 vs 3.9 ms  9.7 vs 5.3 ms
-    1,026   50 vs 7.2 ms   49 vs 14 ms    53 vs 21 ms    51 vs 26 ms
-
-The edge branch loses at every density at n = 50 and wins at every
-density measured from n = 128 on. The 5% threshold stays all the same.
-With the default top-16 PathSim graphs every paper-scale (513-drug)
-meta-path graph is already under it (about 1% for DID-1 and DID-2, 4%
-for DID-3 and DID-4); the binarized ones (`top_k = 0`) are either about
-1% or over 70% dense. Of the default graphs, a higher threshold would
-move only the planted 50-drug ones (11-22%), which are faster dense. It
-would also change their dropout from K (n, n) draws to one (E, K) draw,
-and with it their training histories: a prototype that sent every learned
-alpha to the edge branch failed acceptance criterion 7 (full 0.9468 < MP
-0.9583). A top-k graph holds at most (2k + 1) n entries: each drug keeps
-its self-loop and at most k candidates, and each kept edge adds at most
-its reverse. So from n > 660 on, no top-16 graph is 5% dense (33 / n),
-and none reaches the dense branch. Below that the bound alone allows
-more (6.4% at n = 513).
-
-The dense branch takes the K heads in blocks of up to
-`HEAD_BLOCK_ENTRIES` (32,768) // n^2 contiguous heads, held as (m, n, n)
-arrays, so that each step is one NumPy call per block instead of one per
-head; no step crosses heads, so the bits do not depend on the block.
-Small graphs are bound by the cost of each call, large blocks outgrow the
-cache. Measured fwd+bwd time of one training call (8 heads of 8, float32,
-about 28% mask, dropout 0.6; 2-vCPU guest, BLAS on one thread, median of
-11 interleaved rounds of 10-40 calls), by heads per block:
-
-    n       1 head    2 heads   4 heads   8 heads
-    50      0.93      0.67      0.55      0.50 ms
-    96      2.65      2.21      2.20      2.90 ms
-    128     2.59      2.52      3.03      3.48 ms
-    256     8.1       10.5      12.2      14.6 ms
-
-The budget gives one block of all 8 heads at n = 50, blocks of 3 at
-n = 96 and of 2 at n = 128, and one head per block from n = 182 on, so
-paper-scale graphs keep per-head arrays.
+Dropout draws its keep mask in one of two orders, chosen per call from the
+mask's density (nnz / n^2). From `SPARSE_DENSITY` (5%) on, head k keeps
+edge (i, j) where entry (k, i, j) of one (K, n, n) draw is kept, as when
+such masks were attended on dense (n, n) arrays, so the planted 50-drug
+graphs (11-22% dense) keep their dropout draws, and their training
+histories up to rounding. Below it, one (E, K) draw covers the edges in
+row-major order and costs E K values where the dense order costs K n^2
+(2.1M at n = 513). With the default top-16 PathSim graphs every
+paper-scale (513-drug) meta-path graph is under it (about 1% for DID-1
+and DID-2, 4% for DID-3 and DID-4). A top-k graph holds at most
+(2k + 1) n entries: each drug keeps its self-loop and at most k
+candidates, and each kept edge adds at most its reverse. So from n > 660
+on, no top-16 graph is 5% dense (33 / n).
 
 `pair_scores` runs its forward on a module thread pool, created on first
 use; every other op runs on the calling thread. From `PARALLEL_MIN_PAIRS`
@@ -181,9 +140,7 @@ class Tensor:
     internally and remember their parents and adjoint rule. `data` of a
     leaf may be replaced in place between graph builds (this is how the
     optimizer updates parameters); tensors are otherwise treated as
-    immutable values. The alphas that `graph_attention` returns from its
-    edge branch are constants whose data is a `scipy.sparse.csr_array`,
-    each made when it is read.
+    immutable values.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_op")
@@ -223,7 +180,7 @@ class Tensor:
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
-    if not np.all(np.isfinite(arr.data if sp.issparse(arr) else arr)):
+    if not np.all(np.isfinite(arr)):
         raise NonFiniteError(f"{op} produced non-finite values")
 
 
@@ -330,15 +287,11 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool) ->
 # fused ops
 
 
-# A neighbor mask with fewer nonzeros than this share of its n*n entries is
-# attended on its edges; a denser one on dense (n, n) arrays. See the
-# crossover table in the module docstring.
+# A neighbor mask with at least this share of its n*n entries set draws its
+# dropout keep mask in dense order, K (n, n) draws taken at its edges; a
+# sparser one draws one value per edge and head. It picks only the draw
+# order; see the module docstring.
 SPARSE_DENSITY = 0.05
-
-# Entries of the (m, n, n) arrays that a block of m dense heads works on
-# at once: all 8 heads at n = 50, one head per block from n = 182 on. See
-# the block table in the module docstring.
-HEAD_BLOCK_ENTRIES = 32768
 
 
 def graph_attention(h: Tensor, a: Tensor | None, mask, *,
@@ -348,34 +301,30 @@ def graph_attention(h: Tensor, a: Tensor | None, mask, *,
     """K-head graph attention over a neighbor mask, as one node.
 
     Head k owns columns [k*F, (k+1)*F) of the (n, K*F) projection `h`. It
-    scores pair (i, j) as leaky_relu(a[k, :F] . h_k[i] + a[k, F:] . h_k[j]),
-    softmax-normalizes each row over the (n, n) `mask` (self-loops
-    required) into alpha_k and writes alpha_k @ h_k, before any
-    activation, into its own columns. A constant (n, n) `fixed` alpha
-    replaces the learned one for every head; `a` and `mask` are then
-    unused, and `a` is None.
+    scores edge (i, j) of the (n, n) `mask` (self-loops required) as
+    leaky_relu(a[k, :F] . h_k[i] + a[k, F:] . h_k[j]), softmax-normalizes
+    each row over its edges into alpha_k and writes alpha_k @ h_k, before
+    any activation, into its own columns. A constant (n, n) `fixed` alpha
+    replaces the learned one for every head, and `a` is None; a fixed alpha
+    of another shape or with weight off the mask raises ContractError.
 
     `mask` is a bool `scipy.sparse.csr_array` in canonical format (sorted
     indices, no duplicates, no stored False), as `NeighborGraph.mask` holds
     it, or the `EdgeLayout` of one, as `NeighborGraph.edge_layout` holds
     it; any other sparse mask raises ContractError, and a dense bool array
-    is converted. A layout keeps the edge branch's index arrays from call
-    to call; a mask gets a new layout, checked and built anew, per call. A
-    learned alpha is computed on the mask's E edges, laid out as its
-    `indptr` and `indices` give them, when its nnz is under
-    `SPARSE_DENSITY` of n^2, and on the densified mask otherwise; a fixed
-    alpha is always dense. The two branches agree to rounding. With
-    `dropout` > 0 the dense branch drops out each alpha_k with the masks of
-    K successive (n, n) draws from `rng`, in head order; the edge branch
-    drops out all heads with one (E, K) draw, edges in row-major order.
+    is converted. A layout keeps its index arrays from call to call; a mask
+    gets a new layout, checked and built anew, per call. Every alpha lives
+    on the mask's E edges, laid out as its `indptr` and `indices` give
+    them. With `dropout` > 0 each head's alpha is dropped out with a keep
+    mask drawn from `rng`: when the mask's nnz is at least `SPARSE_DENSITY`
+    of n^2, one (K, n, n) draw whose (k, i, j) entry decides edge (i, j) of
+    head k; below it, one (E, K) draw, edges in row-major order.
 
     Returns the node and a read-only sequence of the K alphas before
-    dropout, as constant tensors made when read: (n, n) arrays on the dense
-    branch (views of their head block's array, or the fixed alpha itself),
-    `scipy.sparse.csr_array`s on the mask's edges that share one (K, E)
-    array on the edge branch. The output is checked for NaN and Inf first,
-    then the alphas: a learned one through its softmax row sums, the fixed
-    one once.
+    dropout, as constant tensors that hold (n, n) arrays, zero off the
+    mask, each made from the (K, E) alphas when it is read. The output is
+    checked for NaN and Inf first, then the alphas: a learned one through
+    its softmax row sums, a fixed one on the edges.
     """
     op = "graph_attention"
     if (a is None) == (fixed is None):
@@ -386,41 +335,38 @@ def graph_attention(h: Tensor, a: Tensor | None, mask, *,
                    f"expects (n, K*F) with K={heads}, got {h.shape}")
     n, width = h.shape
     f = width // heads
-    hd = h.data
-    dt = hd.dtype
+    dt = h.data.dtype
+    _require_shape(op, np.shape(mask) == (n, n), f"mask shape {np.shape(mask)} for {n} nodes")
+    layout = mask if isinstance(mask, EdgeLayout) else EdgeLayout(mask)
     if fixed is None:
         _check_dtypes(op, h, a)
         _require_shape(op, a.shape == (heads, 2 * f),
                        f"attention matrix shape {a.shape}, expected ({heads}, {2 * f})")
-        _require_shape(op, np.shape(mask) == (n, n),
-                       f"mask shape {np.shape(mask)} for {n} nodes")
-        layout = mask if isinstance(mask, EdgeLayout) else EdgeLayout(mask)
         parents = (h, a)
     else:
         fixed = np.asarray(fixed, dtype=dt)
-        _require_shape(op, fixed.shape == (n, n), f"fixed alpha shape {fixed.shape} for {n} nodes")
+        if fixed.shape != (n, n):
+            raise ContractError(f"{op}: fixed alpha shape {fixed.shape} for {n} nodes")
+        on_edges = fixed[layout.rows, layout.mask.indices]
+        if np.count_nonzero(on_edges) != np.count_nonzero(fixed):
+            raise ContractError(f"{op}: fixed alpha has weight off the neighbor mask")
+        fixed = on_edges
         parents = (h,)
-    s = dt.type(slope)
-    if fixed is not None:
-        out, alphas, check, bwd = _attention_dense(hd, None, None, fixed, heads, s, dropout, rng)
-    elif layout.mask.nnz < SPARSE_DENSITY * n * n:
-        out, alphas, check, bwd = _attention_edges(hd, a.data, layout, heads, s, dropout, rng)
-    else:
-        out, alphas, check, bwd = _attention_dense(hd, a.data, layout.mask.toarray(), None,
-                                                   heads, s, dropout, rng)
+    out, alphas, check, bwd = _attention_edges(h.data, None if a is None else a.data, fixed,
+                                               layout, heads, dt.type(slope), dropout, rng)
     node = _node(out, op, parents, bwd)
     _check_finite(check, f"{op}.alpha")
     return node, _Lazy(heads, lambda k: _result(alphas[k], f"{op}.alpha", (), None))
 
 
 class EdgeLayout:
-    """A neighbor mask, checked once, and the arrays of `graph_attention`'s
-    edge branch that depend on the mask alone, each built on first use and
-    kept: every edge's row, the (n, E) row and column incidences of each
-    dtype, and the `indices` and `indptr` of the (K n, K n) block-diagonal
-    CSR of each head count K. `NeighborGraph.edge_layout` holds one per
-    graph, so a graph builds them at most once per dtype and head count; a
-    mask passed to `graph_attention` as it is gets a new layout per call.
+    """A neighbor mask, checked once, and the arrays of `graph_attention`
+    that depend on the mask alone, each built on first use and kept: every
+    edge's row, the (n, E) row and column incidences of each dtype, and the
+    `indices` and `indptr` of the (K n, K n) block-diagonal CSR of each
+    head count K. `NeighborGraph.edge_layout` holds one per graph, so a
+    graph builds them at most once per dtype and head count; a mask passed
+    to `graph_attention` as it is gets a new layout per call.
 
     `mask` is a bool `scipy.sparse.csr_array` in canonical format (sorted
     indices, no duplicates, no stored False) with every self-loop, or a
@@ -507,117 +453,23 @@ class _Lazy(Sequence):
         return self._make(range(self._length)[k])
 
 
-def _attention_dense(hd, a, mask, fixed, heads, s, dropout, rng):
-    """`graph_attention` on dense (n, n) arrays, a block of heads at a time;
-    `a` is None iff `fixed` is given. Returns the output, the K alphas, an
-    array that is finite exactly when every alpha is, and the adjoint, which
-    maps the output's adjoint to [dh] or [dh, da].
+def _attention_edges(hd, a, fixed, layout, heads, s, dropout, rng):
+    """`graph_attention` on the E edges of the mask of the `EdgeLayout`
+    `layout`, all K heads at once; `a` is None iff `fixed`, the (E,) fixed
+    alpha on the edges, is given. Scores, alphas and dropout are (E, K)
+    arrays with edges in the mask's row-major order. Row maxima are
+    `np.maximum.reduceat` over the row pointer; the softmax denominators,
+    `d_src` and `d_dst` are products with the layout's (n, E) incidences of
+    each node's row and column edges, which add each node's edges in edge
+    order. Returns the output, the K alphas as a sequence that makes each
+    head's (n, n) array when it is read, an array that is finite exactly
+    when every alpha is, and the adjoint, which maps the output's adjoint
+    to [dh] or [dh, da].
 
-    A block is up to `HEAD_BLOCK_ENTRIES` // n^2 contiguous heads, held as
-    (m, n, n) arrays that each step passes over once, in place where it
-    can; every elementwise step, row reduction and product of a head is the
-    one it would be alone, so the bits do not depend on the block. The
-    scores and `da` stay one mat-vec (BLAS gemv) per head, issued by one
-    stacked `np.matmul` per block.
-    Masked ufunc loops (`where=` on a scattered mask) and `np.where` cost
-    3-10 passes, so the leaky relu, the mask and the slope of the adjoint
-    are written as plain elementwise ops that give the same bits.
-
-    The finiteness check is on the row sums of exp(x - row max): each entry
-    lies in [0, 1] or is NaN and the row maximum gives exactly 1, so a sum
-    is in [1, n] or NaN, and alpha = exp / sum is finite exactly when every
-    sum is. A fixed alpha is its own check."""
-    n, width = hd.shape
-    f = width // heads
-    dt = hd.dtype
-    keep_scale = dt.type(1.0 / (1.0 - dropout))
-    if fixed is None:
-        # leaky_relu(e) is max(e, s*e) for a slope s <= 1, min(e, s*e) above
-        leaky = np.maximum if s <= 1 else np.minimum
-        # +inf on the mask and -inf off it: fmin with it sets every score
-        # off the mask, NaN included, to -inf and keeps the others
-        cap = np.subtract(mask, dt.type(0.5), dtype=dt)
-        cap *= np.inf
-        src, dst, sums = (np.empty((heads, n), dtype=dt) for _ in range(3))
-
-    per = max(1, HEAD_BLOCK_ENTRIES // (n * n))
-    blocks = [slice(lo, min(lo + per, heads)) for lo in range(0, heads, per)]
-    h3 = hd.reshape(n, heads, f).transpose(1, 0, 2)          # (K, n, F) views
-    out = np.empty_like(hd)
-    o3 = out.reshape(n, heads, f).transpose(1, 0, 2)
-    alphas, keeps = [], []                   # each block's alpha and keep mask
-    shape = (min(per, heads), n, n)          # of a block's arrays
-    scratch = np.empty(shape, dtype=dt)
-    for b in blocks:
-        tmp = scratch[:b.stop - b.start]
-        if fixed is None:
-            np.matmul(h3[b], a[b, :f, None], out=src[b, :, None])
-            np.matmul(h3[b], a[b, f:, None], out=dst[b, :, None])
-            alpha = np.add(src[b, :, None], dst[b, None, :])
-            leaky(alpha, np.multiply(alpha, s, out=tmp), out=alpha)
-            np.fmin(alpha, cap, out=alpha)
-            alpha -= alpha.max(axis=2, keepdims=True)
-            np.exp(alpha, out=alpha)
-            np.sum(alpha, axis=2, out=sums[b])
-            alpha /= sums[b, :, None]
-            alphas.append(alpha)
-        else:
-            alpha = fixed
-        if dropout:
-            keep = rng.random(tmp.shape) >= dropout  # the heads' (n, n) draws in order
-            keeps.append(keep)
-            alpha = np.multiply(alpha, np.multiply(keep, keep_scale, out=tmp), out=tmp)
-        np.matmul(alpha, h3[b], out=o3[b])
-
-    def bwd(g):
-        dh = np.zeros_like(hd)
-        d3 = dh.reshape(n, heads, f).transpose(1, 0, 2)
-        g3 = g.reshape(n, heads, f).transpose(1, 0, 2)
-        da = None if fixed is not None else np.zeros_like(a)
-        # two scratch arrays, made here so that the tape does not keep the
-        # forward's: `work` holds the dropped alpha, then d_e; `fac` the
-        # dropout factor, then d_e * alpha, then the slope
-        works, factor = np.empty(shape, dtype=dt), np.empty(shape, dtype=dt)
-        for k, b in enumerate(blocks):
-            m = b.stop - b.start
-            work, fac = works[:m], factor[:m]
-            alpha = fixed if da is None else alphas[k]
-            dropped = alpha
-            if dropout:
-                np.multiply(keeps[k], keep_scale, out=fac)
-                dropped = np.multiply(alpha, fac, out=work)
-            d3[b] += np.matmul(dropped.swapaxes(-1, -2), g3[b])
-            if da is None:
-                continue
-            d_e = np.matmul(g3[b], h3[b].swapaxes(1, 2), out=work)  # d_alpha, then d_e
-            if dropout:
-                d_e *= fac
-            d_e -= np.multiply(d_e, alpha, out=fac).sum(axis=2, keepdims=True)
-            d_e *= alpha
-            # A rounded sum keeps the sign of the exact one, so src + dst > 0
-            # exactly where src > -dst.
-            d_e *= _leaky_slope(np.greater(src[b, :, None], -dst[b, None, :]), s, fac)
-            d_src, d_dst = d_e.sum(axis=2), d_e.sum(axis=1)
-            d3[b] += (d_src[:, :, None] * a[b, None, :f]
-                      + d_dst[:, :, None] * a[b, None, f:])
-            np.matmul(h3[b].swapaxes(1, 2), d_src[:, :, None], out=da[b, :f, None])
-            np.matmul(h3[b].swapaxes(1, 2), d_dst[:, :, None], out=da[b, f:, None])
-        return [dh] if da is None else [dh, da]
-
-    if fixed is not None:
-        return out, [fixed] * heads, fixed, bwd
-    return out, [x for block in alphas for x in block], sums, bwd
-
-
-def _attention_edges(hd, a, layout, heads, s, dropout, rng):
-    """`graph_attention` with a learned alpha on the E edges of the mask of
-    the `EdgeLayout` `layout`, all K heads at once: scores, alphas and
-    dropout are (E, K) arrays with edges in the mask's row-major order. Row
-    maxima are `np.maximum.reduceat` over the row pointer; the softmax
-    denominators, `d_src` and `d_dst` are products with the layout's (n, E)
-    incidences of each node's row and column edges, which add each node's
-    edges in edge order. Returns what `_attention_dense` returns, but the K
-    alphas as a sequence that makes each head's CSR when it is read.
+    The finiteness check of a learned alpha is on the row sums of exp(x -
+    row max): each entry lies in [0, 1] or is NaN and the row maximum gives
+    exactly 1, so a sum is in [1, n] or NaN, and alpha = exp / sum is
+    finite exactly when every sum is. A fixed alpha is its own check.
 
     The aggregation is one product of a (K n, K n) block-diagonal CSR with
     the (K n, F) head-major copy of h: block k holds head k's dropped alpha
@@ -636,27 +488,34 @@ def _attention_edges(hd, a, layout, heads, s, dropout, rng):
     dt = hd.dtype
     indptr, cols = layout.mask.indptr, layout.mask.indices
     rows = layout.rows
-    row_sum, col_sum = layout.incidences(dt)
-    starts = indptr[:-1]  # every row holds its self-loop: none is empty
-
     h3 = hd.reshape(n, heads, f)
-    src = np.einsum("nkf,kf->nk", h3, a[:, :f])
-    dst = np.einsum("nkf,kf->nk", h3, a[:, f:])
-    raw = np.take(src, rows, axis=0)
-    raw += np.take(dst, cols, axis=0)
-    positive = raw > 0
-    # leaky_relu(e) is max(e, s*e) for a slope s <= 1, min(e, s*e) above
-    e = (np.maximum if s <= 1 else np.minimum)(raw, s * raw, out=raw)
-    e -= np.take(np.maximum.reduceat(e, starts), rows, axis=0)
-    np.exp(e, out=e)
-    sums = row_sum @ e                  # finite exactly when alpha is; see _attention_dense
-    alpha = e
-    alpha /= np.take(sums, rows, axis=0)
-    alpha_t = np.ascontiguousarray(alpha.T)     # (K, E): each head's alpha in a row
+    if fixed is None:
+        row_sum, col_sum = layout.incidences(dt)
+        starts = indptr[:-1]  # every row holds its self-loop: none is empty
+        src = np.einsum("nkf,kf->nk", h3, a[:, :f])
+        dst = np.einsum("nkf,kf->nk", h3, a[:, f:])
+        raw = np.take(src, rows, axis=0)
+        raw += np.take(dst, cols, axis=0)
+        positive = raw > 0
+        # leaky_relu(e) is max(e, s*e) for a slope s <= 1, min(e, s*e) above
+        e = (np.maximum if s <= 1 else np.minimum)(raw, s * raw, out=raw)
+        e -= np.take(np.maximum.reduceat(e, starts), rows, axis=0)
+        np.exp(e, out=e)
+        check = row_sum @ e
+        alpha = e
+        alpha /= np.take(check, rows, axis=0)
+        alpha_t = np.ascontiguousarray(alpha.T)     # (K, E): each head's alpha in a row
+    else:
+        check = fixed
+        alpha_t = np.broadcast_to(fixed, (heads, fixed.size))
     weight_t = alpha_t
     if dropout:
-        factor = (rng.random(alpha.shape) >= dropout) * dt.type(1.0 / (1.0 - dropout))
-        weight_t = alpha_t * factor.T
+        if cols.size >= SPARSE_DENSITY * n * n:
+            keep_t = (rng.random((heads, n, n)) >= dropout)[:, rows, cols]
+        else:
+            keep_t = (rng.random((cols.size, heads)) >= dropout).T
+        factor_t = keep_t * dt.type(1.0 / (1.0 - dropout))
+        weight_t = alpha_t * factor_t
     block = sp.csr_array((weight_t.reshape(-1), *layout.block(heads)),
                          shape=(heads * n, heads * n))
     out = _node_major(block @ _head_major(h3), heads)
@@ -664,10 +523,12 @@ def _attention_edges(hd, a, layout, heads, s, dropout, rng):
     def bwd(g):
         g3 = g.reshape(n, heads, f)
         dh = _node_major(block.T @ _head_major(g3), heads)
+        if fixed is not None:
+            return [dh]
         d_alpha = np.einsum("ekf,ekf->ek", np.take(g3, rows, axis=0),
                             np.take(h3, cols, axis=0))
         if dropout:
-            d_alpha *= factor
+            d_alpha *= factor_t.T
         d_e = alpha * (d_alpha - np.take(row_sum @ (d_alpha * alpha), rows, axis=0))
         d_e *= _leaky_slope(positive, s, np.empty_like(d_e))
         d_src, d_dst = row_sum @ d_e, col_sum @ d_e
@@ -677,8 +538,12 @@ def _attention_edges(hd, a, layout, heads, s, dropout, rng):
                              np.einsum("nk,nkf->kf", d_dst, h3)], axis=1)
         return [dh, da]
 
-    alphas = _Lazy(heads, lambda k: sp.csr_array((alpha_t[k], cols, indptr), shape=(n, n)))
-    return out, alphas, sums, bwd
+    def dense(k):
+        alpha_k = np.zeros((n, n), dtype=dt)
+        alpha_k[rows, cols] = alpha_t[k]
+        return alpha_k
+
+    return out, _Lazy(heads, dense), check, bwd
 
 
 def _head_major(x3):
@@ -689,8 +554,8 @@ def _head_major(x3):
 
 def _node_major(x, heads):
     """A (K n, F) head-major array as the (n, K F) array of its nodes."""
-    f = x.shape[1]
-    return x.reshape(heads, -1, f).transpose(1, 0, 2).reshape(-1, heads * f)
+    n, f = x.shape[0] // heads, x.shape[1]
+    return x.reshape(heads, n, f).transpose(1, 0, 2).reshape(n, heads * f)
 
 
 def _leaky_slope(positive, s, out):

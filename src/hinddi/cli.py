@@ -54,11 +54,10 @@ from .train import ABLATION_VARIANTS, TrainingError, ablate, evaluate_pairs, tra
 
 GRADCHECK_TOLERANCE = 1e-5
 # `gradcheck` instances, as (label, `desk_instance` sizes). The 12-drug
-# default is at least 8.3% dense from its self-loops alone, so graph
-# attention takes its dense branch there. The sparse one, 64 drugs over
-# 128 proteins, side effects and substructures each, has graphs about
-# 2.5% dense (at most 3.7% over seeds 0-299) and takes the edge branch,
-# as every paper-scale graph does.
+# default is at least 8.3% dense from its self-loops alone. The sparse one,
+# 64 drugs over 128 proteins, side effects and substructures each, has
+# graphs about 2.5% dense (at most 3.7% over seeds 0-299), under
+# `autodiff.SPARSE_DENSITY` as every paper-scale graph is.
 GRADCHECK_INSTANCES = (
     ("dense", {}),
     ("sparse", {"n_drugs": 64, "n_proteins": 128, "n_side_effects": 128,
@@ -403,7 +402,6 @@ def cmd_gradcheck(args) -> int:
         graphs, features, pairs, labels = desk_instance(seed=seed, **sizes)
         n = len(features)
         density = [g.mask.nnz / (n * n) for g in graphs.values()]
-        branches = sorted({"edge" if d < ad.SPARSE_DENSITY else "dense" for d in density})
         config = ModelConfig(input_dim=features.shape[1], hidden_dim=3, heads=2,
                              attn_dim=5, dropout=0.0, seed=seed)
         params = init_params(config, sorted(graphs), purpose_rng(seed, "init"),
@@ -423,7 +421,7 @@ def cmd_gradcheck(args) -> int:
             if group not in groups or record.rel_error > groups[group].rel_error:
                 groups[group] = record
         print(f"gradcheck: {label} instance, {n} drugs, graphs {min(density):.1%}-"
-              f"{max(density):.1%} dense, on the {' and '.join(branches)} branch: "
+              f"{max(density):.1%} dense: "
               f"{len(report.records)} probes over {len(report.worst_by_param)} tensors "
               f"(64-bit, eps={args.epsilon})")
         for group, record in sorted(groups.items()):

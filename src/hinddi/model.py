@@ -7,11 +7,10 @@ that head's row of a (K, 2F) attention matrix applied to the concatenated
 pair projection), normalizes the scores by a masked softmax over the
 neighbor mask and aggregates; one activation node follows. The attention
 node reads each graph's `NeighborGraph.edge_layout`: its CSR mask, with
-the index arrays built from it on the first call; the `autodiff` module
-docstring says when it works on the graph's edges and when on dense
-(n, n) arrays. One `semantic_attention` node scores each
-meta-path embedding through a small tanh layer and fuses them with
-softmax weights beta. One `pair_scores` node gives pair probabilities, the
+the index arrays built from it on the first call, for a learned alpha and
+a fixed one alike. One `semantic_attention` node scores each meta-path
+embedding through a small tanh layer and fuses them with softmax weights
+beta. One `pair_scores` node gives pair probabilities, the
 sigmoid of the dot product of the fused embeddings, and one
 `binary_cross_entropy` node gives the training loss. Whatever the number
 of drugs, heads or pairs, a training step records dropout, the
@@ -166,6 +165,7 @@ class EncoderOutput:
     z_mp: dict[str, Tensor]             # metapath -> (n, K*F)
     beta: Tensor                        # (T,) nonnegative, sums to 1
     fused: Tensor                       # (n, K*F)
+    # metapath -> K alphas, each an (n, n) array made when read
     alphas: dict[str, Sequence[Tensor]] = field(default_factory=dict)
 
 
@@ -188,9 +188,10 @@ def encode(params: ModelParams, features: np.ndarray,
            uniform_beta: bool = False) -> EncoderOutput:
     """Run the full encoder; meta-paths are consumed in params order.
 
-    `fixed_alpha` substitutes a constant row-stochastic matrix for the
-    learned attention of each meta-path; `uniform_beta` bypasses the
-    meta-path attention stage with equal weights.
+    `fixed_alpha` substitutes a constant row-stochastic matrix, zero off
+    the meta-path's mask, for the learned attention of each meta-path;
+    `uniform_beta` bypasses the meta-path attention stage with equal
+    weights.
     """
     if set(graphs) != set(params.metapaths):
         raise ShapeError(f"graphs {sorted(graphs)} vs params meta-paths "
@@ -211,10 +212,8 @@ def encode(params: ModelParams, features: np.ndarray,
     alphas_out: dict[str, Sequence[Tensor]] = {}
     for mp in params.metapaths:
         fixed = None if fixed_alpha is None else fixed_alpha.get(mp)
-        learned = fixed is None
         z, alphas_out[mp] = ad.graph_attention(
-            h, params.attn[mp] if learned else None,
-            graphs[mp].edge_layout if learned else None,
+            h, params.attn[mp] if fixed is None else None, graphs[mp].edge_layout,
             heads=config.heads, slope=config.leaky_slope, dropout=rate, rng=rng,
             fixed=fixed)
         z_mp[mp] = ad.apply_unary(config.activation, z, act_slope)

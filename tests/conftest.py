@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from hinddi.autodiff import SPARSE_DENSITY
 from hinddi.data import SplitBundle, SplitError, check_drug_fraction, check_ratios, purpose_rng
 from hinddi.espf import FINGERPRINT_BITS, FeatureMatrix, SmilesError, Vocabulary
 from hinddi.hin import (
@@ -373,11 +374,17 @@ def reference_auroc(scores, labels):
 
 
 def reference_attention_dense(hd, a, mask, fixed, heads, s, dropout, rng):
-    """Oracle for `autodiff._attention_dense`, same signature and returns:
-    each head builds its scores with broadcasting and masks them with
-    `np.where`, and the adjoint applies the slope of the leaky relu as a
-    factor from `np.where`. The finiteness check is the (K, n) row sums
-    before the softmax divides by them, or the fixed alpha."""
+    """Oracle for `autodiff.graph_attention` on dense (n, n) arrays, with
+    a (K, 2F) `a` or an (n, n) `fixed` alpha (then `a` is None). Returns
+    the output, the K alphas, an array that is finite exactly when they
+    are and the adjoint, which maps the output's adjoint to [dh] or
+    [dh, da]. Each head builds its scores with broadcasting and masks them
+    with `np.where`, and the adjoint applies the slope of the leaky relu as
+    a factor from `np.where`. With dropout each head draws its keep mask as
+    `rng.random((n, n)) >= dropout`, heads in order: the stream that a mask
+    at or above `SPARSE_DENSITY` draws its keep decisions from. The
+    finiteness check is the (K, n) row sums before the softmax divides by
+    them, or the fixed alpha."""
     n, width = hd.shape
     f = width // heads
     dt = hd.dtype
@@ -434,10 +441,13 @@ def reference_attention_dense(hd, a, mask, fixed, heads, s, dropout, rng):
 
 
 def reference_attention_edges(hd, a, mask, heads, s, dropout, rng):
-    """Oracle for `autodiff._attention_edges`, same signature and returns:
-    the aggregation and its adjoint gather (E, K, F) arrays, weight them
-    and sum them with an (n, E) ones incidence; the leaky relu and its
-    slope come from `np.where`."""
+    """Oracle for `autodiff._attention_edges` with a learned alpha: the
+    aggregation and its adjoint gather (E, K, F) arrays, weight them and
+    sum them with an (n, E) ones incidence; the leaky relu and its slope
+    come from `np.where`. Dropout keeps edge e of head k where draw (e, k)
+    of one (E, K) draw is kept, or, on a mask at or above `SPARSE_DENSITY`,
+    where the edge's entry of the k-th of K (n, n) draws is. Returns what
+    `_attention_edges` returns, the alphas as a list of (n, n) arrays."""
     n, width = hd.shape
     f = width // heads
     dt = hd.dtype
@@ -461,7 +471,11 @@ def reference_attention_edges(hd, a, mask, heads, s, dropout, rng):
     alpha = e / sums[rows]
     weight = alpha
     if dropout:
-        factor = (rng.random(alpha.shape) >= dropout) * dt.type(1.0 / (1.0 - dropout))
+        if edges >= SPARSE_DENSITY * n * n:  # head k's (n, n) draw, at the edges
+            keep = np.stack([rng.random((n, n))[rows, cols] for _ in range(heads)], axis=1)
+        else:
+            keep = rng.random(alpha.shape)
+        factor = (keep >= dropout) * dt.type(1.0 / (1.0 - dropout))
         weight = alpha * factor
     neighbors = h3[cols]                                    # (E, K, F)
     out = row_sum @ (weight[:, :, None] * neighbors).reshape(-1, width)
@@ -481,7 +495,7 @@ def reference_attention_edges(hd, a, mask, heads, s, dropout, rng):
                              np.einsum("nk,nkf->kf", d_dst, h3)], axis=1)
         return [dh, da]
 
-    alphas = [sp.csr_array((alpha[:, k], cols, indptr), shape=(n, n))
+    alphas = [sp.csr_array((alpha[:, k], cols, indptr), shape=(n, n)).toarray()
               for k in range(heads)]
     return out, alphas, sums, bwd
 

@@ -1,7 +1,6 @@
 """Tensor core: forward semantics, adjoints vs finite differences, Adam."""
 
 import functools
-import sys
 import threading
 import tracemalloc
 
@@ -155,10 +154,10 @@ class TestMaskedRowSoftmax:
 
 
 class TestAttentionOnEdges:
-    """`graph_attention` on a mask under `SPARSE_DENSITY`, which takes the
-    edge branch, against the dense branch on the same mask (float64)."""
+    """`graph_attention` on a mask under `SPARSE_DENSITY` against the dense
+    oracle on the same mask (float64)."""
 
-    def test_output_alphas_and_adjoints_match_dense_branch(self):
+    def test_output_alphas_and_adjoints_match_dense_oracle(self):
         rng = np.random.default_rng(12)
         n, heads, f = 64, 3, 4
         mask = ring_mask(n, chords=[(2, 40), (5, 6 + n // 2)], isolated=[9])
@@ -166,20 +165,21 @@ class TestAttentionOnEdges:
         a = rng.standard_normal((heads, 2 * f))
         g = rng.standard_normal((n, heads * f))
         slope = np.float64(0.2)
-        out, alphas, _, bwd = ad._attention_dense(h, a, mask, None, heads, slope, 0.0, None)
+        out, alphas, _, bwd = reference_attention_dense(h, a, mask, None, heads, slope,
+                                                        0.0, None)
         node, edge_alphas = ad.graph_attention(Tensor(h, requires_grad=True),
                                                Tensor(a, requires_grad=True), mask,
                                                heads=heads, slope=0.2)
         np.testing.assert_allclose(node.data, out, rtol=1e-12, atol=1e-14)
         for edge_alpha, alpha in zip(edge_alphas, alphas, strict=True):
-            assert isinstance(edge_alpha.data, sp.csr_array)
-            assert edge_alpha.data.nnz == np.count_nonzero(mask)
-            np.testing.assert_allclose(edge_alpha.data.toarray(), alpha,
-                                       rtol=1e-12, atol=1e-15)
+            assert isinstance(edge_alpha.data, np.ndarray)
+            assert np.count_nonzero(edge_alpha.data) == np.count_nonzero(mask)
+            np.testing.assert_allclose(edge_alpha.data, alpha, rtol=1e-12, atol=1e-15)
         for d_edges, d_dense in zip(node._backward(g), bwd(g), strict=True):
             np.testing.assert_allclose(d_edges, d_dense, rtol=1e-12, atol=1e-13)
 
     def test_dropout_draws_one_value_per_edge_and_head(self):
+        # a mask under SPARSE_DENSITY
         mask = ring_mask(64)
         h, a = Tensor(np.ones((64, 4))), Tensor(np.zeros((2, 4)))
         rng = np.random.default_rng(4)
@@ -195,11 +195,14 @@ def csr_parts(mask):
     return [np.array(x) for x in (mask.data, mask.indices, mask.indptr)]
 
 
+def dense_mask(rng, n, density):
+    """A random symmetric bool (n, n) mask with self-loops."""
+    mask = rng.random((n, n)) < density
+    return mask | mask.T | np.eye(n, dtype=bool)
+
+
 def same_bits(x, y):
-    """Equal dtype, shape and bytes; a CSR array compares all three parts."""
-    if sp.issparse(x):
-        return sp.issparse(y) and all(same_bits(u, v)
-                                      for u, v in zip(csr_parts(x), csr_parts(y)))
+    """Equal dtype, shape and bytes."""
     return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
@@ -209,16 +212,16 @@ class TestCsrMask:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("dropout", [0.0, 0.6])
-    @pytest.mark.parametrize("branch", ["edges", "dense"])
-    def test_csr_and_dense_masks_give_the_same_bits(self, branch, dropout, dtype):
+    @pytest.mark.parametrize("density", ["sparse", "dense"])
+    def test_csr_and_dense_masks_give_the_same_bits(self, density, dropout, dtype):
+        # on both sides of SPARSE_DENSITY, so in both dropout draw orders
         rng = np.random.default_rng(21)
         n, heads, f = 64, 2, 3
-        if branch == "edges":
+        if density == "sparse":
             mask = ring_mask(n, chords=[(1, 33), (7, 50)], isolated=[12])
         else:
-            mask = rng.random((n, n)) < 0.3
-            mask |= mask.T | np.eye(n, dtype=bool)
-        assert (np.count_nonzero(mask) < ad.SPARSE_DENSITY * n * n) == (branch == "edges")
+            mask = dense_mask(rng, n, 0.3)
+        assert (np.count_nonzero(mask) < ad.SPARSE_DENSITY * n * n) == (density == "sparse")
         h = rng.standard_normal((n, heads * f)).astype(dtype)
         a = rng.standard_normal((heads, 2 * f)).astype(dtype)
         g = rng.standard_normal((n, heads * f)).astype(dtype)
@@ -235,7 +238,6 @@ class TestCsrMask:
         assert all(same_bits(x, y) for x, y in zip(alphas, alphas_d, strict=True))
         assert all(same_bits(x, y) for x, y in zip(adjoints, adjoints_d, strict=True))
         assert after == after_d
-        assert sp.issparse(alphas[0]) == (branch == "edges")
 
     @pytest.mark.parametrize("fault", ["duplicate", "unsorted", "stored False",
                                        "int dtype", "COO format"])
@@ -409,12 +411,9 @@ class TestAdjoints:
             return total(ad.apply_unary("tanh", out), w)
         _fd_check_op(f, 1)
 
-    @pytest.mark.parametrize("per", [1, 2, 3])
-    def test_graph_attention_with_dropout(self, monkeypatch, per):
-        # 3 heads in blocks of 1, 2 + 1 and 3
-        _heads_per_block(monkeypatch, per, 7)
-        mask = np.random.default_rng(5).random((7, 7)) < 0.4
-        mask |= mask.T | np.eye(7, dtype=bool)
+    def test_graph_attention_with_dropout(self):
+        # a mask over SPARSE_DENSITY, whose keep mask is drawn in dense order
+        mask = dense_mask(np.random.default_rng(5), 7, 0.4)
         w = _weights((7, 6))
 
         @_with_shapes((7, 6), (3, 4))
@@ -434,31 +433,32 @@ class TestAdjoints:
 
         @_with_shapes((64, 6), (2, 6))
         def f(h, a):
-            out, alphas = ad.graph_attention(h, a, mask, heads=2, slope=slope,
-                                             dropout=0.4, rng=np.random.default_rng(9))
-            assert all(sp.issparse(alpha.data) for alpha in alphas)
+            out, _ = ad.graph_attention(h, a, mask, heads=2, slope=slope,
+                                        dropout=0.4, rng=np.random.default_rng(9))
             return total(ad.apply_unary("tanh", out), w)
         _fd_check_op(f, 2)
 
-    def test_graph_attention_with_fixed_alpha(self):
-        fixed = np.random.default_rng(6).random((7, 7))
+    @pytest.mark.parametrize("n", [7, 64])
+    def test_graph_attention_with_fixed_alpha(self, n):
+        # a full mask and one under SPARSE_DENSITY: both dropout draw orders
+        mask = np.ones((n, n), dtype=bool) if n == 7 else ring_mask(n, chords=[(3, 30)])
+        fixed = np.random.default_rng(6).random((n, n)) * mask
         fixed /= fixed.sum(axis=1, keepdims=True)
-        w = _weights((7, 6))
+        w = _weights((n, 6))
 
-        @_with_shapes((7, 6),)
+        @_with_shapes((n, 6),)
         def f(h):
-            out, _ = ad.graph_attention(h, None, None, heads=2, slope=0.2,
+            out, _ = ad.graph_attention(h, None, mask, heads=2, slope=0.2,
                                         dropout=0.4, rng=np.random.default_rng(9),
                                         fixed=fixed)
             assert out._parents == (h,)
             return total(ad.apply_unary("tanh", out), w)
         _fd_check_op(f, 1)
 
-        h = Tensor(np.ones((7, 6)))
+        h = Tensor(np.ones((n, 6)))
         for a, alpha in ((None, None), (Tensor(np.zeros((2, 6))), fixed)):
             with pytest.raises(ad.ParameterError):
-                ad.graph_attention(h, a, np.eye(7, dtype=bool), heads=2,
-                                   slope=0.2, fixed=alpha)
+                ad.graph_attention(h, a, mask, heads=2, slope=0.2, fixed=alpha)
 
     @pytest.mark.parametrize("pool", ["mean", "sum"])
     def test_semantic_attention(self, pool):
@@ -498,27 +498,49 @@ class TestAdjoints:
         _fd_check_op(f, 1)
 
 
-def _dense_attention_results(attend, h, a, mask, fixed, heads, slope, dropout, g, rng):
-    """Output, alphas, finiteness check, adjoints and the next draws of the
-    dropout generator."""
-    out, alphas, check, bwd = attend(h, a, mask, fixed, heads, h.dtype.type(slope), dropout, rng)
-    return {"out": out, **{f"alpha{k}": x for k, x in enumerate(alphas)}, "check": check,
-            **{f"adjoint{k}": x for k, x in enumerate(bwd(g))},
+def _results(out, alphas, adjoints, rng):
+    """Output, alphas, adjoints and the next draws of the dropout generator,
+    by name."""
+    return {"out": out, **{f"alpha{k}": x for k, x in enumerate(alphas)},
+            **{f"adjoint{k}": x for k, x in enumerate(adjoints)},
             "next float32 draw": np.array(rng.random(dtype=np.float32)),
             "next draw": np.array(rng.random())}
 
 
-def _heads_per_block(monkeypatch, per, n):
-    """Give dense attention on n nodes blocks of `per` heads."""
-    monkeypatch.setattr(ad, "HEAD_BLOCK_ENTRIES", per * n * n)
+def _dense_oracle_results(h, a, mask, fixed, heads, slope, dropout, g, rng):
+    """`_results` of `reference_attention_dense`."""
+    out, alphas, _, bwd = reference_attention_dense(h, a, mask, fixed, heads,
+                                                    h.dtype.type(slope), dropout, rng)
+    return _results(out, alphas, bwd(g), rng)
 
 
-class TestDenseAttentionMatchesOracleBitForBit:
-    """`_attention_dense` against `reference_attention_dense`: every output
-    byte-identical, so training histories do not move, whether the heads
-    run in blocks of 1, 2 (2 + 1) or 3 heads."""
+def _attention_results(h, a, mask, fixed, heads, slope, dropout, g, rng):
+    """`_results` of `graph_attention`."""
+    node, alphas = ad.graph_attention(
+        Tensor(h, requires_grad=True), None if a is None else Tensor(a, requires_grad=True),
+        mask, heads=heads, slope=slope, dropout=dropout, rng=rng, fixed=fixed)
+    return _results(node.data, [alpha.data for alpha in alphas], node._backward(g), rng)
+
+
+class TestDenseDrawOrderMatchesOracle:
+    """`graph_attention` on masks at or above `SPARSE_DENSITY` against
+    `reference_attention_dense`, whose heads draw their (n, n) keep masks
+    in order: the keep decisions and the generator's next draws are the
+    oracle's exactly, and the output, alphas and adjoints agree to a
+    relative 1e-5 in float32 and 1e-12 in float64 of each array's largest
+    entry, so the histories of such graphs move only by rounding."""
 
     N, HEADS, F = 37, 3, 4
+    RTOL = {np.dtype(np.float32): 1e-5, np.dtype(np.float64): 1e-12}
+
+    def mask(self, mask_kind):
+        mask = np.ones((self.N, self.N), dtype=bool)
+        if mask_kind == "holes":  # a few off-diagonal entries missing
+            mask[[0, 3, 3, 20, 36], [5, 1, 30, 19, 0]] = False
+        elif mask_kind == "sparse":  # just over SPARSE_DENSITY
+            mask = ring_mask(self.N, chords=[(0, 5), (3, 20), (7, 30)])
+        assert np.count_nonzero(mask) >= ad.SPARSE_DENSITY * self.N ** 2
+        return mask
 
     def inputs(self, dtype, mask_kind, integer_scores=False):
         rng = np.random.default_rng(8)
@@ -528,45 +550,76 @@ class TestDenseAttentionMatchesOracleBitForBit:
         else:
             h, a = rng.standard_normal(shape_h), rng.standard_normal(shape_a)
         g = rng.standard_normal(shape_h)
-        mask = np.ones((self.N, self.N), dtype=bool)
-        if mask_kind == "holes":  # a few off-diagonal entries missing
-            mask[[0, 3, 3, 20, 36], [5, 1, 30, 19, 0]] = False
-        return h.astype(dtype), a.astype(dtype), mask, g.astype(dtype)
+        return h.astype(dtype), a.astype(dtype), self.mask(mask_kind), g.astype(dtype)
 
-    def assert_bytes_equal(self, *args, make_rng=lambda: np.random.default_rng(5),
-                           per_block=(1, 2, 3)):
-        want = _dense_attention_results(reference_attention_dense, *args, make_rng())
-        n = len(args[0])
-        for per in per_block:
-            with pytest.MonkeyPatch.context() as monkeypatch:
-                if per is not None:
-                    _heads_per_block(monkeypatch, per, n)
-                got = _dense_attention_results(ad._attention_dense, *args, make_rng())
-            assert got.keys() == want.keys()
-            for name in want:
-                assert got[name].dtype == want[name].dtype, (per, name)
-                assert got[name].tobytes() == want[name].tobytes(), (per, name)
+    def fixed(self, mask, dtype):
+        fixed = np.random.default_rng(3).random(mask.shape).astype(dtype) * mask
+        return fixed / fixed.sum(axis=1, keepdims=True)
+
+    def assert_matches(self, *args, make_rng=lambda: np.random.default_rng(5)):
+        want = _dense_oracle_results(*args, make_rng())
+        got = _attention_results(*args, make_rng())
+        assert got.keys() == want.keys()
+        rtol = self.RTOL[args[0].dtype]
+        for name in want:
+            assert got[name].dtype == want[name].dtype, name
+            if "draw" in name:
+                assert got[name].tobytes() == want[name].tobytes(), name
+            else:
+                np.testing.assert_allclose(got[name], want[name], rtol=rtol,
+                                           atol=rtol * np.abs(want[name]).max(), err_msg=name)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("alpha", ["learned", "fixed"])
+    @pytest.mark.parametrize("mask_kind", ["full", "holes", "sparse"])
+    def test_keep_decisions_are_the_oracles(self, dtype, alpha, mask_kind):
+        # h_k = I makes head k's output columns its dropped alpha, which is
+        # nonzero exactly where an edge is kept
+        n, heads = self.N, self.HEADS
+        mask = self.mask(mask_kind)
+        h = np.tile(np.eye(n, dtype=dtype), heads)
+        g = np.zeros_like(h)
+        if alpha == "learned":
+            a, fixed = np.random.default_rng(8).standard_normal((heads, 2 * n)).astype(dtype), None
+        else:
+            a, fixed = None, self.fixed(mask, dtype)
+        kept = []
+        for results in (_dense_oracle_results, _attention_results):
+            out = results(h, a, mask, fixed, heads, 0.2, 0.6, g,
+                          np.random.default_rng(5))["out"]
+            kept.append(out.reshape(n, heads, n).transpose(1, 0, 2) != 0)
+        assert np.array_equal(kept[0], kept[1])
+        assert 0 < np.count_nonzero(kept[0]) < heads * np.count_nonzero(mask)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("dropout", [0.0, 0.6])
     @pytest.mark.parametrize("slope", [0.2, 0.0, -0.1, 1.5])
-    @pytest.mark.parametrize("mask_kind", ["full", "holes"])
+    @pytest.mark.parametrize("mask_kind", ["full", "holes", "sparse"])
     def test_learned_alpha(self, dtype, dropout, slope, mask_kind):
         h, a, mask, g = self.inputs(dtype, mask_kind)
-        self.assert_bytes_equal(h, a, mask, None, self.HEADS, slope, dropout, g)
+        self.assert_matches(h, a, mask, None, self.HEADS, slope, dropout, g)
 
     @pytest.mark.parametrize("slope", [0.2, 0.0, -0.1, 1.5])
     def test_scores_exactly_zero_take_the_slope(self, slope):
         h, a, mask, g = self.inputs(np.float64, "holes", integer_scores=True)
-        self.assert_bytes_equal(h, a, mask, None, self.HEADS, slope, 0.6, g)
+        self.assert_matches(h, a, mask, None, self.HEADS, slope, 0.6, g)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("dropout", [0.0, 0.6])
-    def test_fixed_alpha(self, dtype, dropout):
-        h, _, mask, g = self.inputs(dtype, "full")
-        fixed = np.random.default_rng(3).random((self.N, self.N)).astype(dtype)
-        fixed /= fixed.sum(axis=1, keepdims=True)
-        self.assert_bytes_equal(h, None, mask, fixed, self.HEADS, 0.2, dropout, g)
+    @pytest.mark.parametrize("mask_kind", ["full", "sparse"])
+    def test_fixed_alpha(self, dtype, dropout, mask_kind):
+        h, _, mask, g = self.inputs(dtype, mask_kind)
+        self.assert_matches(h, None, mask, self.fixed(mask, dtype), self.HEADS, 0.2,
+                            dropout, g)
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.6])
+    def test_planted_shape(self, dropout):
+        # 50 drugs and 8 heads of 8 on a 15%-dense mask, as the planted set trains
+        n, heads, f = 50, 8, 8
+        rng = np.random.default_rng(9)
+        h, g = (rng.standard_normal((n, heads * f)).astype(np.float32) for _ in range(2))
+        a = rng.standard_normal((heads, 2 * f)).astype(np.float32)
+        self.assert_matches(h, a, dense_mask(rng, n, 0.08), None, heads, 0.2, dropout, g)
 
     def test_generator_with_a_buffered_uint32(self):
         # a float32 draw leaves half of a 64-bit output buffered; the next
@@ -576,41 +629,21 @@ class TestDenseAttentionMatchesOracleBitForBit:
             rng.random(dtype=np.float32)
             return rng
         h, a, mask, g = self.inputs(np.float32, "holes")
-        self.assert_bytes_equal(h, a, mask, None, self.HEADS, 0.2, 0.6, g, make_rng=make_rng)
+        self.assert_matches(h, a, mask, None, self.HEADS, 0.2, 0.6, g, make_rng=make_rng)
 
     @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox])
     def test_generator_that_cannot_skip_draws(self, bit_generator):
         # the masks come from the stream of any bit generator, in head order
         h, a, mask, g = self.inputs(np.float32, "holes")
-        self.assert_bytes_equal(h, a, mask, None, self.HEADS, 0.2, 0.6, g,
-                                make_rng=lambda: np.random.Generator(bit_generator(5)))
-
-    @pytest.mark.parametrize("dropout", [0.0, 0.6])
-    def test_planted_shape_in_one_block(self, dropout):
-        # 50 drugs and 8 heads of 8, as the planted set trains: the default
-        # block holds every head, and the alphas are views of its array
-        n, heads, f = 50, 8, 8
-        assert ad.HEAD_BLOCK_ENTRIES // (n * n) >= heads
-        rng = np.random.default_rng(9)
-        h, g = (rng.standard_normal((n, heads * f)).astype(np.float32) for _ in range(2))
-        a = rng.standard_normal((heads, 2 * f)).astype(np.float32)
-        mask = rng.random((n, n)) < 0.15
-        mask |= mask.T | np.eye(n, dtype=bool)
-        self.assert_bytes_equal(h, a, mask, None, heads, 0.2, dropout, g, per_block=(None,))
-        _, alphas, _, _ = ad._attention_dense(h, a, mask, None, heads, np.float32(0.2),
-                                              dropout, np.random.default_rng(5))
-        block = alphas[0].base
-        assert block.shape == (heads, n, n)
-        assert all(alpha.base is block for alpha in alphas)
+        self.assert_matches(h, a, mask, None, self.HEADS, 0.2, 0.6, g,
+                            make_rng=lambda: np.random.Generator(bit_generator(5)))
 
 
 def _edge_attention_results(attend, h, a, mask, heads, slope, dropout, g, rng):
-    """Output, the CSR parts of every alpha, finiteness check, adjoints and
-    the next draw of the dropout generator."""
+    """Output, every alpha, finiteness check, adjoints and the next draw of
+    the dropout generator."""
     out, alphas, check, bwd = attend(h, a, mask, heads, h.dtype.type(slope), dropout, rng)
-    parts = {f"alpha{k} {name}": x for k, alpha in enumerate(alphas)
-             for name, x in zip(("data", "indices", "indptr"), csr_parts(alpha))}
-    return {"out": out, **parts, "check": check,
+    return {"out": out, **{f"alpha{k}": x for k, x in enumerate(alphas)}, "check": check,
             **{f"adjoint{k}": x for k, x in enumerate(bwd(g))},
             "next draw": np.array(rng.random())}
 
@@ -631,7 +664,7 @@ def attention_edges(hd, a, mask, heads, s, dropout, rng, layout=None):
     """`autodiff._attention_edges` on `layout`, by default a new layout of
     `mask`: the oracle's signature and returns."""
     layout = ad.EdgeLayout(mask) if layout is None else layout
-    return ad._attention_edges(hd, a, layout, heads, s, dropout, rng)
+    return ad._attention_edges(hd, a, None, layout, heads, s, dropout, rng)
 
 
 def assert_edges_match_oracle(h, a, mask, heads, slope, dropout, g, layout=None):
@@ -685,8 +718,8 @@ class TestEdgeAttentionMatchesOracleBitForBit:
 
 
 class TestEdgeLayout:
-    """An `EdgeLayout` builds the edge branch's index arrays once per dtype
-    and head count, and its calls still give the oracle's bytes."""
+    """An `EdgeLayout` builds its index arrays once per dtype and head
+    count, and its calls still give the oracle's bytes."""
 
     N = 70
     MASK = sp.csr_array(ring_mask(N, chords=[(2, 40), (5, 50), (0, 35)], isolated=[9]))
@@ -720,9 +753,10 @@ class TestEdgeLayout:
         assert np.shares_memory(made[0].indptr, kept[4])
         assert all(x is y for x, y in zip(
             (layout.rows, *layout.incidences(np.float32), *layout.block(4)), kept))
-        # an alpha is built when read, and only then
-        alphas[-1]
-        assert len(made) == 2
+        # an alpha is a new dense array on each read, and needs no CSR
+        assert alphas[-1].data is not alphas[-1].data
+        assert alphas[-1].data.shape == (self.N, self.N)
+        assert len(made) == 1
 
     def test_one_layout_for_every_head_count_and_dtype(self):
         layout = ad.EdgeLayout(self.MASK)
@@ -736,7 +770,7 @@ class TestEdgeLayout:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_alphas_read_after_later_calls_match_the_oracle(self, dtype):
         # the first call's alphas, read after a second call on the same
-        # layout and both adjoints, are the oracle's CSR parts for the first
+        # layout and both adjoints, are the oracle's for the first
         layout = ad.EdgeLayout(self.MASK)
         heads = 3
         h, a, g = _edge_inputs(dtype, self.N, heads, 3)
@@ -786,70 +820,47 @@ def test_edge_attention_matches_oracle_on_random_masks(n, heads, f, density, slo
     assert_edges_match_oracle(h, a, sp.csr_array(mask), heads, slope, dropout, g)
 
 
-@pytest.mark.parametrize("mode", ["train", "eval"])
-@pytest.mark.parametrize("alpha", ["learned", "fixed"])
-def test_dense_attention_runs_on_the_calling_thread(monkeypatch, alpha, mode):
-    # a dense paper-scale call, forward and adjoint, with cores to spare,
-    # never asks for the pool, with dropout or without a generator
-    def no_pool():
-        raise AssertionError("dense attention used the thread pool")
+class TestFixedAlphaOnTheMask:
+    """A fixed alpha is taken at the mask's edges: one of another shape, or
+    with weight off the mask, is refused rather than dropped there."""
 
-    monkeypatch.setattr(ad, "_usable_cores", lambda: 4)
-    monkeypatch.setattr(ad, "_executor", no_pool)
-    n, heads, f = 513, 4, 2
-    rng = np.random.default_rng(1)
-    h = Tensor(rng.standard_normal((n, heads * f)).astype(np.float32), requires_grad=True)
-    kwargs = {"heads": heads, "slope": 0.2}
-    if mode == "train":
-        kwargs.update(dropout=0.6, rng=rng)
-    if alpha == "learned":
-        a = Tensor(rng.standard_normal((heads, 2 * f)).astype(np.float32),
-                   requires_grad=True)
-        node, _ = ad.graph_attention(h, a, np.ones((n, n), dtype=bool), **kwargs)
-    else:
-        fixed = np.full((n, n), 1 / n, dtype=np.float32)
-        node, _ = ad.graph_attention(h, None, None, fixed=fixed, **kwargs)
-    backward(total(node), [h])
-    assert h.grad.shape == (n, heads * f)
+    MASK = ring_mask(64, chords=[(3, 30)])
 
+    def attend(self, fixed, mask=MASK):
+        n = len(mask)
+        return ad.graph_attention(Tensor(np.ones((n, 4))), None, mask, heads=2,
+                                  slope=0.2, fixed=fixed)
 
-def test_concurrent_dense_calls_under_fast_thread_switches():
-    # two threads attend at once with their own generators, switching as
-    # often as the interpreter allows: dense attention keeps no state
-    # between calls, so each gets the oracle's bytes
-    rng = np.random.default_rng(2)
-    n, heads, f = 64, 8, 4
-    h, g = (rng.standard_normal((n, heads * f)) for _ in range(2))
-    a = rng.standard_normal((heads, 2 * f))
-    mask = rng.random((n, n)) < 0.5
-    np.fill_diagonal(mask, True)
-    args = (h, a, mask, None, heads, 0.2, 0.6, g)
-    want = {seed: _dense_attention_results(reference_attention_dense, *args,
-                                           np.random.default_rng(seed))
-            for seed in (5, 6)}
-    wrong = []
+    def fixed(self):
+        fixed = np.random.default_rng(6).random(self.MASK.shape) * self.MASK
+        return fixed / fixed.sum(axis=1, keepdims=True)
 
-    start = threading.Barrier(2, timeout=60)
+    @pytest.mark.parametrize("off", [1e-9, -0.5, np.nan, np.inf])
+    def test_weight_off_the_mask_rejected(self, off):
+        fixed = self.fixed()
+        fixed[0, 32] = off
+        assert not self.MASK[0, 32]
+        with pytest.raises(ad.ContractError, match="off the neighbor mask"):
+            self.attend(fixed)
 
-    def attend(seed):
-        start.wait()
-        for _ in range(20):
-            got = _dense_attention_results(ad._attention_dense, *args,
-                                           np.random.default_rng(seed))
-            wrong.extend(k for k in want[seed] if got[k].tobytes() != want[seed][k].tobytes())
+    @pytest.mark.parametrize("shape", [(64, 63), (63, 63), (64,), (1, 64, 64)])
+    def test_wrong_shape_rejected(self, shape):
+        fixed = np.full(shape, 1 / 64)
+        with pytest.raises(ad.ContractError, match="fixed alpha shape"):
+            self.attend(fixed)
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=attend, args=(seed,)) for seed in want]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert wrong == []
+    @pytest.mark.parametrize("mask", [MASK, np.ones((6, 6), dtype=bool)])
+    def test_alphas_read_back_as_the_fixed_alpha(self, mask):
+        # zeros on the mask are kept, and -0.0 off it is no weight
+        fixed = np.random.default_rng(6).random(mask.shape) * mask
+        fixed[1, 1] = 0.0
+        fixed[~mask] = -0.0
+        node, alphas = self.attend(fixed, mask)
+        assert len(alphas) == 2
+        for alpha in alphas:
+            np.testing.assert_array_equal(alpha.data, fixed)
+            assert alpha.data.dtype == np.float64
+        np.testing.assert_allclose(node.data, fixed @ np.ones((len(mask), 4)), rtol=1e-12)
 
 
 class TestNonFiniteGuard:
@@ -857,12 +868,12 @@ class TestNonFiniteGuard:
     an array that is finite exactly when the alphas are: the row sums of
     the softmax, or the fixed alpha."""
 
-    @pytest.mark.parametrize("branch", ["dense", "edges"])
-    def test_overflowing_scores_fail_the_output_check(self, branch):
+    @pytest.mark.parametrize("mask_kind", ["full", "ring"])
+    def test_overflowing_scores_fail_the_output_check(self, mask_kind):
         # float32 src = 2 * 1e30 * 1e10 overflows: the scores are inf, every
         # alpha NaN, and so is the output, which is checked first
-        n = 6 if branch == "dense" else 64
-        mask = np.ones((n, n), dtype=bool) if branch == "dense" else ring_mask(n)
+        n = 6 if mask_kind == "full" else 64
+        mask = np.ones((n, n), dtype=bool) if mask_kind == "full" else ring_mask(n)
         h = Tensor(np.full((n, 4), 1e30, dtype=np.float32))
         a = Tensor(np.full((2, 4), 1e10, dtype=np.float32))
         with np.errstate(all="ignore"), pytest.raises(ad.NonFiniteError,
@@ -874,22 +885,23 @@ class TestNonFiniteGuard:
         fixed = np.full((6, 6), 1e9, dtype=np.float32)
         with np.errstate(all="ignore"), pytest.raises(ad.NonFiniteError,
                                                       match=r"^graph_attention produced"):
-            ad.graph_attention(h, None, None, heads=2, slope=0.2, fixed=fixed)
+            ad.graph_attention(h, None, np.ones((6, 6), dtype=bool), heads=2, slope=0.2,
+                               fixed=fixed)
 
     def test_non_finite_fixed_alpha_fails_the_alpha_check(self):
         # heads of width 0 leave an empty, finite output
         fixed = np.full((3, 3), 1 / 3)
         fixed[1, 2] = np.nan
         with pytest.raises(ad.NonFiniteError, match=r"^graph_attention\.alpha produced"):
-            ad.graph_attention(Tensor(np.ones((3, 0))), None, None, heads=2, slope=0.2,
-                               fixed=fixed)
+            ad.graph_attention(Tensor(np.ones((3, 0))), None, np.ones((3, 3), dtype=bool),
+                               heads=2, slope=0.2, fixed=fixed)
 
-    @pytest.mark.parametrize("branch", ["dense", "edges"])
-    def test_overflowing_scores_raise_under_errstate(self, branch):
+    @pytest.mark.parametrize("mask_kind", ["full", "ring"])
+    def test_overflowing_scores_raise_under_errstate(self, mask_kind):
         # only the last head's scores overflow, and the caller's np.errstate
         # turns that into an error before any check runs
-        n = 6 if branch == "dense" else 64
-        mask = np.ones((n, n), dtype=bool) if branch == "dense" else ring_mask(n)
+        n = 6 if mask_kind == "full" else 64
+        mask = np.ones((n, n), dtype=bool) if mask_kind == "full" else ring_mask(n)
         heads, f = 3, 2
         h = Tensor(np.ones((n, heads * f), dtype=np.float32))
         a = np.zeros((heads, 2 * f), dtype=np.float32)
@@ -901,22 +913,18 @@ class TestNonFiniteGuard:
 @settings(max_examples=200, deadline=None)
 @given(n=st.integers(1, 9), heads=st.integers(1, 3), f=st.integers(1, 3),
        log_scale=st.floats(0, 25), slope=st.sampled_from([0.2, 0.0, -0.1, 1.5]),
-       branch=st.sampled_from(["dense", "edges"]), seed=st.integers(0, 2**32 - 1))
+       seed=st.integers(0, 2**32 - 1))
 def test_alpha_check_fails_exactly_when_an_oracle_alpha_is_not_finite(
-        n, heads, f, log_scale, slope, branch, seed):
+        n, heads, f, log_scale, slope, seed):
     # float32 scores overflow from a scale of about 1e19 on
     rng = np.random.default_rng(seed)
     h = (rng.standard_normal((n, heads * f)) * 10.0 ** log_scale).astype(np.float32)
     a = (rng.standard_normal((heads, 2 * f)) * 10.0 ** log_scale).astype(np.float32)
-    mask = rng.random((n, n)) < 0.5
-    mask |= mask.T | np.eye(n, dtype=bool)
+    mask = dense_mask(rng, n, 0.5)
     s = np.float32(slope)
     with np.errstate(all="ignore"):
         _, want, _, _ = reference_attention_dense(h, a, mask, None, heads, s, 0.0, None)
-        if branch == "dense":
-            _, _, check, _ = ad._attention_dense(h, a, mask, None, heads, s, 0.0, None)
-        else:
-            _, _, check, _ = attention_edges(h, a, sp.csr_array(mask), heads, s, 0.0, None)
+        _, _, check, _ = attention_edges(h, a, sp.csr_array(mask), heads, s, 0.0, None)
     assert np.isfinite(check).all() == all(np.isfinite(alpha).all() for alpha in want)
 
 

@@ -431,7 +431,7 @@ class TestTopKPathSim:
         np.testing.assert_array_equal(mask.toarray(), reference_neighbor_mask(counts, 1, 16))
         assert np.diff(mask.indptr)[[0, 15, 16, 39]].tolist() == [40, 40, 17, 17]
 
-    def test_paper_scale_graphs_stay_on_the_edge_branch(self, tmp_path):
+    def test_paper_scale_graphs_stay_under_sparse_density(self, tmp_path):
         # (2k + 1) n edges would still be 6.4% of 513^2; the generated
         # paper-count network keeps all four graphs under SPARSE_DENSITY
         write_lines(generate_clustered(PAPER_SPEC, 0), tmp_path)

@@ -97,10 +97,10 @@ class TestNodeLevelAttention:
         _, (alpha,) = attend(rng.random((3, 2)), rng.random((1, 4)),
                              np.eye(3, dtype=bool))
         np.testing.assert_allclose(alpha, np.eye(3), atol=1e-12)
-        # on the edge branch
+        # on a mask under SPARSE_DENSITY
         _, (alpha,) = attend(rng.random((64, 2)), rng.random((1, 4)),
                              ring_mask(64, isolated=[9]))
-        np.testing.assert_allclose(alpha[[9]].toarray(), np.eye(64)[[9]], atol=1e-12)
+        np.testing.assert_allclose(alpha[9], np.eye(64)[9], atol=1e-12)
 
     def test_three_node_hand_evaluation(self):
         # Oracle: evaluate leaky_relu(a . [h_i || h_j]) and the row softmax
@@ -145,7 +145,7 @@ class TestAggregate:
     def test_identity_attention_is_self_aggregation(self):
         rng = np.random.default_rng(3)
         h = rng.standard_normal((4, 6))
-        out, _ = attend(h, None, None, heads=2, fixed=np.eye(4))
+        out, _ = attend(h, None, np.eye(4, dtype=bool), heads=2, fixed=np.eye(4))
         np.testing.assert_array_equal(out, h)
 
     def test_identical_neighbor_features_fixed_point(self):
@@ -153,7 +153,7 @@ class TestAggregate:
         row = np.array([0.5, -0.25, 2.0])
         rng = np.random.default_rng(4)
         adj = np.ones((4, 4), dtype=bool)
-        out, _ = attend(np.tile(row, (4, 1)), None, None,
+        out, _ = attend(np.tile(row, (4, 1)), None, adj,
                         fixed=random_row_stochastic(adj, rng, dtype=np.float64))
         np.testing.assert_allclose(out, np.tile(row, (4, 1)), rtol=1e-12)
 
@@ -329,7 +329,7 @@ class TestForward:
     def test_alpha_rows_sum_to_one_over_mask(self):
         rng = np.random.default_rng(15)
         config, params, graphs, features = small_setup(rng)
-        # the second graph set takes the edge branch, whose alphas are CSR arrays
+        # the second graph set is under SPARSE_DENSITY
         for graphs, features in ((graphs, features),
                                  (ring_graphs(rng), rng.random((64, config.input_dim)))):
             out = encode(params, features, graphs, config)
@@ -400,7 +400,7 @@ class TestForward:
         pairs = np.array([[0, 1], [2, 3], [4, 5], [6, 7], [8, 9], [10, 11],
                           [0, 11], [3, 8]])
         labels = np.array([1, 0, 1, 1, 0, 0, 1, 0])
-        # every graph of the second set takes the edge branch
+        # every graph of the second set is under SPARSE_DENSITY
         for graphs, features in ((graphs, features),
                                  (ring_graphs(rng), rng.random((64, 6)))):
             def loss_fn():

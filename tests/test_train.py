@@ -117,37 +117,6 @@ class TestLoopMechanics:
             train(fresh_params(config, graphs, 5), config, TrainConfig(seed=5),
                   bundle, graphs, feats)
 
-    def test_dropout_zero_history_same_on_either_branch(self, monkeypatch):
-        from hinddi import autodiff
-        from tests.test_model import random_graphs, ring_graphs
-        rng = np.random.default_rng(9)
-        n = 64
-        graphs = {**ring_graphs(rng, n, ["DID-1", "DID-2"]),
-                  **random_graphs(rng, n, ["DID-3", "DID-4"])}
-        feats = rng.random((n, 4)).astype(np.float32)
-        ddis = [(i, (i + 1) % n) for i in range(n)] + [(i, i + 7) for i in range(0, n - 7, 3)]
-        bundle = split_edges(ddis, n, ratios=(0.6, 0.2, 0.2), seed=9)
-        config = ModelConfig(input_dim=4, hidden_dim=3, heads=2, attn_dim=4,
-                             dropout=0.0, seed=9)
-
-        # lr 0.05: steps large enough that a wrong adjoint term moves the
-        # history by more than the tolerance
-        budget = TrainConfig(seed=9, epochs=10, patience=10, lr=0.05)
-
-        def history():
-            params = fresh_params(config, graphs, 9)
-            return train(params, config, budget, bundle, graphs, feats).records
-
-        on_edges = history()
-        monkeypatch.setattr(autodiff, "SPARSE_DENSITY", 0.0)  # every graph dense
-        dense = history()
-        assert len(on_edges) == len(dense) == 10
-        for r_edges, r_dense in zip(on_edges, dense):
-            assert r_edges.epoch == r_dense.epoch
-            for field in ("train_loss", "val_loss", "val_auroc"):
-                assert getattr(r_edges, field) == pytest.approx(getattr(r_dense, field),
-                                                                rel=1e-5), field
-
 
 class TestAblate:
     def test_variant_n_pins_uniform_beta(self):
