@@ -6,7 +6,7 @@ adjoint to input adjoints. :func:`backward` replays those closures in
 reverse topological order.
 
 The op set is what the two-level attention model needs. Three ops are
-generic: `matmul`, `apply_unary` (the encoder activation) and `dropout`.
+generic: `matmul`, `relu` (the encoder activation) and `dropout`.
 Four are fused, each one tape node with a hand-written adjoint:
 
 - `graph_attention`: K-head node-level attention over one meta-path's
@@ -94,9 +94,8 @@ __all__ = [
     "ParameterError",
     "Tensor",
     "EdgeLayout",
-    "UNARY_KINDS",
     "matmul",
-    "apply_unary",
+    "relu",
     "dropout",
     "graph_attention",
     "semantic_attention",
@@ -236,34 +235,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                  lambda g: [g @ b.data.T, a.data.T @ g])
 
 
-UNARY_KINDS = ("relu", "leaky_relu", "tanh", "sigmoid")
-
-
-def apply_unary(kind: str, x: Tensor, slope: float | None = None) -> Tensor:
-    """Elementwise nonlinearity with its analytic adjoint.
-
-    `slope` must be supplied iff kind == "leaky_relu".
-    """
-    if (kind == "leaky_relu") != (slope is not None):
-        raise ParameterError("slope is required exactly when kind='leaky_relu'")
+def relu(x: Tensor) -> Tensor:
+    """Elementwise max(x, 0); the adjoint passes g where x > 0."""
     d = x.data
-    if kind == "relu":
-        y = np.maximum(d, 0)
-        bwd = lambda g: [g * (d > 0)]
-    elif kind == "leaky_relu":
-        s = d.dtype.type(slope)
-        y = np.where(d > 0, d, s * d)
-        bwd = lambda g: [g * np.where(d > 0, d.dtype.type(1), s)]
-    elif kind == "tanh":
-        y = np.tanh(d)
-        bwd = lambda g: [g * (1 - y * y)]
-    elif kind == "sigmoid":
-        y = 1 / (1 + np.exp(-d))
-        bwd = lambda g: [g * y * (1 - y)]
-    else:
-        raise ParameterError(f"unknown unary kind {kind!r}; "
-                             f"choose from {', '.join(UNARY_KINDS)}")
-    return _node(y, kind, (x,), bwd)
+    return _node(np.maximum(d, 0), "relu", (x,), lambda g: [g * (d > 0)])
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool) -> Tensor:
@@ -304,7 +279,7 @@ def graph_attention(h: Tensor, a: Tensor | None, mask, *,
     scores edge (i, j) of the (n, n) `mask` (self-loops required) as
     leaky_relu(a[k, :F] . h_k[i] + a[k, F:] . h_k[j]), softmax-normalizes
     each row over its edges into alpha_k and writes alpha_k @ h_k, before
-    any activation, into its own columns. A constant (n, n) `fixed` alpha
+    the relu, into its own columns. A constant (n, n) `fixed` alpha
     replaces the learned one for every head, and `a` is None; a fixed alpha
     of another shape or with weight off the mask raises ContractError.
 
@@ -572,15 +547,15 @@ def _leaky_slope(positive, s, out):
 
 
 def semantic_attention(zs: Sequence[Tensor], w: Tensor | None, b: Tensor | None,
-                       q: Tensor | None, *, pool: str = "mean",
+                       q: Tensor | None, *,
                        fixed: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
     """Meta-path attention over T same-shape (n, D) embeddings, as one node.
 
-    Meta-path t scores the mean (or, with pool="sum", the sum) over its n
-    rows of q . tanh(W z_t[i] + b), with W (d_q, D) and b, q (d_q,). A
-    softmax over the T scores gives beta, and the node is sum_t beta_t z_t.
-    A constant (T,) `fixed` beta replaces the learned one; w, b and q are
-    then None and the zs are the only parents.
+    Meta-path t scores the mean over its n rows of q . tanh(W z_t[i] + b),
+    with W (d_q, D) and b, q (d_q,). A softmax over the T scores gives
+    beta, and the node is sum_t beta_t z_t. A constant (T,) `fixed` beta
+    replaces the learned one; w, b and q are then None and the zs are the
+    only parents.
 
     Returns the node and beta, a constant.
     """
@@ -588,8 +563,6 @@ def semantic_attention(zs: Sequence[Tensor], w: Tensor | None, b: Tensor | None,
     zs = list(zs)
     if [t is not None for t in (w, b, q)] != [fixed is None] * 3:
         raise ParameterError(f"{op}: pass either all of w, b, q or fixed")
-    if pool not in ("mean", "sum"):
-        raise ParameterError(f"{op}: pool must be 'mean' or 'sum', got {pool!r}")
     _require_shape(op, bool(zs) and zs[0].data.ndim == 2
                    and all(z.shape == zs[0].shape for z in zs),
                    f"expects T >= 1 embeddings of one (n, D) shape, got "
@@ -609,7 +582,7 @@ def semantic_attention(zs: Sequence[Tensor], w: Tensor | None, b: Tensor | None,
             _check_finite(pre, op)  # tanh would hide an overflow
             s = np.tanh(pre)
             per_node = s @ q.data
-            scores.append(per_node.sum() / n if pool == "mean" else per_node.sum())
+            scores.append(per_node.sum() / n)
             hidden.append(s)
         scores = np.array(scores, dtype=dt)
         _check_finite(scores, op)
@@ -630,9 +603,7 @@ def semantic_attention(zs: Sequence[Tensor], w: Tensor | None, b: Tensor | None,
         if fixed is not None:
             return dz
         d_beta = np.array([np.sum(g * z.data) for z in zs], dtype=dt)
-        d_scores = beta * (d_beta - (d_beta * beta).sum())
-        if pool == "mean":
-            d_scores = d_scores / n
+        d_scores = beta * (d_beta - (d_beta * beta).sum()) / n
         # Each term is a full matrix or matrix-vector product, summed over
         # t in order, so its rounding matches the adjoints of the generic
         # tanh-layer ops and float32 training histories stay bit-identical.

@@ -53,16 +53,24 @@ from .synth import desk_instance, generate_planted, write_planted
 from .train import ABLATION_VARIANTS, TrainingError, ablate, evaluate_pairs, train
 
 GRADCHECK_TOLERANCE = 1e-5
-# `gradcheck` instances, as (label, `desk_instance` sizes). The 12-drug
-# default is at least 8.3% dense from its self-loops alone. The sparse one,
-# 64 drugs over 128 proteins, side effects and substructures each, has
-# graphs about 2.5% dense (at most 3.7% over seeds 0-299), under
-# `autodiff.SPARSE_DENSITY` as every paper-scale graph is.
+# `gradcheck` instances, as (label, `desk_instance` sizes); both run the
+# same attention code. The 12-drug default is small, and at least 8.3%
+# dense from its self-loops alone. The sparse one, 64 drugs over 128
+# proteins, side effects and substructures each, has graphs about 2.5%
+# dense (at most 3.7% over seeds 0-299): about as sparse as the
+# paper-scale top-16 graphs, 1-4% dense at 513 drugs.
 GRADCHECK_INSTANCES = (
     ("dense", {}),
     ("sparse", {"n_drugs": 64, "n_proteins": 128, "n_side_effects": 128,
                 "n_substructures": 128, "density": 0.005}),
 )
+
+# Settings that older checkpoints echo and that are no longer settable, with
+# the one value the code runs. The model's are echoed both bare (`pool`)
+# and with their section (`model.pool`).
+FIXED_SETTINGS = {"activation": "relu", "model.activation": "relu",
+                  "pool": "mean", "model.pool": "mean",
+                  "metapaths.binarize_threshold": "1"}
 
 _KNOWN_ERRORS = (ConfigError, HinError, TrainingError, ad.AutodiffError,
                  ValueError, OSError)
@@ -123,7 +131,7 @@ def _load_pipeline(cfg: RunConfig):
                           "run featurize first")
     hin = load_hin(cfg.graph_dir)
     features = load_features(cfg.features_file, hin.registry)
-    graphs = make_graphs(hin, cfg.metapaths, cfg.binarize_threshold)
+    graphs = make_graphs(hin, cfg.metapaths)
     values = features.values.astype(cfg.dtype)
     return hin, graphs, features, values
 
@@ -147,13 +155,12 @@ def _load_model(cfg: RunConfig, checkpoint, d0: int):
     if set(params.metapaths) != set(cfg.metapaths):
         raise ConfigError(f"checkpoint meta-paths {sorted(params.metapaths)} "
                           f"differ from configured {sorted(cfg.metapaths)}")
+    for key, fixed in FIXED_SETTINGS.items():
+        value = echo.get(key, fixed)
+        if value != fixed:
+            raise ConfigError(f"{checkpoint}: checkpoint was trained with {key} = {value}, "
+                              f"but only {fixed} is supported; retrain")
     # the graphs must be the ones trained on
-    trained = echo.get("metapaths.binarize_threshold")
-    if trained is None:
-        raise ConfigError(f"{checkpoint}: checkpoint echo lacks 'metapaths.binarize_threshold'")
-    if trained != str(cfg.binarize_threshold):
-        raise ConfigError(f"checkpoint was trained with [metapaths] binarize_threshold = "
-                          f"{trained}, configured {cfg.binarize_threshold}")
     if echo.get("metapaths.top_k") != str(TOP_K):
         raise ConfigError(f"{checkpoint}: checkpoint was trained on binarized meta-path "
                           f"graphs, not top-{TOP_K} ones; retrain")
@@ -396,15 +403,14 @@ def cmd_predict(args, cfg: RunConfig) -> int:
 
 def cmd_gradcheck(args) -> int:
     started = time.time()
-    seed = args.seed if args.seed is not None else 0
     worst = 0.0
     for label, sizes in GRADCHECK_INSTANCES:
-        graphs, features, pairs, labels = desk_instance(seed=seed, **sizes)
+        graphs, features, pairs, labels = desk_instance(seed=args.seed, **sizes)
         n = len(features)
         density = [g.mask.nnz / (n * n) for g in graphs.values()]
         config = ModelConfig(input_dim=features.shape[1], hidden_dim=3, heads=2,
-                             attn_dim=5, dropout=0.0, seed=seed)
-        params = init_params(config, sorted(graphs), purpose_rng(seed, "init"),
+                             attn_dim=5, dropout=0.0, seed=args.seed)
+        params = init_params(config, sorted(graphs), purpose_rng(args.seed, "init"),
                              dtype=np.float64)
 
         def loss_fn():
@@ -413,7 +419,7 @@ def cmd_gradcheck(args) -> int:
 
         report = finite_diff_check(loss_fn, params.named(), probes=args.probes,
                                    epsilon=args.epsilon,
-                                   rng=np.random.default_rng(seed))
+                                   rng=np.random.default_rng(args.seed))
         worst = max(worst, report.max_rel_error)
         groups = {}
         for name, record in report.worst_by_param.items():

@@ -7,8 +7,11 @@ field ``hidden_dim`` names its key ``hidden`` in its metadata. ``[training]``
 keys are the fields of `TrainConfig` except ``seed``. Every other section's
 keys are the `RunConfig` fields tagged with it. So the published
 hyperparameters are written only as `ModelConfig` and `TrainConfig`
-defaults. File values and command-line overrides are parsed by field type; a
-bad section, key or value raises `ConfigError` naming the file and the key.
+defaults. What the paper fixes is not a key: the encoder activation (relu),
+meta-path attention's mean over drugs, and the meta-path neighbors (drugs
+that share a path instance, cut to top-k PathSim). File values and
+command-line overrides are parsed by field type; a bad section, key or
+value raises `ConfigError` naming the file and the key.
 
 Relative paths in a config file resolve against the file's directory; a
 path given as a command-line override (``--out``) resolves against the
@@ -75,7 +78,6 @@ class RunConfig:
     espf_threshold: int = _key("features", 5)
     espf_max_size: int = _key("features", 512)
     metapaths: tuple[str, ...] = _key("metapaths", tuple(builtin_spec_names()))
-    binarize_threshold: int = _key("metapaths", 1)
     # ModelConfig and TrainConfig values set by the config file, by field name
     model: dict = field(default_factory=dict, metadata={"section": "model"})
     training: dict = field(default_factory=dict, metadata={"section": "training"})

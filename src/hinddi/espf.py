@@ -46,7 +46,6 @@ __all__ = [
     "build_feature_matrix",
     "smiles_in_registry_order",
     "save_vocab",
-    "load_vocab",
     "load_smiles",
     "load_fingerprints",
     "save_features",
@@ -284,57 +283,14 @@ def build_feature_matrix(smiles_by_drug: dict[str, str], vocab: Vocabulary,
 
 
 def save_vocab(vocab: Vocabulary, path) -> None:
-    """One unit per line: base units first, then merge products in merge
-    order carrying their (left, right) parts as extra columns so the file
-    reloads to an identical vocabulary."""
+    """A header line with the threshold and size cap, then one unit per
+    line: base units first, then merge products in merge order, each with
+    its (left, right) parts as extra columns. The file records the
+    vocabulary that `featurize` used; nothing reads it back."""
     lines = [f"#threshold={vocab.threshold}\tmax_size={vocab.max_size}"]
     lines += list(vocab.units[:vocab.n_base])
     lines += [f"{left + right}\t{left}\t{right}" for left, right in vocab.merges]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def load_vocab(path) -> Vocabulary:
-    threshold, max_size = 1, 0
-    units: list[str] = []
-    merges: list[tuple[str, str]] = []
-    seen: set[str] = set()
-    n_base = None
-    text = Path(path).read_text(encoding="utf-8")
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if raw.startswith("#"):
-            for part in raw[1:].split("\t"):
-                key, _, value = part.partition("=")
-                if key == "threshold":
-                    threshold = int(value)
-                elif key == "max_size":
-                    max_size = int(value)
-            continue
-        if not raw:
-            continue
-        parts = raw.split("\t")
-        if len(parts) == 1:
-            if merges:
-                raise RelationParseError(
-                    f"{path}:{lineno}: base unit {raw!r} after merge lines")
-            unit = parts[0]
-        elif len(parts) == 3:
-            unit, left, right = parts
-            if unit != left + right:
-                raise RelationParseError(
-                    f"{path}:{lineno}: merge {left!r}+{right!r} does not form {unit!r}")
-            if n_base is None:
-                n_base = len(units)
-            merges.append((left, right))
-        else:
-            raise RelationParseError(f"{path}:{lineno}: malformed vocabulary line {raw!r}")
-        if unit not in seen:
-            units.append(unit)
-            seen.add(unit)
-    if n_base is None:
-        n_base = len(units)
-    if max_size == 0:
-        max_size = len(units)
-    return Vocabulary(tuple(units), n_base, tuple(merges), threshold, max_size)
 
 
 def _fingerprint_bit_id(bit: int) -> str:

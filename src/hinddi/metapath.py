@@ -4,12 +4,13 @@ A meta-path is a chain of typed relation steps starting and ending at
 drugs. Its commuting matrix is the integer product of the step matrices;
 entry (i, j) counts concrete path instances from drug i to drug j. The
 encoder consumes a neighbor graph per meta-path. A drug's candidates are
-the other drugs whose count reaches a threshold; a drug with more than k
-candidates keeps the k of highest PathSim (Sun et al., VLDB 2011) and
-every drug that keeps it, so that the graph stays symmetric. Self-loops
-are added, and the graph is held as one canonical boolean CSR array that
-graph attention reads as it is. With k = 0 every candidate is kept: the
-paper's binarized graph.
+the other drugs with which it shares at least one path instance, as in
+HAN (Wang et al., WWW 2019); a drug with more than k candidates keeps the
+k of highest PathSim (Sun et al., VLDB 2011) and every drug that keeps
+it, so that the graph stays symmetric. Self-loops are added, and the
+graph is held as one canonical boolean CSR array that graph attention
+reads as it is. With k = 0 every candidate is kept: the paper's binarized
+graph.
 
 The cut matters at paper scale. On 513 drugs, the binarized DID-3 and
 DID-4 graphs are 100% and 74% dense, and node attention cannot single out
@@ -213,11 +214,12 @@ class NeighborGraph:
         return self.mask.shape[0]
 
 
-def neighbor_graph(m: CommutingMatrix, threshold: int = 1, top_k: int = TOP_K) -> NeighborGraph:
-    """Drug i's neighbors: itself and its candidates, the drugs j != i with
-    count >= `threshold`. A drug with more than `top_k` candidates keeps
-    only its `top_k` highest-PathSim ones, and gets back every drug that
-    keeps it; `top_k = 0` keeps every candidate, the paper's binarization.
+def neighbor_graph(m: CommutingMatrix, top_k: int = TOP_K) -> NeighborGraph:
+    """Drug i's neighbors: itself and its candidates, the drugs j != i
+    that share at least one path instance with it. A drug with more than
+    `top_k` candidates keeps only its `top_k` highest-PathSim ones, and
+    gets back every drug that keeps it; `top_k = 0` keeps every candidate,
+    the paper's binarization.
 
     PathSim is 2 M_ij / max(M_ii + M_jj, 1) in float64 (Sun et al., VLDB
     2011); the floor covers a zero diagonal beside positive counts, as
@@ -226,17 +228,15 @@ def neighbor_graph(m: CommutingMatrix, threshold: int = 1, top_k: int = TOP_K) -
     of the kept sets with their transpose: symmetric, and a drug with at
     most `top_k` candidates keeps exactly its binarized row.
     """
-    if threshold < 1:
-        raise ValueError(f"binarization threshold must be >= 1, got {threshold}")
     if top_k < 0:
         raise ValueError(f"top_k must be >= 0, got {top_k}")
-    adj = m.counts >= threshold
+    adj = m.counts > 0
     np.fill_diagonal(adj, True)
     degree = np.count_nonzero(adj, axis=1)
     if top_k and degree.max(initial=0) > top_k + 1:
         heavy = _rows_to_cut(adj, degree, top_k)
         if heavy.size:
-            _keep_top_pathsim(adj, m.counts, top_k, threshold, heavy)
+            _keep_top_pathsim(adj, m.counts, top_k, heavy)
             degree = np.count_nonzero(adj, axis=1)
     n = adj.shape[0]
     idx = sp.get_index_dtype(maxval=adj.size)  # int32 unless n^2 overflows it
@@ -267,7 +267,7 @@ def _rows_to_cut(adj: np.ndarray, degree: np.ndarray, k: int) -> np.ndarray:
     return np.flatnonzero(heavy)
 
 
-def _keep_top_pathsim(adj: np.ndarray, counts: np.ndarray, k: int, threshold: int,
+def _keep_top_pathsim(adj: np.ndarray, counts: np.ndarray, k: int,
                       heavy: np.ndarray) -> None:
     """Cut each `heavy` row of `adj` (candidates plus self-loops) to its
     self-loop and its top k candidates by (-PathSim, column), then give it
@@ -303,8 +303,6 @@ def _keep_top_pathsim(adj: np.ndarray, counts: np.ndarray, k: int, threshold: in
             np.maximum(score, 1.0, out=score)
         np.divide(block, score, out=score)
         score[np.arange(rows.size), rows] = 0.0
-        if threshold > 1:  # else counts off the candidates are 0 already
-            score *= adj[rows]
         if block.max(initial=0) < limit:
             key = score.view(np.int64)
             key &= ~low

@@ -52,7 +52,7 @@ def auroc(scores, labels) -> float:
     last = np.cumsum(counts)
     ranks = 0.5 * ((last - counts + 1) + last)  # average of ranks first .. last
     rank_sum = ranks[group][labels == 1].sum()
-    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
 def evaluate(scores, labels, threshold: float = 0.5) -> Metrics:

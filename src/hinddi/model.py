@@ -5,16 +5,16 @@ One matmul projects drug features for all K heads at once into an
 fused `graph_attention` node scores each head's neighbors (leaky-relu of
 that head's row of a (K, 2F) attention matrix applied to the concatenated
 pair projection), normalizes the scores by a masked softmax over the
-neighbor mask and aggregates; one activation node follows. The attention
+neighbor mask and aggregates; one relu node follows. The attention
 node reads each graph's `NeighborGraph.edge_layout`: its CSR mask, with
 the index arrays built from it on the first call, for a learned alpha and
 a fixed one alike. One `semantic_attention` node scores each meta-path
-embedding through a small tanh layer and fuses them with softmax weights
-beta. One `pair_scores` node gives pair probabilities, the
-sigmoid of the dot product of the fused embeddings, and one
-`binary_cross_entropy` node gives the training loss. Whatever the number
-of drugs, heads or pairs, a training step records dropout, the
-projection, two nodes per meta-path and these three.
+embedding by the mean over drugs of a small tanh layer and fuses them
+with softmax weights beta. One `pair_scores` node gives pair
+probabilities, the sigmoid of the dot product of the fused embeddings,
+and one `binary_cross_entropy` node gives the training loss. Whatever
+the number of drugs, heads or pairs, a training step records dropout,
+the projection, two nodes per meta-path and these three.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import UNARY_KINDS, ContractError, ParameterError, ShapeError, Tensor
+from .autodiff import ContractError, ParameterError, ShapeError, Tensor
 from .metapath import NeighborGraph
 
 __all__ = [
@@ -52,7 +52,9 @@ PROB_CLAMP = 1e-7
 @dataclass
 class ModelConfig:
     """Architecture knobs; defaults follow the published hyperparameters
-    (8 heads of 8 hidden units, dropout 0.6, leaky slope 0.2)."""
+    (8 heads of 8 hidden units, dropout 0.6, leaky slope 0.2). The rest of
+    the architecture is fixed, as in HAN: each meta-path embedding passes
+    through a relu, and meta-path attention scores the mean over drugs."""
 
     input_dim: int
     hidden_dim: int = field(default=8, metadata={"key": "hidden"})  # [model] hidden
@@ -60,8 +62,6 @@ class ModelConfig:
     attn_dim: int = 128
     leaky_slope: float = 0.2
     dropout: float = 0.6
-    activation: str = "relu"
-    pool: str = "mean"  # node pooling in meta-path scoring: mean or sum
     seed: int = 0
 
     def __post_init__(self):
@@ -74,11 +74,6 @@ class ModelConfig:
             raise ParameterError(f"dropout {self.dropout} outside [0, 1)")
         if not math.isfinite(self.leaky_slope):
             raise ParameterError(f"leaky_slope must be finite, got {self.leaky_slope}")
-        if self.pool not in ("mean", "sum"):
-            raise ParameterError(f"pool must be 'mean' or 'sum', got {self.pool!r}")
-        if self.activation not in UNARY_KINDS:
-            raise ParameterError(f"activation must be one of {', '.join(UNARY_KINDS)}; "
-                                 f"got {self.activation!r}")
 
     def echo(self) -> dict[str, str]:
         """Every field as a string: repr for floats, so they read back exactly."""
@@ -88,7 +83,7 @@ class ModelConfig:
     @classmethod
     def from_echo(cls, echo: dict[str, str]) -> "ModelConfig":
         """Inverse of `echo`; other keys are ignored, a missing one raises KeyError."""
-        parse = {"int": int, "float": float, "str": str}
+        parse = {"int": int, "float": float}
         return cls(**{f.name: parse[f.type](echo[f.name]) for f in fields(cls)})
 
 
@@ -206,7 +201,6 @@ def encode(params: ModelParams, features: np.ndarray,
     if rate:
         x = ad.dropout(x, rate, rng, training)
     h = ad.matmul(x, params.proj)
-    act_slope = 0.2 if config.activation == "leaky_relu" else None
 
     z_mp: dict[str, Tensor] = {}
     alphas_out: dict[str, Sequence[Tensor]] = {}
@@ -216,7 +210,7 @@ def encode(params: ModelParams, features: np.ndarray,
             h, params.attn[mp] if fixed is None else None, graphs[mp].edge_layout,
             heads=config.heads, slope=config.leaky_slope, dropout=rate, rng=rng,
             fixed=fixed)
-        z_mp[mp] = ad.apply_unary(config.activation, z, act_slope)
+        z_mp[mp] = ad.relu(z)
 
     z_list = [z_mp[mp] for mp in params.metapaths]
     t = len(z_list)
@@ -225,7 +219,7 @@ def encode(params: ModelParams, features: np.ndarray,
                                             fixed=np.full(t, 1.0 / t, dtype=dtype))
     else:
         fused, beta = ad.semantic_attention(z_list, params.w_mp, params.b_mp,
-                                            params.q_mp, pool=config.pool)
+                                            params.q_mp)
     return EncoderOutput(z_mp=z_mp, beta=beta, fused=fused, alphas=alphas_out)
 
 

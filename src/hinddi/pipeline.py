@@ -9,8 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .espf import (
     FeatureMatrix,
     Vocabulary,
@@ -65,14 +63,10 @@ def load_hin_inputs(paths: InputPaths) -> Hin:
     return build_hin(registry, relations, ddi)
 
 
-def make_graphs(hin: Hin, metapath_names, threshold: int = 1,
-                top_k: int = TOP_K) -> dict[str, NeighborGraph]:
+def make_graphs(hin: Hin, metapath_names, top_k: int = TOP_K) -> dict[str, NeighborGraph]:
     """Top-k PathSim neighbor graphs for the selected meta-paths."""
-    graphs = {}
-    for name in metapath_names:
-        spec = spec_by_name(name)
-        graphs[name] = neighbor_graph(commuting_matrix(hin, spec), threshold, top_k)
-    return graphs
+    return {name: neighbor_graph(commuting_matrix(hin, spec_by_name(name)), top_k)
+            for name in metapath_names}
 
 
 def make_espf_features(smiles_path, hin: Hin, threshold: int = 5,

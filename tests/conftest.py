@@ -137,10 +137,10 @@ def brute_force_path_counts(hin, spec):
     return np.array(rows, dtype=np.int64).reshape(n, n)
 
 
-def reference_neighbor_mask(counts, threshold, top_k):
+def reference_neighbor_mask(counts, top_k):
     """Dense bool neighbor mask by brute force, one row at a time.
 
-    Drug i's candidates are the drugs j != i with count >= threshold. When
+    Drug i's candidates are the drugs j != i with a positive count. When
     top_k > 0 and there are more than top_k, the row keeps the first top_k
     after sorting by (-PathSim, column), PathSim being
     2 M_ij / max(M_ii + M_jj, 1) in Python floats, and then gets back every
@@ -150,7 +150,7 @@ def reference_neighbor_mask(counts, threshold, top_k):
     keep = np.zeros((n, n), dtype=bool)
     cut = []
     for i in range(n):
-        candidates = [j for j in range(n) if j != i and counts[i][j] >= threshold]
+        candidates = [j for j in range(n) if j != i and counts[i][j] > 0]
         if 0 < top_k < len(candidates):
             pathsim = {j: 2.0 * int(counts[i][j]) / max(int(counts[i][i]) + int(counts[j][j]), 1)
                        for j in candidates}

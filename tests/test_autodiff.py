@@ -30,6 +30,20 @@ def total(x, weights=None):
                     lambda g: [g * w])
 
 
+def tanh_total(x, weights):
+    """sum(tanh(x) * weights) as a scalar node: a smooth probe of an op's
+    output for the adjoint tests."""
+    y = np.tanh(x.data)
+    return ad._node(np.asarray(np.sum(y * weights)), "tanh_total", (x,),
+                    lambda g: [g * weights * (1 - y * y)])
+
+
+def sigmoid(x):
+    """The logistic function as a node, for tests that need probabilities."""
+    y = 1 / (1 + np.exp(-x.data))
+    return ad._node(y, "sigmoid", (x,), lambda g: [g * y * (1 - y)])
+
+
 def matmul_oracle(a, b):
     """Naive triple loop, independent of numpy's matmul."""
     m, k = a.shape
@@ -82,28 +96,23 @@ class TestMatmul:
             ad.matmul(a, b)
 
 
-class TestUnary:
-    def test_sigmoid_at_zero(self):
-        assert ad.apply_unary("sigmoid", Tensor(0.0)).item() == 0.5
+class TestRelu:
+    def test_definition(self):
+        out = ad.relu(Tensor([-1.0, 0.0, 2.0]))
+        assert out._op == "relu"
+        np.testing.assert_array_equal(out.data, [0.0, 0.0, 2.0])
 
-    def test_relu_definition(self):
-        out = ad.apply_unary("relu", Tensor([-1.0, 2.0]))
-        np.testing.assert_array_equal(out.data, [0.0, 2.0])
+    def test_keeps_float32(self):
+        x = Tensor(np.array([-1.0, 2.0]), requires_grad=True, dtype=np.float32)
+        out = ad.relu(x)
+        assert out.data.dtype == np.float32
+        backward(total(out, np.ones(2, dtype=np.float32)))
+        assert x.grad.dtype == np.float32
 
-    def test_leaky_relu_definition(self):
-        out = ad.apply_unary("leaky_relu", Tensor([-1.0]), slope=0.2)
-        np.testing.assert_allclose(out.data, [-0.2], rtol=1e-6)
-
-    def test_slope_required_iff_leaky(self):
-        with pytest.raises(ad.ParameterError):
-            ad.apply_unary("relu", Tensor([1.0]), slope=0.1)
-        with pytest.raises(ad.ParameterError):
-            ad.apply_unary("leaky_relu", Tensor([1.0]))
-
-    def test_unknown_kind_names_the_allowed_kinds(self):
-        for kind in ("exp", "log", "gelu"):
-            with pytest.raises(ad.ParameterError, match="relu, leaky_relu, tanh, sigmoid"):
-                ad.apply_unary(kind, Tensor([1.0]))
+    def test_adjoint_passes_positive_entries(self):
+        x = Tensor([-1.0, 0.0, 2.0, 3.0], requires_grad=True)
+        backward(total(ad.relu(x), np.array([5.0, 6.0, 7.0, 8.0])))
+        np.testing.assert_array_equal(x.grad, [0.0, 0.0, 7.0, 8.0])
 
 
 def attention_alpha(h, a, mask):
@@ -331,7 +340,7 @@ class TestBackward:
     def test_non_scalar_loss_rejected(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         with pytest.raises(ad.ContractError):
-            backward(ad.apply_unary("tanh", x))
+            backward(ad.relu(x))
 
     def test_reused_tensor_accumulates(self):
         x = Tensor([[3.0]], requires_grad=True)
@@ -386,18 +395,16 @@ class TestAdjoints:
             return total(ad.matmul(ad.matmul(a, b), c), w)
         _fd_check_op(f, 3)
 
-    def test_unaries_and_clip(self):
-        # Probabilities lie in [0.5, 0.73]; a clamp of 0.35 cuts those
-        # above 0.65, where the loss must have zero gradient.
+    def test_relu_and_clip(self):
+        # Probabilities lie in [0.5, 1); a clamp of 0.35 cuts those above
+        # 0.65, where the loss must have zero gradient.
         labels = np.array([[1, 0, 1], [0, 0, 1], [1, 1, 0]])
 
         @_with_shapes((3, 3),)
         def f(x):
-            y = ad.apply_unary("tanh", x)
-            y = ad.apply_unary("relu", ad.apply_unary("leaky_relu", y, 0.2))
-            return ad.binary_cross_entropy(ad.apply_unary("sigmoid", y), labels, 0.35)
+            return ad.binary_cross_entropy(sigmoid(ad.relu(x)), labels, 0.35)
         (x,) = _fd_check_op(f, 1).values()
-        clamped = 1 / (1 + np.exp(-np.maximum(np.tanh(x.data), 0))) >= 0.65
+        clamped = 1 / (1 + np.exp(-np.maximum(x.data, 0))) >= 0.65
         live = ~clamped & (x.data > 0)  # relu zeroes the rest
         assert clamped.any() and live.any()
         assert np.all(x.grad[clamped] == 0) and np.all(x.grad[live] != 0)
@@ -408,7 +415,7 @@ class TestAdjoints:
         @_with_shapes((6, 6),)
         def f(x):
             out = ad.dropout(x, 0.4, np.random.default_rng(123), training=True)
-            return total(ad.apply_unary("tanh", out), w)
+            return tanh_total(out, w)
         _fd_check_op(f, 1)
 
     def test_graph_attention_with_dropout(self):
@@ -421,7 +428,7 @@ class TestAdjoints:
             # A fresh generator per call replays the same dropout masks.
             out, _ = ad.graph_attention(h, a, mask, heads=3, slope=0.2,
                                         dropout=0.4, rng=np.random.default_rng(9))
-            return total(ad.apply_unary("tanh", out), w)
+            return tanh_total(out, w)
         _fd_check_op(f, 2)
 
     @pytest.mark.parametrize("slope", [0.2, 1.5, -0.1])
@@ -435,7 +442,7 @@ class TestAdjoints:
         def f(h, a):
             out, _ = ad.graph_attention(h, a, mask, heads=2, slope=slope,
                                         dropout=0.4, rng=np.random.default_rng(9))
-            return total(ad.apply_unary("tanh", out), w)
+            return tanh_total(out, w)
         _fd_check_op(f, 2)
 
     @pytest.mark.parametrize("n", [7, 64])
@@ -452,7 +459,7 @@ class TestAdjoints:
                                         dropout=0.4, rng=np.random.default_rng(9),
                                         fixed=fixed)
             assert out._parents == (h,)
-            return total(ad.apply_unary("tanh", out), w)
+            return tanh_total(out, w)
         _fd_check_op(f, 1)
 
         h = Tensor(np.ones((n, 6)))
@@ -460,14 +467,13 @@ class TestAdjoints:
             with pytest.raises(ad.ParameterError):
                 ad.graph_attention(h, a, mask, heads=2, slope=0.2, fixed=alpha)
 
-    @pytest.mark.parametrize("pool", ["mean", "sum"])
-    def test_semantic_attention(self, pool):
+    def test_semantic_attention(self):
         w = _weights((5, 4))
 
         @_with_shapes((5, 4), (5, 4), (5, 4), (3, 4), (3,), (3,))
         def f(z0, z1, z2, wm, b, q):
-            out, _ = ad.semantic_attention([z0, z1, z2], wm, b, q, pool=pool)
-            return total(ad.apply_unary("tanh", out), w)
+            out, _ = ad.semantic_attention([z0, z1, z2], wm, b, q)
+            return tanh_total(out, w)
         _fd_check_op(f, 6)
 
     def test_semantic_attention_with_fixed_beta(self):
@@ -478,7 +484,7 @@ class TestAdjoints:
             out, beta = ad.semantic_attention([z0, z1, z2], None, None, None,
                                               fixed=np.array([0.2, 0.5, 0.3]))
             assert out._parents == (z0, z1, z2) and beta._parents == ()
-            return total(ad.apply_unary("tanh", out), w)
+            return tanh_total(out, w)
         _fd_check_op(f, 3)
 
         z = Tensor(np.ones((5, 4)))
@@ -1054,15 +1060,15 @@ def test_repeated_screens_reuse_the_pool(monkeypatch):
 
 @settings(max_examples=60, deadline=None)
 @given(t=st.integers(1, 4), n=st.integers(1, 6), width=st.integers(1, 5),
-       d_q=st.integers(1, 4), pool=st.sampled_from(["mean", "sum"]),
-       scale=st.floats(0.1, 10.0), seed=st.integers(0, 2**32 - 1))
+       d_q=st.integers(1, 4), scale=st.floats(0.1, 10.0),
+       seed=st.integers(0, 2**32 - 1))
 def test_semantic_attention_beta_on_simplex_and_weights_the_sum(t, n, width, d_q,
-                                                                 pool, scale, seed):
+                                                                 scale, seed):
     rng = np.random.default_rng(seed)
     zs = [Tensor(rng.standard_normal((n, width)) * scale) for _ in range(t)]
     w, b, q = (Tensor(rng.standard_normal(shape) * scale)
                for shape in ((d_q, width), (d_q,), (d_q,)))
-    out, beta = ad.semantic_attention(zs, w, b, q, pool=pool)
+    out, beta = ad.semantic_attention(zs, w, b, q)
     assert beta.shape == (t,) and np.all(beta.data >= 0)
     assert abs(beta.data.sum() - 1.0) < 1e-12
     expect = sum(beta.data[k] * zs[k].data for k in range(t))
@@ -1080,8 +1086,7 @@ class TestFiniteDiffCheck:
 
     def test_sigmoid_at_zero(self):
         x = Tensor(np.array(0.0), requires_grad=True, dtype=np.float64)
-        report = finite_diff_check(lambda: ad.apply_unary("sigmoid", x), {"x": x},
-                                   probes=1)
+        report = finite_diff_check(lambda: sigmoid(x), {"x": x}, probes=1)
         assert report.max_rel_error < 1e-8
         assert abs(report.worst_by_param["x"].analytic - 0.25) < 1e-12
 

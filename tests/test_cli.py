@@ -13,11 +13,11 @@ import pytest
 from hinddi import autodiff as ad
 from hinddi import cli
 from hinddi.cli import main
-from hinddi.config import RunConfig
+from hinddi.config import ConfigError, RunConfig
 from hinddi.metapath import TOP_K
 from hinddi.model import ModelConfig, encode, load_checkpoint, save_checkpoint
 from hinddi.synth import desk_instance
-from tests.test_model import per_head_layout
+from tests.test_model import LEGACY_CHECKPOINT, per_head_layout
 
 
 def run_cli(*argv):
@@ -264,31 +264,67 @@ class TestTrain:
                                          if k != "metapaths.top_k"})
         binarized = root / "binarized.bin"
         save_checkpoint(binarized, params, {**echo, "metapaths.top_k": "0"})
-        no_threshold = root / "no_threshold.bin"
-        save_checkpoint(no_threshold, params, {k: v for k, v in echo.items()
-                                               if k != "metapaths.binarize_threshold"})
         pairs = root / "pairs.tsv"
         pairs.write_text("D000\tD001\n", encoding="utf-8")
         extra = ["--pairs", pairs] if command == "predict" else []
 
-        def run(checkpoint, settings=""):
-            cfg = root / "graphs.cfg"
-            cfg.write_text((root / "run.cfg").read_text(encoding="utf-8")
-                           + f"\n[metapaths]\n{settings}\n", encoding="utf-8")
-            return run_cli(command, "--config", cfg, "--checkpoint", checkpoint, *extra)
+        def run(checkpoint):
+            return run_cli(command, "--config", root / "run.cfg", "--checkpoint",
+                           checkpoint, *extra)
 
         retrain = f"trained on binarized meta-path graphs, not top-{TOP_K} ones; retrain"
-        for checkpoint, settings, fragment in (
-                (legacy, "", retrain),
-                (binarized, "", retrain),
-                (good, "binarize_threshold = 2",
-                 "trained with [metapaths] binarize_threshold = 1, configured 2"),
-                (no_threshold, "", "lacks 'metapaths.binarize_threshold'")):
-            assert run(checkpoint, settings) == 1
+        for checkpoint in (legacy, binarized):
+            assert run(checkpoint) == 1
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1, err
-            assert fragment in err, err
-        assert run(good, "binarize_threshold = 1") == 0
+            assert retrain in err, err
+        assert run(good) == 0
+
+    @pytest.mark.parametrize("key, value, fixed", [
+        ("activation", "tanh", "relu"), ("model.activation", "tanh", "relu"),
+        ("pool", "sum", "mean"), ("model.pool", "sum", "mean"),
+        ("metapaths.binarize_threshold", "2", "1")])
+    def test_checkpoint_with_a_removed_setting_is_refused(self, pipeline, tmp_path,
+                                                          capsys, key, value, fixed):
+        # older checkpoints echo settings that are now fixed
+        root, cfg = pipeline
+        params, echo = load_checkpoint(root / "out" / "checkpoint.bin")
+        assert key not in echo
+        old = tmp_path / "old.bin"
+        save_checkpoint(old, params, {**echo, key: value})
+        assert run_cli("evaluate", "--config", cfg, "--checkpoint", old) == 1
+        assert capsys.readouterr().err == (
+            f"error: {old}: checkpoint was trained with {key} = {value}, "
+            f"but only {fixed} is supported; retrain\n")
+
+    def test_checkpoint_echoing_the_fixed_values_loads(self, pipeline, tmp_path):
+        root, cfg = pipeline
+        out = root / "out"
+        params, echo = load_checkpoint(out / "checkpoint.bin")
+        old = tmp_path / "old.bin"
+        save_checkpoint(old, params, {**echo, "activation": "relu", "model.activation": "relu",
+                                      "pool": "mean", "model.pool": "mean",
+                                      "metapaths.binarize_threshold": "1"})
+        assert run_cli("evaluate", "--config", cfg, "--checkpoint", old) == 0
+        assert ((out / "eval_test.tsv").read_text()
+                == (out / "metrics_test.tsv").read_text())
+
+    def test_per_head_fixture_passes_the_fixed_settings(self, tmp_path):
+        # its echo says relu and mean; it predates top-k graphs, so the graph
+        # check alone refuses it, and with a top-k echo it loads
+        cfg = RunConfig(metapaths=("DID-1", "DID-3"))
+        with pytest.raises(ConfigError, match=f"not top-{TOP_K} ones; retrain$"):
+            cli._load_model(cfg, LEGACY_CHECKPOINT, 4)
+        params, echo = load_checkpoint(LEGACY_CHECKPOINT)
+        assert (echo["activation"], echo["pool"]) == ("relu", "mean")
+        topk = tmp_path / "topk.bin"
+        save_checkpoint(topk, per_head_layout(params, 2),
+                        {**echo, "metapaths.top_k": str(TOP_K)})
+        loaded, config = cli._load_model(cfg, topk, 4)
+        assert config == ModelConfig.from_echo(echo)
+        assert loaded.named().keys() == params.named().keys()
+        for name, tensor in params.named().items():
+            assert loaded.named()[name].data.tobytes() == tensor.data.tobytes(), name
 
     def test_evaluate_reproduces_train_test_metrics(self, pipeline):
         root, cfg = pipeline
@@ -443,18 +479,25 @@ class TestGradcheck:
         assert "gradcheck: pass" in out
         for group in ("proj", "attn", "w_mp", "b_mp", "q_mp"):
             assert out.count(f"  {group} ") == 2
-        # both instances, their graphs on either side of SPARSE_DENSITY
+        # both instances: a small one and one as sparse as paper-scale graphs
         assert "dense instance, 12 drugs" in out and "sparse instance, 64 drugs" in out
         assert "branch" not in out
 
     @pytest.mark.parametrize("seed", [0, 1, 7])
     def test_instances_lie_on_either_side_of_sparse_density(self, seed):
+        # Both run the same attention code: SPARSE_DENSITY picks only the
+        # dropout draw order, and gradcheck runs at dropout 0. The bound
+        # keeps the sparse instance as sparse as paper-scale top-16 graphs.
         ((_, dense), (_, sparse)) = cli.GRADCHECK_INSTANCES
         for sizes, under in ((dense, False), (sparse, True)):
             graphs, features, _, _ = desk_instance(seed=seed, **sizes)
             n = len(features)
             assert all((g.mask.nnz < ad.SPARSE_DENSITY * n * n) == under
                        for g in graphs.values())
+
+    def test_seed_defaults_to_zero(self):
+        # `cmd_gradcheck` passes the seed on unchecked, so it is never None
+        assert cli.build_parser().parse_args(["gradcheck"]).seed == 0
 
     def test_corrupt_adjoint_fails(self, monkeypatch, capsys):
         right = cli.bce_loss

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hinddi.autodiff import UNARY_KINDS
 from hinddi.cli import main
 from hinddi.config import RunConfig
 from hinddi.metapath import builtin_spec_names
@@ -36,7 +35,6 @@ espf_max_size = 100
 
 [metapaths]
 metapaths = DID-3, DID-1
-binarize_threshold = 2
 
 [model]
 hidden = 4
@@ -44,8 +42,6 @@ heads = 2
 attn_dim = 16
 leaky_slope = 0.1
 dropout = 0.25
-activation = tanh
-pool = sum
 
 [training]
 lr = 1e-2
@@ -94,14 +90,11 @@ class TestSchema:
             ("features.espf_threshold", "3"),
             ("features.espf_max_size", "100"),
             ("metapaths.metapaths", "DID-3,DID-1"),
-            ("metapaths.binarize_threshold", "2"),
             ("model.hidden", "4"),
             ("model.heads", "2"),
             ("model.attn_dim", "16"),
             ("model.leaky_slope", "0.1"),
             ("model.dropout", "0.25"),
-            ("model.activation", "tanh"),
-            ("model.pool", "sum"),
             ("training.lr", "0.01"),
             ("training.weight_decay", "0.0"),
             ("training.epochs", "7"),
@@ -117,7 +110,7 @@ class TestSchema:
         cfg = load(tmp_path, EVERY_KEY)
         assert cfg.model_config(input_dim=5) == ModelConfig(
             input_dim=5, hidden_dim=4, heads=2, attn_dim=16, leaky_slope=0.1,
-            dropout=0.25, activation="tanh", pool="sum", seed=11)
+            dropout=0.25, seed=11)
         assert cfg.train_config() == TrainConfig(
             lr=0.01, weight_decay=0.0, epochs=7, patience=3, seed=11)
         assert RunConfig().train_config() == TrainConfig()
@@ -128,8 +121,7 @@ class TestSchema:
         training = {k.split(".")[1] for k in echo if k.startswith("training.")}
         assert model == {f.metadata.get("key", f.name) for f in fields(ModelConfig)
                          if f.name not in ("input_dim", "seed")}
-        assert model == {"hidden", "heads", "attn_dim", "leaky_slope", "dropout",
-                         "activation", "pool"}
+        assert model == {"hidden", "heads", "attn_dim", "leaky_slope", "dropout"}
         assert training == {f.name for f in fields(TrainConfig)} - {"seed"}
 
     @settings(max_examples=60, deadline=None)
@@ -152,16 +144,13 @@ class TestSchema:
                 "espf_max_size": data.draw(st.integers(1, 5000))},
             "metapaths": {
                 "metapaths": ",".join(data.draw(st.lists(
-                    st.sampled_from(builtin_spec_names()), min_size=1, unique=True))),
-                "binarize_threshold": data.draw(st.integers(1, 9))},
+                    st.sampled_from(builtin_spec_names()), min_size=1, unique=True)))},
             "model": {
                 "hidden": data.draw(st.integers(1, 64)),
                 "heads": data.draw(st.integers(1, 16)),
                 "attn_dim": data.draw(st.integers(1, 256)),
                 "leaky_slope": data.draw(unit),
-                "dropout": data.draw(unit),
-                "activation": data.draw(st.sampled_from(UNARY_KINDS)),
-                "pool": data.draw(st.sampled_from(["mean", "sum"]))},
+                "dropout": data.draw(unit)},
             "training": {
                 "lr": data.draw(st.floats(1e-6, 1)),
                 "weight_decay": data.draw(unit),
@@ -245,16 +234,19 @@ BAD_INPUTS = {
     "default section": (
         "build-graph", prepend("[DEFAULT]\nseed = 3\n"), "unknown section [DEFAULT]"),
     "not UTF-8": (
-        "build-graph", append("[model]\nactivation = r\udcffelu\n"),
+        "build-graph", append("[split]\nprotocol = e\udcffdges\n"),
         "'utf-8' codec can't decode"),
     "bad interpolation": (
-        "build-graph", append("[model]\nactivation = re%lu\n"),
-        "[model] activation: '%' must be followed"),
-    "unknown activation": (
-        "build-graph", append("[model]\nactivation = gelu\n"),
-        "[model] activation must be one of"),
-    "unknown pool": (
-        "build-graph", append("[model]\npool = max\n"), "[model] pool must be"),
+        "build-graph", append("[split]\nprotocol = ed%ges\n"),
+        "[split] protocol: '%' must be followed"),
+    # settings that are now fixed, even at their one value
+    "removed activation key": (
+        "build-graph", append("[model]\nactivation = relu\n"), "unknown key [model] activation"),
+    "removed pool key": (
+        "build-graph", append("[model]\npool = mean\n"), "unknown key [model] pool"),
+    "removed binarize_threshold key": (
+        "build-graph", append("[metapaths]\nbinarize_threshold = 1\n"),
+        "unknown key [metapaths] binarize_threshold"),
     "zero epochs": (
         "build-graph", append("[training]\nepochs = 0\n"),
         "[training] epochs must be >= 1, got 0"),

@@ -215,16 +215,18 @@ class TestNeighborGraph:
     def test_edge_plus_self_loops(self):
         counts = np.zeros((3, 3), dtype=np.int64)
         counts[0, 1] = counts[1, 0] = 3
-        g = neighbor_graph(CommutingMatrix("DID-1", counts), threshold=1)
+        g = neighbor_graph(CommutingMatrix("DID-1", counts))
         expect = np.eye(3, dtype=bool)
         expect[0, 1] = expect[1, 0] = True
         np.testing.assert_array_equal(g.adjacency, expect)
 
-    def test_threshold_filters(self):
+    def test_one_shared_path_instance_makes_an_edge(self):
         counts = np.zeros((3, 3), dtype=np.int64)
-        counts[0, 1] = counts[1, 0] = 3
-        g = neighbor_graph(CommutingMatrix("DID-1", counts), threshold=4)
-        np.testing.assert_array_equal(g.adjacency, np.eye(3, dtype=bool))
+        counts[0, 2] = counts[2, 0] = 1
+        g = neighbor_graph(CommutingMatrix("DID-1", counts))
+        expect = np.eye(3, dtype=bool)
+        expect[0, 2] = expect[2, 0] = True
+        np.testing.assert_array_equal(g.adjacency, expect)
 
     def test_zero_matrix_gives_identity(self):
         g = neighbor_graph(CommutingMatrix("DID-1", np.zeros((4, 4), dtype=np.int64)))
@@ -238,21 +240,21 @@ class TestNeighborGraph:
                 g = neighbor_graph(commuting_matrix(hin, spec))
                 assert g.adjacency.any(axis=1).all()
 
-    @pytest.mark.parametrize("threshold", [1, 2, 3])
-    def test_canonical_csr_matches_dense_oracle(self, threshold):
-        rng = np.random.default_rng(40 + threshold)
+    @pytest.mark.parametrize("seed", [41, 42, 43])
+    def test_canonical_csr_matches_dense_oracle(self, seed):
+        rng = np.random.default_rng(seed)
         for _ in range(10):
             hin = random_hin(rng)
             for spec in builtin_specs():
                 counts = commuting_matrix(hin, spec).counts
-                g = neighbor_graph(CommutingMatrix(spec.name, counts), threshold, top_k=0)
+                g = neighbor_graph(CommutingMatrix(spec.name, counts), top_k=0)
                 mask = g.mask
                 assert isinstance(mask, sp.csr_array) and mask.dtype == bool
                 assert mask.data.all()
                 # sorted and unique within each row: row-major keys strictly rise
                 rows = np.repeat(np.arange(hin.n_drugs), np.diff(mask.indptr))
                 assert np.all(np.diff(rows * hin.n_drugs + mask.indices) > 0)
-                expect = (counts >= threshold) | np.eye(hin.n_drugs, dtype=bool)
+                expect = (counts > 0) | np.eye(hin.n_drugs, dtype=bool)
                 np.testing.assert_array_equal(mask.toarray(), expect)
                 np.testing.assert_array_equal(g.adjacency, expect)
                 assert g.n_nodes == hin.n_drugs
@@ -279,11 +281,6 @@ class TestNeighborGraph:
         g = neighbor_graph(CommutingMatrix("DID-1", np.zeros((3, 3), dtype=np.int64)))
         with pytest.raises(ValueError, match="read-only"):
             g.adjacency[0, 1] = True
-
-    def test_bad_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            neighbor_graph(CommutingMatrix("DID-1", np.zeros((2, 2), dtype=np.int64)),
-                           threshold=0)
 
     def test_negative_top_k_rejected(self):
         with pytest.raises(ValueError, match="top_k must be >= 0, got -1"):
@@ -317,23 +314,21 @@ def count_matrices(draw):
 
 class TestTopKPathSim:
     @settings(max_examples=300, deadline=None)
-    @given(counts=count_matrices(), threshold=st.integers(1, 3),
-           top_k=st.integers(0, 4) | st.integers(0, 26))
-    def test_matches_the_brute_force_oracle(self, counts, threshold, top_k):
-        expect = flat_index_csr(reference_neighbor_mask(counts, threshold, top_k))
+    @given(counts=count_matrices(), top_k=st.integers(0, 4) | st.integers(0, 26))
+    def test_matches_the_brute_force_oracle(self, counts, top_k):
+        expect = flat_index_csr(reference_neighbor_mask(counts, top_k))
         # packed keys where the counts allow them, and sorting everywhere
         for packed_bits in (metapath.PACKED_BITS, 0):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(metapath, "PACKED_BITS", packed_bits)
-                mask = neighbor_graph(CommutingMatrix("DID-2", counts), threshold, top_k).mask
+                mask = neighbor_graph(CommutingMatrix("DID-2", counts), top_k).mask
             assert (mask.indices.tobytes(), mask.indptr.tobytes()) == expect
             assert mask.dtype == bool and mask.data.all()
 
     @settings(max_examples=150, deadline=None)
-    @given(counts=count_matrices(), threshold=st.integers(1, 3),
-           top_k=st.integers(1, 8))
-    def test_self_loops_and_symmetry_in_canonical_csr(self, counts, threshold, top_k):
-        mask = neighbor_graph(CommutingMatrix("DID-3", counts), threshold, top_k).mask
+    @given(counts=count_matrices(), top_k=st.integers(1, 8))
+    def test_self_loops_and_symmetry_in_canonical_csr(self, counts, top_k):
+        mask = neighbor_graph(CommutingMatrix("DID-3", counts), top_k).mask
         n = len(counts)
         assert isinstance(mask, sp.csr_array) and mask.has_canonical_format
         rows = np.repeat(np.arange(n), np.diff(mask.indptr))
@@ -345,7 +340,7 @@ class TestTopKPathSim:
             # a cut row keeps k, a light row holds at most k, and each kept
             # edge adds at most its reverse
             assert mask.nnz <= (2 * top_k + 1) * n
-        binarized = (counts >= threshold) | np.eye(n, dtype=bool)
+        binarized = (counts > 0) | np.eye(n, dtype=bool)
         assert not (adj & ~(binarized | binarized.T)).any()
         # a row with at most top_k candidates is the binarized row
         light = binarized.sum(axis=1) <= top_k + 1
@@ -362,16 +357,6 @@ class TestTopKPathSim:
         adj = neighbor_graph(CommutingMatrix("DID-2", counts), top_k=2).adjacency
         np.testing.assert_array_equal(adj, triangles.astype(bool))
 
-    def test_a_drug_under_the_threshold_is_never_kept(self):
-        # drug 3 shares one path with drug 0, under the threshold of 2, yet
-        # would score highest: 2 * 1 / (4 + 1) against 2 * 2 / (4 + 10)
-        counts = np.diag([4, 10, 10, 1, 1]).astype(np.int64)
-        counts[0, [1, 2, 3]] = counts[[1, 2, 3], 0] = [2, 2, 1]
-        adj = neighbor_graph(CommutingMatrix("DID-4", counts), threshold=2, top_k=1).adjacency
-        # drug 0 keeps drug 1 of the tied two, and gets drug 2 back
-        np.testing.assert_array_equal(np.flatnonzero(adj[0]), [0, 1, 2])
-        np.testing.assert_array_equal(adj, reference_neighbor_mask(counts, 2, 1))
-
     def test_a_cut_that_gives_every_drug_back_is_skipped(self, monkeypatch):
         # drug 0 has 3 candidates, each with only drug 0 as its own: cut to
         # 2, it gets the third back, so its row is not scored at all
@@ -381,13 +366,13 @@ class TestTopKPathSim:
         monkeypatch.setattr(metapath, "_keep_top_pathsim", lambda *args: scored.append(args))
         adj = neighbor_graph(CommutingMatrix("DID-2", counts), top_k=2).adjacency
         assert not scored
-        np.testing.assert_array_equal(adj, reference_neighbor_mask(counts, 1, 2))
+        np.testing.assert_array_equal(adj, reference_neighbor_mask(counts, 2))
         monkeypatch.undo()
         # drug 3 no longer holds drug 0, so it gives nothing back: drug 0 is cut
         counts[3, 0] = 0
         adj = neighbor_graph(CommutingMatrix("DID-2", counts), top_k=2).adjacency
         np.testing.assert_array_equal(np.flatnonzero(adj[0]), [0, 1, 2])
-        np.testing.assert_array_equal(adj, reference_neighbor_mask(counts, 1, 2))
+        np.testing.assert_array_equal(adj, reference_neighbor_mask(counts, 2))
 
     def test_a_cut_row_beside_another_cut_row_is_scored(self):
         # drug 0's candidates are drug 1, which holds only drug 0, and drug
@@ -399,7 +384,7 @@ class TestTopKPathSim:
         adj = neighbor_graph(CommutingMatrix("DID-3", counts), top_k=1).adjacency
         np.testing.assert_array_equal(np.flatnonzero(adj[0]), [0, 1])
         np.testing.assert_array_equal(np.flatnonzero(adj[2]), [2, 3, 4])
-        np.testing.assert_array_equal(adj, reference_neighbor_mask(counts, 1, 1))
+        np.testing.assert_array_equal(adj, reference_neighbor_mask(counts, 1))
 
     def test_counts_too_large_to_pack_are_sorted(self):
         # with no diagonal the scores are the counts; 2**51 and 2**51 + 1
@@ -409,16 +394,16 @@ class TestTopKPathSim:
         counts[0, 1:] = [2 ** 51, 2 ** 51 + 1, 5]
         adj = neighbor_graph(CommutingMatrix("DID-2", counts), top_k=1).adjacency
         np.testing.assert_array_equal(np.flatnonzero(adj[0]), [0, 2])
-        np.testing.assert_array_equal(adj, reference_neighbor_mask(counts, 1, 1))
+        np.testing.assert_array_equal(adj, reference_neighbor_mask(counts, 1))
 
     def test_block_edges_match_the_oracle(self, monkeypatch):
         # rows scored a few at a time, so that blocks end mid-matrix
         counts = np.random.default_rng(8).integers(0, 4, (40, 40))
         counts = counts + counts.T
-        expect = reference_neighbor_mask(counts, 2, 5)
+        expect = reference_neighbor_mask(counts, 5)
         for entries in (1, 40 * 3 + 7, 40 * 40):
             monkeypatch.setattr(metapath, "SCORE_ENTRIES", entries)
-            adj = neighbor_graph(CommutingMatrix("DID-3", counts), 2, 5).adjacency
+            adj = neighbor_graph(CommutingMatrix("DID-3", counts), 5).adjacency
             np.testing.assert_array_equal(adj, expect)
 
     def test_default_is_top_16(self):
@@ -428,7 +413,7 @@ class TestTopKPathSim:
         # all scores tie: each drug keeps the 16 lowest other columns, so
         # the union gives drugs 0-15 every drug and the others 0-15 and
         # themselves
-        np.testing.assert_array_equal(mask.toarray(), reference_neighbor_mask(counts, 1, 16))
+        np.testing.assert_array_equal(mask.toarray(), reference_neighbor_mask(counts, 16))
         assert np.diff(mask.indptr)[[0, 15, 16, 39]].tolist() == [40, 40, 17, 17]
 
     def test_paper_scale_graphs_stay_under_sparse_density(self, tmp_path):

@@ -23,7 +23,9 @@ def auroc_oracle(scores, labels):
 
 class TestAuroc:
     def test_perfect_separation(self):
-        assert auroc([0.9, 0.8, 0.2, 0.1], [1, 1, 0, 0]) == 1.0
+        area = auroc([0.9, 0.8, 0.2, 0.1], [1, 1, 0, 0])
+        # a Python float, which prints as a number, not np.float64(...)
+        assert area == 1.0 and type(area) is float
 
     def test_all_equal_scores_half(self):
         assert auroc([0.5, 0.5, 0.5, 0.5], [1, 0, 1, 0]) == 0.5

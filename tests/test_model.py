@@ -189,13 +189,13 @@ class TestAggregate:
         np.testing.assert_allclose(out[:, 2:], alphas[1] @ h[:, 2:], rtol=1e-12)
 
 
-def semantic(zs, seed, pool="mean", q=None):
+def semantic(zs, seed, q=None):
     """beta of `semantic_attention` over plain (n, 4) arrays, with random
     (3, 4) W, (3,) b and, unless given, (3,) q."""
     rng = np.random.default_rng(seed)
     w, b = Tensor(rng.random((3, 4))), Tensor(rng.random(3))
     q = Tensor(rng.random(3) if q is None else q)
-    _, beta = ad.semantic_attention([Tensor(z) for z in zs], w, b, q, pool=pool)
+    _, beta = ad.semantic_attention([Tensor(z) for z in zs], w, b, q)
     return beta.data
 
 
@@ -221,15 +221,6 @@ class TestMetapathAttention:
         zs = [rng.random((5, 4)) for _ in range(3)]
         np.testing.assert_allclose(semantic(zs, 8, q=np.zeros(3)), np.full(3, 1 / 3),
                                    atol=1e-12)
-
-    def test_sum_pool_scales_scores_with_node_count(self):
-        # Softmax keeps score differences as log ratios of beta.
-        rng = np.random.default_rng(9)
-        zs = [rng.random((6, 4)) for _ in range(2)]
-        beta_mean = semantic(zs, 9, pool="mean")
-        beta_sum = semantic(zs, 9, pool="sum")
-        np.testing.assert_allclose(np.log(beta_sum[0] / beta_sum[1]),
-                                   6 * np.log(beta_mean[0] / beta_mean[1]), rtol=1e-10)
 
 
 class TestFuse:
@@ -432,7 +423,7 @@ class TestForward:
         projections = set()
         for mp in params.metapaths:
             z = out.z_mp[mp]
-            assert z._op == config.activation
+            assert z._op == "relu"
             (fused,) = z._parents
             assert fused._op == "graph_attention"
             h, attn = fused._parents
@@ -456,7 +447,7 @@ class TestForward:
                 stack.extend(node._parents)
         ops = Counter(node._op for node in seen.values())
         assert ops == {"binary_cross_entropy": 1, "pair_scores": 1,
-                       "semantic_attention": 1, config.activation: 4,
+                       "semantic_attention": 1, "relu": 4,
                        "graph_attention": 4, "matmul": 1, "dropout": 1, "leaf": 8}
         leaves = {id(node) for node in seen.values() if node._op == "leaf"}
         assert leaves == {id(t) for t in params.trainable()}
@@ -472,19 +463,13 @@ class TestForward:
 class TestModelConfig:
     def test_echo_strings(self):
         config = ModelConfig(input_dim=7, hidden_dim=3, heads=2, attn_dim=5,
-                             leaky_slope=0.1, dropout=0.25, activation="tanh",
-                             pool="sum", seed=3)
+                             leaky_slope=0.1, dropout=0.25, seed=3)
         assert config.echo() == {
             "input_dim": "7", "hidden_dim": "3", "heads": "2", "attn_dim": "5",
-            "leaky_slope": "0.1", "dropout": "0.25", "activation": "tanh",
-            "pool": "sum", "seed": "3"}
-        assert ModelConfig.from_echo({**config.echo(), "metapaths": "DID-1"}) == config
-
-    def test_unknown_activation_names_the_allowed_kinds(self):
-        with pytest.raises(ad.ParameterError,
-                           match="activation must be one of relu, leaky_relu, tanh, "
-                                 "sigmoid; got 'gelu'"):
-            ModelConfig(input_dim=4, activation="gelu")
+            "leaky_slope": "0.1", "dropout": "0.25", "seed": "3"}
+        # older echoes also name the activation and the pooling, now fixed
+        old = {**config.echo(), "metapaths": "DID-1", "activation": "relu", "pool": "mean"}
+        assert ModelConfig.from_echo(old) == config
 
 
 class TestCheckpoint:
@@ -537,8 +522,10 @@ class TestCheckpoint:
             other = loaded.named()[name]
             assert other.dtype == tensor.dtype and other.shape == tensor.shape
             assert other.data.tobytes() == tensor.data.tobytes(), name
+        # its echo also names the activation and the pooling, since fixed
+        assert (echo["activation"], echo["pool"]) == ("relu", "mean")
         again = tmp_path / "again.ckpt"
-        save_checkpoint(again, per_head_layout(loaded, config.heads), config.echo())
+        save_checkpoint(again, per_head_layout(loaded, config.heads), echo)
         assert again.read_bytes() == LEGACY_CHECKPOINT.read_bytes()
 
     def test_every_truncation_is_a_contract_error(self, tmp_path):
