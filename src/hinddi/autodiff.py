@@ -45,28 +45,12 @@ and DID-2, 4% for DID-3 and DID-4). A top-k graph holds at most
 candidates, and each kept edge adds at most its reverse. So from n > 660
 on, no top-16 graph is 5% dense (33 / n).
 
-`pair_scores` runs its forward on a module thread pool, created on first
-use; every other op runs on the calling thread. From `PARALLEL_MIN_PAIRS`
-(8,192) pairs on, it cuts its blocks of `PAIR_BLOCK` pairs into W = min(
-blocks, usable cores) contiguous groups: the calling thread runs the first
-and the pool the others, which overlap because NumPy releases the
-interpreter lock in its loops. Each group gathers into its own buffers
-and writes its own slice of the dot products, whose ops do not depend on
-the split. Measured time of one forward (F = 64, float32, 513 rows;
-random pairs, and all 131,328 unordered pairs in row-major order; 2-vCPU
-guest, median of 15 interleaved rounds of 5-48 calls), serial vs 2
-groups:
-
-    pairs     serial vs split
-    4,096     0.50 vs 0.47 ms (1.07, won 7 of 15 rounds)
-    6,144     0.72 vs 0.73 ms (0.97, won 7 of 15)
-    8,192     0.96 vs 0.80 ms (1.20, won 15 of 15)
-    12,288    1.37 vs 1.06 ms (1.30, won 14 of 15)
-    18,952    2.12 vs 1.55 ms (1.37, won 14 of 15)
-    32,768    3.66 vs 2.52 ms (1.45, won 15 of 15)
-    131,328   13.7 vs 8.9 ms (1.54, won 15 of 15)
-
-The planted 50-drug set scores at most 1,225 pairs and starts no thread.
+Every op runs on the calling thread. `pair_scores` costs one (n, n)
+product of the n embeddings with themselves, and O(n^2) memory, whatever
+the number of pairs m: in float32, 1 MB at 513 drugs and 4 MB at 1,026.
+Each pair (i, j) reads entry (min(i, j), max(i, j)) of that product, so
+a score has the same bits in both orders and whatever other pairs the
+call scores.
 
 Scope is deliberately narrow: 0-d/1-d/2-d tensors, no general broadcasting,
 no views, no higher-order gradients. Two precisions are supported (float32
@@ -76,11 +60,7 @@ is an error.
 
 from __future__ import annotations
 
-import contextvars
-import os
-import threading
 from collections.abc import Callable, Iterable, Sequence
-from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 import scipy.sparse as sp
@@ -621,114 +601,40 @@ def semantic_attention(zs: Sequence[Tensor], w: Tensor | None, b: Tensor | None,
     return _node(out, op, parents, bwd), _node(beta, f"{op}.beta", (), None)
 
 
-# Pairs per block of the forward dot products in `pair_scores`. Each thread
-# gathers a block's two (PAIR_BLOCK, F) row sets into two buffers that it
-# allocates once per call and reuses for every block. At F = 64 in float32
-# they hold 512 kB each, so they stay in a core's L2 cache (2 MB on the
-# guest measured) from the gather through the product to the row sums,
-# where fresh temporaries per block are new memory each time. Of 512 to
-# 8,192 pairs, 2,048 was fastest on all 131,328 pairs of 513 drugs in 2
-# groups (8.4 ms against 8.7-18.5 ms) and near the fastest serially (12.9
-# ms, 1,024 12.4 ms, 8,192 19.0 ms).
-PAIR_BLOCK = 2048
-
-# A `pair_scores` call on at least this many pairs runs its blocks in
-# contiguous groups, one per usable core; see the pair table in the module
-# docstring.
-PARALLEL_MIN_PAIRS = 8192
-
-
-_pool_lock = threading.Lock()
-_pool: ThreadPoolExecutor | None = None
-
-
-def _usable_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not on every platform
-        return os.cpu_count() or 1
-
-
-def _executor() -> ThreadPoolExecutor:
-    """The module's thread pool, created on first use with room for a thread
-    per usable core but the caller's; it starts a thread only when a task
-    finds none idle."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(max(1, _usable_cores() - 1),
-                                       thread_name_prefix="hinddi-autodiff")
-        return _pool
-
-
-def _ranges(items: range, workers: int) -> list[range]:
-    """`items` cut into `workers` contiguous ranges of near-equal length."""
-    bounds = [len(items) * g // workers for g in range(workers + 1)]
-    return [items[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-
-
-def _run_groups(work, groups) -> None:
-    """work(group) for every group: the first on this thread, the others on
-    the pool, each in a copy of this thread's context so that settings such
-    as `np.errstate` hold there too."""
-    if len(groups) == 1:
-        work(groups[0])
-        return
-    pool = _executor()
-    futures = [pool.submit(contextvars.copy_context().run, work, group)
-               for group in groups[1:]]
-    try:
-        work(groups[0])
-    finally:
-        wait(futures)
-    for future in futures:
-        future.result()
-
-
 def pair_scores(z: Tensor, pairs: np.ndarray) -> Tensor:
     """sigmoid(z[i] . z[j]) for each row (i, j) of an (m, 2) index array,
-    as one node; an index outside z's rows raises IndexError. Each dot
-    product sums its own row with the ops of `(z[i] * z[j]).sum(axis=1)`,
-    so neither the blocks nor the threads that run them change a bit."""
+    as one node; an index outside z's rows raises IndexError. The dot
+    product is entry (min(i, j), max(i, j)) of z z^T, which is always
+    computed in full, so a pair's score has the same bits in either order
+    and in any call on the same z."""
     op = "pair_scores"
     _require_shape(op, z.data.ndim == 2, f"expects 2-d embeddings, got {z.shape}")
     pairs = np.asarray(pairs, dtype=np.int64)
     _require_shape(op, pairs.ndim == 2 and pairs.shape[1] == 2,
                    f"expects (m, 2) pairs, got {pairs.shape}")
-    if pairs.size and (pairs.min() < 0 or pairs.max() >= z.shape[0]):
-        raise IndexError(f"{op}: index out of range for {z.shape[0]} rows")
-    i, j = pairs[:, 0], pairs[:, 1]
     zd = z.data
-    m = len(pairs)
-    dots = np.empty(m, dtype=zd.dtype)
-    starts = range(0, m, PAIR_BLOCK)
-    workers = max(1, min(len(starts), _usable_cores())) if m >= PARALLEL_MIN_PAIRS else 1
-
-    def forward(group):
-        rows_i = np.empty((min(m, PAIR_BLOCK), zd.shape[1]), dtype=zd.dtype)
-        rows_j = np.empty_like(rows_i)
-        for start in group:
-            block = slice(start, min(start + PAIR_BLOCK, m))
-            a, b = rows_i[:block.stop - start], rows_j[:block.stop - start]
-            # the range is checked above; mode="raise" would buffer `out`
-            np.take(zd, i[block], axis=0, out=a, mode="clip")
-            np.take(zd, j[block], axis=0, out=b, mode="clip")
-            np.add.reduce(np.multiply(a, b, out=a), axis=1, out=dots[block])
-
-    _run_groups(forward, _ranges(starts, workers))
+    n = len(zd)
+    if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
+        raise IndexError(f"{op}: index out of range for {n} rows")
+    # each pair's index min(i, j) n + max(i, j) into the flat product, as
+    # min(i, j) (n - 1) + i + j in place: a reduction along the pair axis
+    # or fresh temporaries take several times as long on 131,328 pairs
+    i, j = pairs[:, 0], pairs[:, 1]
+    flat = np.minimum(i, j)
+    flat *= n - 1
+    flat += i
+    flat += j
+    dots = (zd @ zd.T).take(flat)
     _check_finite(dots, op)  # the sigmoid would hide an overflow
     y = 1 / (1 + np.exp(-dots))
 
     def bwd(g):
-        # Row r of the (n, m) incidence weighted by d_dots, times the (m, F)
-        # rows of the other drugs, is the sum of d_dots * row over the pairs
-        # that hold drug r, in pair order. scipy's csr_matvecs adds each
-        # term as y += a * x without a fused multiply-add, so every rounding
-        # is that of np.add.at; the oracle test pins this.
-        d_dots, order = g * y * (1 - y), np.arange(m)
-        by_i, by_j = (sp.csr_array((d_dots, (side, order)), shape=(len(zd), m))
-                      for side in (i, j))
-        return [by_i @ zd.take(j, axis=0) + by_j @ zd.take(i, axis=0)]
+        # d_dots summed per canonical pair in pair order, then both rows of
+        # every pair at once: d(z_i . z_j) is z_j for row i and z_i for row j
+        d = np.zeros(n * n, dtype=zd.dtype)
+        np.add.at(d, flat, g * y * (1 - y))
+        d = d.reshape(n, n)
+        return [(d + d.T) @ zd]
 
     return _node(y, op, (z,), bwd)
 

@@ -66,8 +66,8 @@ GRADCHECK_INSTANCES = (
 )
 
 # Settings that older checkpoints echo and that are no longer settable, with
-# the one value the code runs. The model's are echoed both bare (`pool`)
-# and with their section (`model.pool`).
+# the one value the code runs. Older checkpoints echo the model's both bare
+# (`pool`) and with their section (`model.pool`).
 FIXED_SETTINGS = {"activation": "relu", "model.activation": "relu",
                   "pool": "mean", "model.pool": "mean",
                   "metapaths.binarize_threshold": "1"}
@@ -288,7 +288,9 @@ def cmd_train(args, cfg: RunConfig) -> int:
                     values)
 
     checkpoint_path = cfg.out_dir / "checkpoint.bin"
-    echo = dict(cfg.echo())
+    # the model's settings once, by the names `ModelConfig.from_echo` reads
+    echo = {key: value for key, value in cfg.echo().items()
+            if not key.startswith("model.")}
     echo["metapaths.top_k"] = str(TOP_K)  # the graphs trained on
     echo.update(model_config.echo())
     save_checkpoint(checkpoint_path, params, echo)

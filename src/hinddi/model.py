@@ -12,9 +12,12 @@ a fixed one alike. One `semantic_attention` node scores each meta-path
 embedding by the mean over drugs of a small tanh layer and fuses them
 with softmax weights beta. One `pair_scores` node gives pair
 probabilities, the sigmoid of the dot product of the fused embeddings,
-and one `binary_cross_entropy` node gives the training loss. Whatever
-the number of drugs, heads or pairs, a training step records dropout,
-the projection, two nodes per meta-path and these three.
+read from one product of all fused embeddings with themselves: scores are
+bit-symmetric by construction, and a pair's score does not depend on the
+other pairs scored with it. One `binary_cross_entropy` node gives the
+training loss. Whatever the number of drugs, heads or pairs, a training
+step records dropout, the projection, two nodes per meta-path and these
+three.
 """
 
 from __future__ import annotations
@@ -229,8 +232,10 @@ def encode(params: ModelParams, features: np.ndarray,
 
 def decode_pairs(fused: Tensor, pairs: np.ndarray) -> Tensor:
     """Sigmoid of the row dot products fused[i] . fused[j] per row (i, j) of
-    an (m, 2) pair array; symmetric in (i, j). Any other shape, such as an
-    (m, 3) labelled partition, raises ShapeError."""
+    an (m, 2) pair array. Scores are bit-symmetric in (i, j) by
+    construction, and a pair's score has the same bits whatever other pairs
+    the call holds. Any other shape, such as an (m, 3) labelled partition,
+    raises ShapeError."""
     return ad.pair_scores(fused, pairs)
 
 

@@ -934,34 +934,101 @@ def test_alpha_check_fails_exactly_when_an_oracle_alpha_is_not_finite(
     assert np.isfinite(check).all() == all(np.isfinite(alpha).all() for alpha in want)
 
 
-def _split_pairs(monkeypatch, workers, block=None):
-    """Score pairs in blocks of `block` (default: PAIR_BLOCK), in `workers`
-    groups of blocks at any pair count (1: serially)."""
-    if block is not None:
-        monkeypatch.setattr(ad, "PAIR_BLOCK", block)
-    if workers > 1:
-        monkeypatch.setattr(ad, "PARALLEL_MIN_PAIRS", 0)
-    monkeypatch.setattr(ad, "_usable_cores", lambda: workers)
-
-
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("size", ["small", "above the thread threshold"])
-def test_pair_scores_adjoint_matches_add_at_bit_for_bit(monkeypatch, dtype, size):
-    # repeated, reversed and i == j pairs among random ones, and exact-zero
-    # adjoints of both signs, as the clamped binary cross-entropy gives
-    rng = np.random.default_rng(6)
-    n, m = (9, 40) if size == "small" else (60, ad.PARALLEL_MIN_PAIRS + 3000)
-    monkeypatch.setattr(ad, "_usable_cores", lambda: 2)
+def _pair_case(dtype, size, seed=6):
+    """(rng, z, pairs): random pairs among repeated, reversed and i == j
+    ones, on 9 drugs or on 60 with 11,198 pairs."""
+    rng = np.random.default_rng(seed)
+    n, m = (9, 40) if size == "small" else (60, 11_192)
     zd = rng.standard_normal((n, 16)).astype(dtype)
     pairs = np.concatenate([rng.integers(0, n, size=(m, 2)),
                             [[2, 5], [2, 5], [5, 2], [4, 4], [0, 8], [8, 0]]])
+    return rng, zd, pairs
+
+
+def oracle_pair_scores(zd, pairs):
+    return 1 / (1 + np.exp(-(zd @ zd.T)[pairs.min(axis=1), pairs.max(axis=1)]))
+
+
+PAIR_CASES = pytest.mark.parametrize("dtype, size", [
+    (dtype, size) for dtype in (np.float32, np.float64) for size in ("small", "large")])
+
+
+@PAIR_CASES
+def test_pair_scores_read_the_full_product_at_min_max(dtype, size):
+    _, zd, pairs = _pair_case(dtype, size)
+    got = ad.pair_scores(Tensor(zd), pairs).data
+    assert got.dtype == dtype
+    assert got.tobytes() == oracle_pair_scores(zd, pairs).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_a_pair_scores_alike_alone_reversed_and_among_all(dtype):
+    rng = np.random.default_rng(3)
+    zd = rng.standard_normal((30, 64)).astype(dtype)
+    everything = np.stack(np.triu_indices(30), axis=1)  # i == j included
+    want = ad.pair_scores(Tensor(zd), everything).data
+    assert ad.pair_scores(Tensor(zd), everything[:, ::-1]).data.tobytes() == want.tobytes()
+    order = rng.permutation(len(everything))
+    shuffled = ad.pair_scores(Tensor(zd), everything[order]).data
+    assert shuffled.tobytes() == want[order].tobytes()
+    for k in rng.choice(len(everything), size=40, replace=False):
+        for pair in (everything[k], everything[k, ::-1]):
+            alone = ad.pair_scores(Tensor(zd), pair[None]).data
+            assert alone.tobytes() == want[k:k + 1].tobytes()
+
+
+def _pair_adjoint(dtype, size):
+    """(z, pairs, probabilities, output adjoint, adjoint) of one call, with
+    exact-zero output adjoints of both signs, as the clamped binary
+    cross-entropy gives."""
+    rng, zd, pairs = _pair_case(dtype, size)
     g = rng.standard_normal(len(pairs)).astype(dtype)
     g[::7], g[3::11] = 0.0, -0.0
     node = ad.pair_scores(Tensor(zd, requires_grad=True), pairs)
     (dz,) = node._backward(g)
-    want = reference_pair_scores_adjoint(zd, pairs, node.data, g)
-    assert dz.dtype == want.dtype
-    assert dz.tobytes() == want.tobytes()
+    assert dz.dtype == dtype
+    return zd, pairs, node.data, g, dz
+
+
+@PAIR_CASES
+def test_pair_scores_adjoint_is_the_symmetric_scatter_product(dtype, size):
+    zd, pairs, y, g, dz = _pair_adjoint(dtype, size)
+    n = len(zd)
+    d = np.zeros((n, n), dtype=dtype)
+    np.add.at(d, (pairs.min(axis=1), pairs.max(axis=1)), g * y * (1 - y))
+    assert dz.tobytes() == ((d + d.T) @ zd).tobytes()
+
+
+@PAIR_CASES
+def test_pair_scores_adjoint_is_near_the_add_at_oracle(dtype, size):
+    # The oracle adds each pair's two products in pair order. Both sums hold
+    # at most k = m + n + 2 roundings, so each is within k eps / (1 - k eps)
+    # of the exact sum, relative to the sum of the terms' magnitudes.
+    zd, pairs, y, g, dz = _pair_adjoint(dtype, size)
+    n = len(zd)
+    want = reference_pair_scores_adjoint(zd, pairs, y, g)
+    magnitude = np.zeros((n, n))
+    np.add.at(magnitude, (pairs.min(axis=1), pairs.max(axis=1)),
+              np.abs((g * y * (1 - y)).astype(np.float64)))
+    scale = (magnitude + magnitude.T) @ np.abs(zd.astype(np.float64))
+    k, eps = len(pairs) + n + 2, np.finfo(dtype).eps
+    assert (np.abs(dz - want) <= 2 * k * eps / (1 - k * eps) * scale).all()
+
+
+def test_pair_scores_on_many_pairs_start_no_thread(monkeypatch):
+    # 19,900 pairs, above the 8,192 from which this op once ran on a thread
+    # pool: forward and adjoint run on the calling thread
+    def refuse(thread):
+        raise AssertionError(f"pair_scores started thread {thread.name}")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    before = threading.enumerate()
+    z = Tensor(np.random.default_rng(4).standard_normal((200, 8)), requires_grad=True)
+    pairs = np.stack(np.triu_indices(200, 1), axis=1)
+    assert len(pairs) > 8192
+    node = ad.pair_scores(z, pairs)
+    node._backward(np.ones(len(pairs)))
+    assert threading.enumerate() == before
 
 
 def test_fused_ops_reject_an_overflow_that_squashing_would_hide():
@@ -976,34 +1043,7 @@ def test_fused_ops_reject_an_overflow_that_squashing_would_hide():
             ad.pair_scores(big, np.array([[0, 1]]))
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("workers", [1, 2, 3])
-def test_pair_scores_in_blocks_equal_one_gather(monkeypatch, dtype, workers):
-    # 40 pairs in blocks of 7, the last one short, in 1-3 groups of blocks:
-    # every score is bit-identical to the sigmoid of dot products gathered
-    # all at once. Each case draws its own data, so that a block left
-    # unwritten cannot hold the right bits from an earlier case's buffer.
-    _split_pairs(monkeypatch, workers, block=7)
-    groups, run_groups = [], ad._run_groups
-
-    def count_groups(work, parts):
-        groups.append(len(parts))
-        run_groups(work, parts)
-
-    monkeypatch.setattr(ad, "_run_groups", count_groups)
-    rng = np.random.default_rng(workers)
-    zd = rng.standard_normal((9, 64)).astype(dtype)
-    pairs = rng.integers(0, 9, size=(40, 2))
-    dots = (zd[pairs[:, 0]] * zd[pairs[:, 1]]).sum(axis=1)
-    got = ad.pair_scores(Tensor(zd), pairs).data
-    assert groups == [workers]
-    assert got.dtype == dtype
-    assert got.tobytes() == (1 / (1 + np.exp(-dots))).tobytes()
-
-
-@pytest.mark.parametrize("workers", [1, 2])
-def test_pair_scores_of_no_pairs(monkeypatch, workers):
-    _split_pairs(monkeypatch, workers)
+def test_pair_scores_of_no_pairs():
     z = Tensor(np.ones((3, 4), dtype=np.float32), requires_grad=True)
     node = ad.pair_scores(z, np.zeros((0, 2), dtype=np.int64))
     assert node.data.shape == (0,) and node.data.dtype == np.float32
@@ -1011,11 +1051,8 @@ def test_pair_scores_of_no_pairs(monkeypatch, workers):
     assert dz.dtype == np.float32 and dz.shape == (3, 4) and not dz.any()
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_pair_scores_overflow_raises_under_errstate(monkeypatch, workers):
-    # only the second block's products overflow; with two groups a pool
-    # thread computes it, and the caller's np.errstate must hold there
-    _split_pairs(monkeypatch, workers, block=7)
+def test_pair_scores_overflow_raises_under_errstate():
+    # only the products of row 2 overflow
     zd = np.ones((3, 4), dtype=np.float32)
     zd[2] = 1e38
     pairs = np.array([[0, 1]] * 7 + [[2, 2]] * 7)
@@ -1023,11 +1060,9 @@ def test_pair_scores_overflow_raises_under_errstate(monkeypatch, workers):
         ad.pair_scores(Tensor(zd), pairs)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_pair_scores_temporaries_do_not_grow_with_the_pairs(monkeypatch, workers):
+def test_pair_scores_temporaries_do_not_grow_with_the_pairs():
     # One gather of all 4,950 pairs would hold two 1.3 MB (m, 64) arrays;
-    # blocks of 256 pairs hold two buffers of 64 kB per group.
-    _split_pairs(monkeypatch, workers, block=256)
+    # the (100, 100) product holds 40 kB.
     z = Tensor(np.ones((100, 64), dtype=np.float32))
     pairs = np.stack(np.triu_indices(100, 1), axis=1)
     tracemalloc.start()
@@ -1037,25 +1072,6 @@ def test_pair_scores_temporaries_do_not_grow_with_the_pairs(monkeypatch, workers
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
-
-
-def test_repeated_screens_reuse_the_pool(monkeypatch):
-    # a fresh pool for 3 usable cores holds at most 2 threads beside the
-    # caller's, however many screens above the threshold run
-    monkeypatch.setattr(ad, "_usable_cores", lambda: 3)
-    monkeypatch.setattr(ad, "_pool", None)
-    z = Tensor(np.random.default_rng(4).standard_normal((200, 8)))
-    pairs = np.stack(np.triu_indices(200, 1), axis=1)
-    assert len(pairs) >= ad.PARALLEL_MIN_PAIRS
-    before = threading.active_count()
-    try:
-        for _ in range(20):
-            ad.pair_scores(z, pairs)
-            assert threading.active_count() <= before + 2
-        assert ad._pool is not None
-    finally:
-        if ad._pool is not None:
-            ad._pool.shutdown(wait=True)
 
 
 @settings(max_examples=60, deadline=None)

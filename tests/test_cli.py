@@ -155,6 +155,17 @@ class TestTrain:
         manifest = json.loads((out / "build_graph.manifest.json").read_text())
         assert str((root / "ddi.tsv").absolute()) in manifest["inputs"]
 
+    def test_checkpoint_echoes_each_model_setting_once(self, pipeline):
+        # by the names ModelConfig.from_echo reads; the manifest keeps the
+        # section names of the config file
+        root, _ = pipeline
+        out = root / "out"
+        _, echo = load_checkpoint(out / "checkpoint.bin")
+        assert not [key for key in echo if key.startswith("model.")]
+        assert ModelConfig.from_echo(echo).echo().items() <= echo.items()
+        summary = json.loads((out / "summary.json").read_text())
+        assert "model.hidden" in summary["config"]
+
     def test_checkpoint_with_absolute_echo_still_loads(self, pipeline, tmp_path):
         # Earlier checkpoints echoed absolute data and output paths.
         root, cfg = pipeline
@@ -525,9 +536,8 @@ class TestEntryPoint:
         assert (tmp_path / "d" / "ddi.tsv").exists()
 
     def test_planted_run_starts_no_thread(self, tmp_path):
-        # 50 drugs give at most 1,225 pairs, below autodiff.PARALLEL_MIN_PAIRS
-        # (8,192), so pair scoring runs on the calling thread, as graph
-        # attention always does, and no pool is created
+        # every autodiff op runs on the calling thread; a pair_scores call
+        # above 8,192 pairs is checked in tests/test_autodiff.py
         cfg = quick_synth(tmp_path, drugs=50, epochs=10)
         script = ("import sys, threading\n"
                   "before = threading.active_count()\n"
