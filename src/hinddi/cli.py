@@ -382,8 +382,11 @@ def cmd_predict(args, cfg: RunConfig) -> int:
     registry = hin.registry
     requested = []
     for lineno, a, b in zip(*load_pairs(args.pairs)):
-        i = registry.index_of(EntityKind.DRUG, a)
-        j = registry.index_of(EntityKind.DRUG, b)
+        try:
+            i = registry.index_of(EntityKind.DRUG, a)
+            j = registry.index_of(EntityKind.DRUG, b)
+        except HinError as err:
+            raise ConfigError(f"{args.pairs}:{lineno}: {err}") from None
         if i == j:
             raise ConfigError(f"{args.pairs}:{lineno}: self-pair {a!r}")
         requested.append((a, b, i, j))

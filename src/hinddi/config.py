@@ -139,9 +139,11 @@ class RunConfig:
                 raise ConfigError(f"[{f.metadata['section']}] {f.name} must be "
                                   f"one of {', '.join(choices)}; got {value!r}")
         known = set(builtin_spec_names())
-        for mp in self.metapaths:
+        for k, mp in enumerate(self.metapaths):
             if mp not in known:
                 raise ConfigError(f"unknown meta-path {mp!r}; known: {sorted(known)}")
+            if mp in self.metapaths[:k]:
+                raise ConfigError(f"[metapaths] metapaths names {mp!r} twice")
         if not self.metapaths:
             raise ConfigError("at least one meta-path is required")
         # input_dim comes from the features; any valid value checks the rest

@@ -63,12 +63,12 @@ def purpose_rng(seed: int, purpose: str) -> np.random.Generator:
 
 def _positive_ids(ddis, n_drugs: int) -> np.ndarray:
     """Sorted unique ids of the canonical positives; a self-pair is an error."""
-    pairs = pair_array(ddis)
-    self_pairs = np.flatnonzero(pairs[:, 0] == pairs[:, 1])
+    left, right = pair_array(ddis).T
+    self_pairs = np.flatnonzero(left == right)
     if self_pairs.size:
-        i, j = pairs[self_pairs[0]]
-        raise SplitError(f"self-pair ({i}, {j}) is not a valid example")
-    return sorted_unique(pairs.min(axis=1) * n_drugs + pairs.max(axis=1))
+        i = left[self_pairs[0]]
+        raise SplitError(f"self-pair ({i}, {i}) is not a valid example")
+    return sorted_unique(np.minimum(left, right) * n_drugs + np.maximum(left, right))
 
 
 def _sample_pair_ids(candidates: np.ndarray, count: int,

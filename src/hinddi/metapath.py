@@ -5,12 +5,13 @@ drugs. Its commuting matrix is the integer product of the step matrices;
 entry (i, j) counts concrete path instances from drug i to drug j. The
 encoder consumes a neighbor graph per meta-path. A drug's candidates are
 the other drugs with which it shares at least one path instance, as in
-HAN (Wang et al., WWW 2019); a drug with more than k candidates keeps the
-k of highest PathSim (Sun et al., VLDB 2011) and every drug that keeps
-it, so that the graph stays symmetric. Self-loops are added, and the
-graph is held as one canonical boolean CSR array that graph attention
-reads as it is. With k = 0 every candidate is kept: the paper's binarized
-graph.
+HAN (Wang et al., WWW 2019). A drug with more than k candidates is cut:
+its row is cleared, set to its k candidates of highest PathSim (Sun et
+al., VLDB 2011), and given back every drug whose row holds it, for any
+count matrix. The built-in meta-paths give symmetric counts, and on them
+the graph is symmetric. Self-loops are added, and the graph is held as
+one canonical boolean CSR array that graph attention reads as it is.
+With k = 0 every candidate is kept: the paper's binarized graph.
 
 The cut matters at paper scale. On 513 drugs, the binarized DID-3 and
 DID-4 graphs are 100% and 74% dense, and node attention cannot single out
@@ -135,7 +136,7 @@ TOP_K = 16
 # faults, about 3 ms, per near-complete graph; blocks of this size none.
 SCORE_ENTRIES = 16384
 # Rows are ranked by packed int64 keys while count times denominator stays
-# under 2**PACKED_BITS over the column range (see _keep_top_pathsim).
+# under 2**PACKED_BITS over the column range (see _top_pathsim).
 PACKED_BITS = 50
 
 
@@ -223,21 +224,25 @@ def neighbor_graph(m: CommutingMatrix, top_k: int = TOP_K) -> NeighborGraph:
 
     PathSim is 2 M_ij / max(M_ii + M_jj, 1) in float64 (Sun et al., VLDB
     2011); the floor covers a zero diagonal beside positive counts, as
-    DID-2 can have. Equal scores go to the lower column. On a symmetric
-    count matrix, as every built-in meta-path gives, the graph is the union
-    of the kept sets with their transpose: symmetric, and a drug with at
-    most `top_k` candidates keeps exactly its binarized row.
+    DID-2 can have. Equal scores go to the lower column. The rule holds
+    for any count matrix: a drug with at most `top_k` candidates keeps
+    its binarized row, and a cut drug's row is its kept columns, every
+    drug whose row holds it, and itself. On a symmetric count matrix, as
+    every built-in meta-path gives, the graph is symmetric.
     """
     if top_k < 0:
         raise ValueError(f"top_k must be >= 0, got {top_k}")
     adj = m.counts > 0
     np.fill_diagonal(adj, True)
     degree = np.count_nonzero(adj, axis=1)
-    if top_k and degree.max(initial=0) > top_k + 1:
-        heavy = _rows_to_cut(adj, degree, top_k)
-        if heavy.size:
-            _keep_top_pathsim(adj, m.counts, top_k, heavy)
-            degree = np.count_nonzero(adj, axis=1)
+    heavy = np.flatnonzero(degree > top_k + 1)
+    if top_k and heavy.size:
+        kept = _top_pathsim(m.counts, top_k, heavy)
+        adj[heavy] = False
+        adj[np.repeat(heavy, top_k), kept.ravel()] = True
+        adj[heavy] |= adj[:, heavy].T
+        adj[heavy, heavy] = True
+        degree = np.count_nonzero(adj, axis=1)
     n = adj.shape[0]
     idx = sp.get_index_dtype(maxval=adj.size)  # int32 unless n^2 overflows it
     # boolean indexing runs row by row, so each row's columns come out sorted
@@ -247,31 +252,9 @@ def neighbor_graph(m: CommutingMatrix, top_k: int = TOP_K) -> NeighborGraph:
                                               shape=(n, n)))
 
 
-def _rows_to_cut(adj: np.ndarray, degree: np.ndarray, k: int) -> np.ndarray:
-    """The rows of more than k candidates whose cut can change the graph.
-
-    A row whose candidates all have at most k of their own, and whose
-    column equals the row, gets back every drug it drops and holds no other
-    cut row, so cutting it changes nothing. Such a row has no more
-    candidates than there are light rows, so near-complete graphs skip the
-    check.
-    """
-    heavy = degree > k + 1
-    n_light = heavy.size - np.count_nonzero(heavy)
-    maybe = np.flatnonzero(heavy & (degree <= n_light + 1))
-    if maybe.size:
-        rows = adj[maybe]
-        whole = ((np.count_nonzero(rows & heavy, axis=1) == 1)  # the self-loop only
-                 & (rows == adj[:, maybe].T).all(axis=1))
-        heavy[maybe[whole]] = False
-    return np.flatnonzero(heavy)
-
-
-def _keep_top_pathsim(adj: np.ndarray, counts: np.ndarray, k: int,
-                      heavy: np.ndarray) -> None:
-    """Cut each `heavy` row of `adj` (candidates plus self-loops) to its
-    self-loop and its top k candidates by (-PathSim, column), then give it
-    back every drug whose row holds it.
+def _top_pathsim(counts: np.ndarray, k: int, rows: np.ndarray) -> np.ndarray:
+    """The k candidates of highest PathSim of each of `rows`, ties to the
+    lower column, as a (rows.size, k) int64 array.
 
     Rows are scored in blocks of about `SCORE_ENTRIES` scores. The factor 2
     of PathSim is left out, which changes no order and no tie, and so is
@@ -285,24 +268,24 @@ def _keep_top_pathsim(adj: np.ndarray, counts: np.ndarray, k: int,
     M/D are then more than 2**(shift + 1) float64 steps apart. Blocks with
     larger counts are sorted by (-score, column) instead.
     """
-    n = adj.shape[0]
+    n = counts.shape[0]
     diag = np.diagonal(counts).astype(np.float64)
     floor = not diag.all()
     shift = max(1, (n - 1).bit_length())
     low = (1 << shift) - 1
     column_key = low - np.arange(n)
     limit = 2.0 ** (PACKED_BITS - shift) / max(2.0 * diag.max(initial=0), 1.0)
-    kept = np.empty((heavy.size, k), dtype=np.int64)
+    kept = np.empty((rows.size, k), dtype=np.int64)
     step = max(1, SCORE_ENTRIES // n)
-    for start in range(0, heavy.size, step):
-        rows = heavy[start:start + step]
-        contiguous = rows[-1] - rows[0] == rows.size - 1
-        block = counts[rows[0]:rows[-1] + 1] if contiguous else counts[rows]
-        score = np.add.outer(diag[rows], diag)
+    for start in range(0, rows.size, step):
+        part = rows[start:start + step]
+        contiguous = part[-1] - part[0] == part.size - 1
+        block = counts[part[0]:part[-1] + 1] if contiguous else counts[part]
+        score = np.add.outer(diag[part], diag)
         if floor:
             np.maximum(score, 1.0, out=score)
         np.divide(block, score, out=score)
-        score[np.arange(rows.size), rows] = 0.0
+        score[np.arange(part.size), part] = 0.0
         if block.max(initial=0) < limit:
             key = score.view(np.int64)
             key &= ~low
@@ -312,14 +295,4 @@ def _keep_top_pathsim(adj: np.ndarray, counts: np.ndarray, k: int,
         else:
             columns = np.broadcast_to(np.arange(n), score.shape)
             kept[start:start + step] = np.lexsort((columns, -score), axis=1)[:, :k]
-    cut = np.zeros(n, dtype=bool)
-    cut[heavy] = True
-    light = np.flatnonzero(~cut)
-    back = adj[np.ix_(light, heavy)].T  # light rows holding a cut row
-    rows, cols = np.repeat(heavy, k), kept.ravel()
-    adj[heavy] = False
-    adj[heavy, heavy] = True
-    adj[rows, cols] = True
-    mutual = cut[cols]  # cut rows keeping a cut row
-    adj[cols[mutual], rows[mutual]] = True
-    adj[np.ix_(heavy, light)] |= back
+    return kept

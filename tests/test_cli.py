@@ -452,6 +452,14 @@ class TestPredict:
                        root / "out" / "checkpoint.bin", "--pairs", pairs) == 1
         assert "self-pair" in capsys.readouterr().err
 
+    def test_unknown_drug_names_its_line(self, pipeline, tmp_path, capsys):
+        root, cfg = pipeline
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("# header\nD000\tD001\nD001\tDXXX\n", encoding="utf-8")
+        assert run_cli("predict", "--config", cfg, "--checkpoint",
+                       root / "out" / "checkpoint.bin", "--pairs", pairs) == 1
+        assert capsys.readouterr().err == f"error: {pairs}:3: unknown drug id 'DXXX'\n"
+
     def test_metapaths_checked_against_checkpoint(self, pipeline, tmp_path,
                                                   capsys):
         root, cfg = pipeline

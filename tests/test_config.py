@@ -247,6 +247,9 @@ BAD_INPUTS = {
     "removed binarize_threshold key": (
         "build-graph", append("[metapaths]\nbinarize_threshold = 1\n"),
         "unknown key [metapaths] binarize_threshold"),
+    "repeated meta-path": (
+        "build-graph", append("[metapaths]\nmetapaths = DID-1,DID-1,DID-3\n"),
+        "[metapaths] metapaths names 'DID-1' twice"),
     "zero epochs": (
         "build-graph", append("[training]\nepochs = 0\n"),
         "[training] epochs must be >= 1, got 0"),
@@ -329,3 +332,14 @@ def test_bad_input_gives_one_error_line(featurized, tmp_path, capsys, case):
     if at_load:
         assert str(run / "run.cfg") in err
         assert not (run / "out").exists()
+
+
+def test_repeated_metapath_override_gives_one_error_line(featurized, tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(featurized, run)
+    before = sorted(p.name for p in (run / "out").iterdir())
+    assert main(["train", "--config", str(run / "run.cfg"),
+                 "--metapaths", "DID-1,DID-1,DID-3"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: [metapaths] metapaths names 'DID-1' twice\n", err
+    assert sorted(p.name for p in (run / "out").iterdir()) == before

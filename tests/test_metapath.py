@@ -20,6 +20,7 @@ from hinddi.metapath import (
     builtin_specs,
     commuting_matrix,
     neighbor_graph,
+    spec_by_name,
 )
 from perfbench.workloads import PAPER_SPEC, generate_clustered, write_lines
 from tests.conftest import (
@@ -357,17 +358,14 @@ class TestTopKPathSim:
         adj = neighbor_graph(CommutingMatrix("DID-2", counts), top_k=2).adjacency
         np.testing.assert_array_equal(adj, triangles.astype(bool))
 
-    def test_a_cut_that_gives_every_drug_back_is_skipped(self, monkeypatch):
+    def test_a_cut_that_gives_every_drug_back_keeps_the_binarized_row(self):
         # drug 0 has 3 candidates, each with only drug 0 as its own: cut to
-        # 2, it gets the third back, so its row is not scored at all
+        # 2, it gets the third back, so its row is the binarized one
         counts = np.diag([4, 4, 4, 4, 4]).astype(np.int64)
         counts[0, 1:4] = counts[1:4, 0] = [3, 2, 1]
-        scored = []
-        monkeypatch.setattr(metapath, "_keep_top_pathsim", lambda *args: scored.append(args))
         adj = neighbor_graph(CommutingMatrix("DID-2", counts), top_k=2).adjacency
-        assert not scored
+        np.testing.assert_array_equal(adj, (counts > 0) | np.eye(5, dtype=bool))
         np.testing.assert_array_equal(adj, reference_neighbor_mask(counts, 2))
-        monkeypatch.undo()
         # drug 3 no longer holds drug 0, so it gives nothing back: drug 0 is cut
         counts[3, 0] = 0
         adj = neighbor_graph(CommutingMatrix("DID-2", counts), top_k=2).adjacency
@@ -418,7 +416,9 @@ class TestTopKPathSim:
 
     def test_paper_scale_graphs_stay_under_sparse_density(self, tmp_path):
         # (2k + 1) n edges would still be 6.4% of 513^2; the generated
-        # paper-count network keeps all four graphs under SPARSE_DENSITY
+        # paper-count network keeps all four graphs under SPARSE_DENSITY,
+        # each the oracle's. DID-3 and DID-4 cut every row, scored in 17
+        # blocks of SCORE_ENTRIES // 513 = 31 rows.
         write_lines(generate_clustered(PAPER_SPEC, 0), tmp_path)
         hin = pipeline.load_hin_inputs(pipeline.InputPaths.in_dir(tmp_path))
         graphs = pipeline.make_graphs(hin, builtin_spec_names())
@@ -427,3 +427,9 @@ class TestTopKPathSim:
             n = graph.mask.shape[0]
             assert n == PAPER_SPEC.n_drugs
             assert graph.mask.nnz < autodiff.SPARSE_DENSITY * n * n, name
+            counts = commuting_matrix(hin, spec_by_name(name)).counts
+            if name in ("DID-3", "DID-4"):
+                candidates = np.count_nonzero(counts, axis=1) - (np.diagonal(counts) > 0)
+                assert (candidates > TOP_K).all(), name
+            np.testing.assert_array_equal(graph.mask.toarray(),
+                                          reference_neighbor_mask(counts, TOP_K), err_msg=name)
